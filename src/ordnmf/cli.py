@@ -8,7 +8,6 @@ text; keys match the long flag names with dashes or underscores.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -20,8 +19,9 @@ from .data import (OrdinalMatrix, QuantizationScheme, load_triplets,
                    write_index_map)
 from .errors import ConfigError, OrdnmfError
 from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
-                         ppc_report_text, ranking_report_text)
-from .inference import FitConfig, fit, load_state, predict_scores, save_state
+                         ppc_report_text, ranking_report_text, score_blocks,
+                         top_m_items)
+from .inference import FitConfig, fit, load_state, save_state
 
 SCHEMA_VERSION = 1
 
@@ -201,20 +201,21 @@ def cmd_ppc(cfg):
 
 def cmd_predict(cfg):
     state, _ = load_state(cfg["model"])
-    train = OrdinalMatrix.load(cfg["train"]) if cfg["train"] else None
+    train = None
+    if cfg["train"]:
+        train = OrdinalMatrix.load(cfg["train"])
+        if (train.n_users, train.n_items) != (state.n_users, state.n_items):
+            raise ConfigError(f"{cfg['train']}: matrix shape differs from the model")
     users = (_parse_int_list(cfg["users"]) if cfg["users"]
-             else list(range(state.n_users)))
-    m = cfg["list_length"]
+             else range(state.n_users))
     lines = ["user\trank\titem\tscore"]
-    for u in users:
-        row = predict_scores(state, [u])[0]
-        if train is not None:
-            row = row.copy()
-            row[train.cols[train.indptr[u]:train.indptr[u + 1]]] = -np.inf
-        idx = np.arange(row.size)
-        order = idx[np.lexsort((idx, -row))][:m]
-        for rank, item in enumerate(order, start=1):
-            lines.append(f"{u}\t{rank}\t{item}\t{row[item]:.8g}")
+    for block, scores in score_blocks(state, users):
+        items, lengths = top_m_items(scores, block, train, cfg["list_length"])
+        top = np.take_along_axis(scores, items, axis=1)
+        for u, row, vals, n in zip(block.tolist(), items.tolist(),
+                                   top.tolist(), lengths.tolist()):
+            for r in range(n):
+                lines.append(f"{u}\t{r + 1}\t{row[r]}\t{vals[r]:.8g}")
     _write_report(cfg["output"], "\n".join(lines) + "\n", cfg)
     print(f"wrote {cfg['output']}")
     return 0
@@ -222,8 +223,6 @@ def cmd_predict(cfg):
 
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP threads (best effort)")
 
 
 def build_parser():
@@ -314,10 +313,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _effective_config(args, harvested[args.subcommand])
-        if cfg.get("threads"):
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS"):
-                os.environ[var] = str(cfg["threads"])
         return args.func(cfg)
     except (OrdnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

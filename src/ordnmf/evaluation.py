@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .inference import predict_scores
+from .inference import _entry_csr, predict_scores
 from .model import log1mexp
 
 
@@ -27,99 +27,103 @@ class PPCReport:
     n_cells_sampled: int
 
 
-def _test_lookup(test):
-    """Per-user dicts item -> class for the test matrix."""
-    lookup = []
-    for u in range(test.n_users):
-        lo, hi = test.indptr[u], test.indptr[u + 1]
-        lookup.append(dict(zip(test.cols[lo:hi].tolist(),
-                               test.vals[lo:hi].tolist())))
-    return lookup
+# Cells (users x items) per block of dense scores: temporaries of ~16 MB.
+_BLOCK_CELLS = 1 << 21
 
 
-def ndcg_at_m(scores, train, test, threshold, list_length,
-              exclude_train=True, score_zero_relevant_users=False):
-    """Mean NDCG over users with at least one relevant held-out item.
+def score_blocks(state, users):
+    """Yield (users, predict_scores rows) for consecutive blocks of users."""
+    users = np.asarray(users, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // state.n_items)
+    for start in range(0, users.size, step):
+        block = users[start:start + step]
+        yield block, predict_scores(state, block)
 
-    Items are ranked by score descending (ties broken by ascending item
-    index); items non-zero in train are removed from the candidate list
-    unless exclude_train is off.  Relevance is 1[test class >= threshold].
-    The ideal DCG truncates at min(list_length, number of relevant items).
-    Users with no relevant test item are skipped by default, or scored 0
-    when score_zero_relevant_users is set.
+
+def top_m_items(scores, users, train, list_length):
+    """Top-m lists (items, lengths) of a block of score rows of users.
+
+    Row j's list is items[j, :lengths[j]], ordered by score descending and
+    ascending item.  Unless train is None, the users' train items are set
+    to -inf in scores (in place) and never listed.
     """
     if list_length < 1:
-        raise ConfigError("list length must be >= 1")
-    if not 1 <= threshold <= test.n_classes:
-        raise ConfigError(f"relevance threshold must lie in 1..{test.n_classes}")
-    scores = np.asarray(scores, dtype=float)
+        raise ConfigError(f"list length must be >= 1, got {list_length}")
+    if np.isnan(scores).any():
+        raise NumericalError("NaN ranking score")
+    n_rows, n_items = scores.shape
+    m = min(int(list_length), n_items)
+    lengths = np.full(n_rows, m)
+    if train is not None:
+        in_train = _entry_csr(train, train.vals)[users].toarray() > 0
+        scores[in_train] = -np.inf
+        lengths = np.minimum(m, n_items - in_train.sum(axis=1))
+    # every item above the m-th largest score, then the lowest-index items
+    # tied with it until the row holds m
+    cut = np.partition(scores, n_items - m, axis=1)[:, n_items - m, None]
+    chosen = scores > cut
+    tied = scores == cut
+    need = m - chosen.sum(axis=1, keepdims=True)
+    chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
+    items = np.nonzero(chosen)[1].reshape(n_rows, m)
+    top = np.take_along_axis(scores, items, axis=1)
+    order = np.argsort(-top, axis=1, kind="stable")
+    return np.take_along_axis(items, order, axis=1), lengths
+
+
+def _ndcg_reports(blocks, train, test, thresholds, list_length):
+    """RankingMetricsReports over (users, scores) blocks; see evaluate_ranking."""
+    thresholds = sorted({int(s) for s in thresholds})
+    for s in thresholds:
+        if not 1 <= s <= test.n_classes:
+            raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
+    total = np.zeros(len(thresholds))
+    n_eval = np.zeros(len(thresholds), dtype=np.int64)
+    for users, scores in blocks:
+        items, lengths = top_m_items(scores, users, train, list_length)
+        m = items.shape[1]
+        classes = _entry_csr(test, test.vals)[users].toarray()
+        ranked = np.take_along_axis(classes, items, axis=1)
+        ranked[np.arange(m) >= lengths[:, None]] = 0
+        discounts = 1.0 / np.log2(np.arange(2, m + 2))
+        ideal = np.cumsum(discounts)
+        for j, s in enumerate(thresholds):
+            n_rel = (classes >= s).sum(axis=1)
+            dcg = (ranked >= s) @ discounts  # 0 where n_rel is 0
+            total[j] += (dcg / ideal[np.clip(n_rel, 1, m) - 1]).sum()
+            n_eval[j] += np.count_nonzero(n_rel)
+    return [RankingMetricsReport(threshold=s, list_length=int(list_length),
+                                 mean_ndcg=t / n if n else float("nan"),
+                                 n_users_evaluated=int(n))
+            for s, t, n in zip(thresholds, total, n_eval)]
+
+
+def ndcg_at_m(scores, train, test, threshold, list_length, exclude_train=True):
+    """NDCG report of a dense users x items score matrix; see evaluate_ranking."""
+    scores = np.array(scores, dtype=float)
     if scores.shape != (train.n_users, train.n_items):
         raise DataError("scores must cover every (user, item) pair")
-    discounts = 1.0 / np.log2(np.arange(2, list_length + 2))
-    ideal_cum = np.cumsum(discounts)
-    total = 0.0
-    n_eval = 0
-    n_zero_rel = 0
-    for u in range(train.n_users):
-        lo, hi = test.indptr[u], test.indptr[u + 1]
-        rel_items = test.cols[lo:hi][test.vals[lo:hi] >= threshold]
-        if rel_items.size == 0:
-            n_zero_rel += 1
-            continue
-        row = scores[u]
-        if exclude_train:
-            candidates = np.ones(train.n_items, dtype=bool)
-            candidates[train.cols[train.indptr[u]:train.indptr[u + 1]]] = False
-            idx = np.flatnonzero(candidates)
-        else:
-            idx = np.arange(train.n_items)
-        order = idx[np.lexsort((idx, -row[idx]))][:list_length]
-        rel_mask = np.isin(order, rel_items)
-        dcg = float(discounts[:order.size][rel_mask[:order.size]].sum()) if order.size else 0.0
-        idcg = ideal_cum[min(list_length, rel_items.size) - 1]
-        total += dcg / idcg
-        n_eval += 1
-    if score_zero_relevant_users:
-        n_eval += n_zero_rel
-    mean = total / n_eval if n_eval else float("nan")
-    return RankingMetricsReport(threshold=int(threshold),
-                                list_length=int(list_length),
-                                mean_ndcg=mean, n_users_evaluated=n_eval)
+    return _ndcg_reports([(np.arange(train.n_users), scores)],
+                         train if exclude_train else None, test,
+                         [threshold], list_length)[0]
 
 
 def evaluate_ranking(state, train, test, thresholds, list_length=100,
-                     exclude_train=True, batch_size=1024):
-    """NDCG reports at several relevance thresholds, sharing one score pass."""
-    reports = {int(s): [0.0, 0] for s in thresholds}
-    discounts = 1.0 / np.log2(np.arange(2, list_length + 2))
-    ideal_cum = np.cumsum(discounts)
-    for start in range(0, train.n_users, batch_size):
-        users = np.arange(start, min(start + batch_size, train.n_users))
-        scores = predict_scores(state, users)
-        for j, u in enumerate(users):
-            row = scores[j]
-            if exclude_train:
-                candidates = np.ones(train.n_items, dtype=bool)
-                candidates[train.cols[train.indptr[u]:train.indptr[u + 1]]] = False
-                idx = np.flatnonzero(candidates)
-            else:
-                idx = np.arange(train.n_items)
-            order = idx[np.lexsort((idx, -row[idx]))][:list_length]
-            lo, hi = test.indptr[u], test.indptr[u + 1]
-            t_cols, t_vals = test.cols[lo:hi], test.vals[lo:hi]
-            for s, acc in reports.items():
-                rel_items = t_cols[t_vals >= s]
-                if rel_items.size == 0:
-                    continue
-                rel_mask = np.isin(order, rel_items)
-                dcg = float(discounts[:order.size][rel_mask].sum())
-                idcg = ideal_cum[min(list_length, rel_items.size) - 1]
-                acc[0] += dcg / idcg
-                acc[1] += 1
-    return [RankingMetricsReport(threshold=s, list_length=int(list_length),
-                                 mean_ndcg=acc[0] / acc[1] if acc[1] else float("nan"),
-                                 n_users_evaluated=acc[1])
-            for s, acc in sorted(reports.items())]
+                     exclude_train=True):
+    """NDCG@list_length reports at several relevance thresholds.
+
+    Each user's items are ranked by predicted score descending, ties broken
+    by ascending item index.  Items non-zero in train are not candidates
+    unless exclude_train is off, so a list is shorter than list_length when
+    fewer candidates remain.  Relevance at threshold s is 1[test class >= s]
+    for s in 1..V; users with no relevant test item are skipped, and a
+    threshold no user reaches reports NaN.  The ideal DCG truncates at
+    min(list_length, number of relevant items).  One report per distinct
+    threshold, in ascending order.
+    """
+    return _ndcg_reports(score_blocks(state, np.arange(train.n_users)),
+                         train if exclude_train else None, test, thresholds,
+                         list_length)
 
 
 def log_lik_nonzeros(test, state):

@@ -240,3 +240,33 @@ def random_matrix(n_users, n_items, n_classes, rng, density=0.5):
     rows, cols = np.nonzero(dense)
     return OrdinalMatrix(n_users, n_items, n_classes, rows, cols,
                          dense[rows, cols])
+
+
+def top_m_bruteforce(scores, train_dense, list_length):
+    """Per-user top lists by a full sort of the candidates on (-score, item).
+
+    train_dense is None when train items stay candidates.
+    """
+    lists = []
+    for u in range(scores.shape[0]):
+        candidates = [i for i in range(scores.shape[1])
+                      if train_dense is None or train_dense[u, i] == 0]
+        candidates.sort(key=lambda i: (-scores[u, i], i))
+        lists.append(candidates[:list_length])
+    return lists
+
+
+def ndcg_bruteforce(lists, test_dense, threshold, list_length):
+    """(mean NDCG, users evaluated) of top lists; NaN when no user counts."""
+    total, n_users = 0.0, 0
+    for u, ranked in enumerate(lists):
+        relevant = set(np.flatnonzero(test_dense[u] >= threshold).tolist())
+        if not relevant:
+            continue
+        dcg = sum(1.0 / np.log2(r + 2) for r, i in enumerate(ranked)
+                  if i in relevant)
+        idcg = sum(1.0 / np.log2(r + 2)
+                   for r in range(min(list_length, len(relevant))))
+        total += dcg / idcg
+        n_users += 1
+    return (total / n_users if n_users else float("nan")), n_users

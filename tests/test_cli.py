@@ -7,6 +7,9 @@ import pytest
 
 from ordnmf.cli import main
 from ordnmf.data import OrdinalMatrix
+from ordnmf.inference import save_state
+
+from oracles import random_state_like
 
 
 @pytest.fixture()
@@ -23,6 +26,24 @@ def triplet_file(tmp_path):
         lines.append(f"u{u},i{i},{int(rng.integers(1, 300))}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture()
+def ranking_files(tmp_path):
+    """Model, train and test files for 2 users x 5 items, V=3.
+
+    User 0 has 4 of the 5 items in train, user 1 has one.
+    """
+    train = OrdinalMatrix(2, 5, 3, [0, 0, 0, 0, 1], [0, 1, 2, 3, 0],
+                          [1, 2, 3, 1, 2])
+    test = OrdinalMatrix(2, 5, 3, [0, 1], [4, 2], [3, 1])
+    paths = {"model": tmp_path / "model.npz", "train": tmp_path / "tr.ordmat",
+             "test": tmp_path / "te.ordmat"}
+    train.save(paths["train"])
+    test.save(paths["test"])
+    save_state(paths["model"],
+               random_state_like(train, 2, np.random.default_rng(0)))
+    return paths
 
 
 def run(*argv):
@@ -112,6 +133,17 @@ class TestPipeline:
                    "--binarize-at", 1) == 0
         assert "log_lik_nonzeros\tN/A" in report.read_text()
 
+    def test_predict_lists_no_train_items(self, tmp_path, ranking_files):
+        out = tmp_path / "top.txt"
+        assert run("predict", "--model", ranking_files["model"],
+                   "--train", ranking_files["train"], "--output", out,
+                   "--list-length", 5) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()
+                if not line.startswith(("#", "user"))]
+        assert [r[:3] for r in rows if r[0] == "0"] == [["0", "1", "4"]]
+        assert sorted(r[2] for r in rows if r[0] == "1") == ["1", "2", "3", "4"]
+        assert "-inf" not in out.read_text()
+
 
 class TestErrorHandling:
     def test_missing_input_nonzero_exit(self, tmp_path, capsys):
@@ -148,6 +180,35 @@ class TestErrorHandling:
         assert run("evaluate", "--model", model, "--train", other,
                    "--test", other, "--output", tmp_path / "r.txt",
                    "--ndcg-thresholds", "1", "--list-length", 5) != 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--list-length", 0], "list length must be >= 1, got 0"),
+        (["evaluate", "--ndcg-thresholds", 9],
+         "relevance threshold 9 outside 1..3"),
+        (["evaluate", "--ndcg-thresholds", 0],
+         "relevance threshold 0 outside 1..3"),
+        (["predict", "--list-length", -2], "list length must be >= 1, got -2"),
+    ], ids=["evaluate-list-length-0", "evaluate-threshold-9",
+            "evaluate-threshold-0", "predict-list-length-negative"])
+    def test_bad_ranking_arguments_rejected(self, tmp_path, capsys,
+                                            ranking_files, argv, message):
+        files = ["--model", ranking_files["model"],
+                 "--train", ranking_files["train"]]
+        if argv[0] == "evaluate":
+            files += ["--test", ranking_files["test"]]
+        out = tmp_path / "out.txt"
+        assert run(*argv, *files, "--output", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_predict_train_dimension_mismatch(self, tmp_path, capsys,
+                                               ranking_files):
+        other = tmp_path / "other.ordmat"
+        OrdinalMatrix(2, 4, 3, [0], [0], [1]).save(other)
+        assert run("predict", "--model", ranking_files["model"],
+                   "--train", other, "--output", tmp_path / "top.txt") == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: matrix shape differs from the model\n")
 
 
 class TestConfigPrecedence:

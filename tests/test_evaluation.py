@@ -1,18 +1,25 @@
 """Ranking metric, held-out likelihood, and predictive-check reports."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ordnmf import evaluation
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError
 from ordnmf.evaluation import (evaluate_ranking, log_lik_nonzeros, ndcg_at_m,
                                ppc_histogram, ppc_report_text,
-                               ranking_report_text)
-from ordnmf.inference import FitConfig, fit
+                               ranking_report_text, score_blocks, top_m_items)
+from ordnmf.inference import FitConfig, fit, predict_scores
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
-from oracles import random_matrix, random_state_like
+from oracles import (ndcg_bruteforce, random_matrix, random_state_like,
+                     top_m_bruteforce)
 
 
 def matrices_for_ranking():
@@ -85,17 +92,22 @@ class TestNdcg:
     def test_config_errors(self):
         train, test = matrices_for_ranking()
         scores = np.zeros((3, 6))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="list length must be >= 1, got 0"):
             ndcg_at_m(scores, train, test, 1, 0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="threshold 9 outside 1..3"):
             ndcg_at_m(scores, train, test, 9, 5)
+        with pytest.raises(ConfigError, match="threshold 0 outside 1..3"):
+            ndcg_at_m(scores, train, test, 0, 5)
+
+    def test_negative_list_length_rejected(self):
+        train, _ = matrices_for_ranking()
+        with pytest.raises(ConfigError, match="list length must be >= 1, got -2"):
+            top_m_items(np.zeros((3, 6)), np.arange(3), train, -2)
 
     def test_batch_evaluator_matches_single(self):
         rng = np.random.default_rng(4)
         data = random_matrix(12, 10, 3, rng, density=0.4)
         res = fit(data, FitConfig(n_components=3, max_iter=15, tol=1e-12))
-        from ordnmf.inference import predict_scores
-
         scores = predict_scores(res.state)
         test = random_matrix(12, 10, 3, np.random.default_rng(5), density=0.2)
         for s in (1, 2, 3):
@@ -105,6 +117,64 @@ class TestNdcg:
                      if r.threshold == s][0]
             assert batch.mean_ndcg == pytest.approx(single.mean_ndcg, rel=1e-12)
             assert batch.n_users_evaluated == single.n_users_evaluated
+
+
+def _matrix(dense, n_classes):
+    rows, cols = np.nonzero(dense)
+    return OrdinalMatrix(*dense.shape, n_classes, rows, cols, dense[rows, cols])
+
+
+@st.composite
+def ranking_cases(draw):
+    """Small train/test class matrices and a state with integer scores."""
+    U, I = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    V, K = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    classes = st.integers(0, V)
+    train = draw(hnp.arrays(np.int64, (U, I), elements=classes))
+    test = draw(hnp.arrays(np.int64, (U, I), elements=classes))
+    factor = st.sampled_from([1.0, 2.0, 3.0])
+    w = draw(hnp.arrays(float, (U, K), elements=factor))
+    h = draw(hnp.arrays(float, (I, K), elements=factor))
+    return dict(train=train, test=test, n_classes=V, w=w, h=h,
+                list_length=draw(st.integers(1, I + 2)),
+                exclude_train=draw(st.booleans()),
+                block_cells=draw(st.integers(1, U * I)))
+
+
+class TestRankingKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_matches_full_sort(self, case):
+        V, m = case["n_classes"], case["list_length"]
+        train = _matrix(case["train"], V)
+        test = _matrix(case["test"], V)
+        state = random_state_like(train, case["w"].shape[1],
+                                  np.random.default_rng(0))
+        state.W.set(case["w"], np.ones_like(case["w"]))
+        state.H.set(case["h"], np.ones_like(case["h"]))
+        scores = predict_scores(state)
+        exclude = train if case["exclude_train"] else None
+        want = top_m_bruteforce(
+            scores, case["train"] if case["exclude_train"] else None, m)
+
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", case["block_cells"]):
+            got = []
+            for users, block in score_blocks(state, np.arange(train.n_users)):
+                items, lengths = top_m_items(block, users, exclude, m)
+                got += [row[:n] for row, n in zip(items.tolist(), lengths)]
+            reports = evaluate_ranking(state, train, test, range(1, V + 1),
+                                       list_length=m,
+                                       exclude_train=case["exclude_train"])
+        assert got == want
+        for s, report in zip(range(1, V + 1), reports):
+            ndcg, n_users = ndcg_bruteforce(want, case["test"], s, m)
+            single = ndcg_at_m(scores, train, test, s, m,
+                               exclude_train=case["exclude_train"])
+            for r in (report, single):
+                assert r.threshold == s
+                assert r.n_users_evaluated == n_users
+                assert r.mean_ndcg == pytest.approx(ndcg, rel=1e-12,
+                                                    nan_ok=True)
 
 
 class TestLogLikNonzeros:
