@@ -39,7 +39,7 @@ from .inference import (
     save_state,
     ztp_mean,
 )
-from .model import ThresholdSequence, gamma_noise_cdf, log1mexp
+from .model import ThresholdSequence, log1mexp
 from .synthetic import GroundTruth, default_thresholds, generate_dataset
 
 __version__ = "0.1.0"

@@ -52,7 +52,8 @@ def count_approximation_gap(state, data):
     re-evaluated exactly; a posteriori check of the point-mass shortcut."""
     import numpy as np
 
-    from .inference import local_update
+    from .inference import entry_dot, local_update
 
-    stats = local_update(state, data, pf_approximation=False)
+    lam_big = entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
+    stats = local_update(state, data, lam_big, pf_approximation=False)
     return float(np.abs(stats.e_n - 1.0).max())

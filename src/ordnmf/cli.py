@@ -137,6 +137,8 @@ def _fit_config_from(cfg, seed):
 
 
 def cmd_train(cfg):
+    if cfg["bepof"] and cfg["pf"]:
+        raise ConfigError("--bepof and --pf are mutually exclusive")
     matrix = OrdinalMatrix.load(cfg["input"])
     if cfg["binarize_at"]:
         matrix = binarize(matrix, BinarizationRule(cfg["binarize_at"]))
@@ -162,16 +164,23 @@ def cmd_train(cfg):
     return 0
 
 
+def _load_for_model(path, state, same_classes):
+    """The matrix at path; ConfigError unless it has the model's users and
+    items, and the model's V too when same_classes is set."""
+    matrix = OrdinalMatrix.load(path)
+    if ((matrix.n_users, matrix.n_items) != (state.n_users, state.n_items)
+            or same_classes and matrix.n_classes != state.n_classes):
+        raise ConfigError(f"{path}: matrix shape differs from the model")
+    return matrix
+
+
 def cmd_evaluate(cfg):
     state, _ = load_state(cfg["model"])
-    train = OrdinalMatrix.load(cfg["train"])
-    test = OrdinalMatrix.load(cfg["test"])
+    train = _load_for_model(cfg["train"], state, same_classes=False)
+    # V = 1 models (Bernoulli link, PF) rank any test V and skip the log-lik
+    test = _load_for_model(cfg["test"], state, same_classes=state.n_classes > 1)
     if cfg["binarize_at"]:
         train = binarize(train, BinarizationRule(cfg["binarize_at"]))
-    if (state.n_users, state.n_items) != (train.n_users, train.n_items):
-        raise ConfigError("model and train matrix dimensions differ")
-    if (test.n_users, test.n_items) != (train.n_users, train.n_items):
-        raise ConfigError("train and test matrix dimensions differ")
     if test.nnz == 0:
         raise ConfigError("test matrix is empty")
     thresholds = _parse_int_list(cfg["ndcg_thresholds"])
@@ -190,7 +199,7 @@ def cmd_evaluate(cfg):
 
 def cmd_ppc(cfg):
     state, _ = load_state(cfg["model"])
-    train = OrdinalMatrix.load(cfg["train"])
+    train = _load_for_model(cfg["train"], state, same_classes=True)
     rng = np.random.default_rng(cfg["seed"])
     report = ppc_histogram(state, train, rng, n_cells=cfg["budget"])
     text = ppc_report_text(report)
@@ -203,9 +212,7 @@ def cmd_predict(cfg):
     state, _ = load_state(cfg["model"])
     train = None
     if cfg["train"]:
-        train = OrdinalMatrix.load(cfg["train"])
-        if (train.n_users, train.n_items) != (state.n_users, state.n_items):
-            raise ConfigError(f"{cfg['train']}: matrix shape differs from the model")
+        train = _load_for_model(cfg["train"], state, same_classes=False)
     users = (_parse_int_list(cfg["users"]) if cfg["users"]
              else range(state.n_users))
     lines = ["user\trank\titem\tscore"]

@@ -1,9 +1,8 @@
 """Sparse ordinal matrices: ingestion, quantization, filtering, splitting.
 
 The observed matrix stores only non-zero classes (class 0 is implicit).
-Entries live in CSR order by user; a column-major permutation is built once
-on demand for item-side sweeps.  Matrices are immutable after construction
-and safe for shared read access.
+Entries live in CSR order by user.  Matrices are immutable after
+construction and safe for shared read access.
 """
 
 import struct
@@ -20,8 +19,7 @@ class OrdinalMatrix:
     """Sparse U x I matrix of ordinal classes in {1..V}; zeros implicit.
 
     rows/cols/vals are parallel arrays in CSR order (sorted by user then
-    item).  `indptr` delimits each user's slice; `col_order`/`col_indptr`
-    give the column-major view.
+    item).  `indptr` delimits each user's slice.
     """
 
     def __init__(self, n_users, n_items, n_classes, rows, cols, vals):
@@ -55,8 +53,6 @@ class OrdinalMatrix:
             a.setflags(write=False)
         self.indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=n_users))))
-        self._col_order = None
-        self._col_indptr = None
 
     @property
     def nnz(self):
@@ -66,21 +62,6 @@ class OrdinalMatrix:
     def class_counts(self):
         """Number of stored entries per class 1..V (length V)."""
         return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
-
-    @property
-    def col_order(self):
-        """Permutation of entries into column-major (item, user) order."""
-        if self._col_order is None:
-            self._col_order = np.lexsort((self.rows, self.cols))
-            self._col_indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(self.cols[self._col_order],
-                                            minlength=self.n_items))))
-        return self._col_order
-
-    @property
-    def col_indptr(self):
-        self.col_order
-        return self._col_indptr
 
     def user_nnz(self):
         return np.diff(self.indptr)
@@ -168,7 +149,8 @@ def load_triplets(path, delimiter=None, skip_header=False):
     """Read (user id, item id, value) rows into RawTriplets.
 
     Ids may be arbitrary strings; contiguous 0-based indices are assigned in
-    first-appearance order.  Values must be positive integers.  Duplicate
+    first-appearance order.  Values must be positive integers below 2^63,
+    written as integers or as integral decimals such as 3.0.  Duplicate
     (user, item) pairs are rejected.
     """
     user_index, item_index = {}, {}
@@ -185,10 +167,7 @@ def load_triplets(path, delimiter=None, skip_header=False):
             if len(parts) != 3:
                 raise ParseError(f"expected 3 fields, got {len(parts)}", lineno)
             uid, iid, raw = (p.strip() for p in parts)
-            try:
-                value = int(float(raw))
-            except ValueError:
-                raise ParseError(f"non-numeric value {raw!r}", lineno) from None
+            value = _parse_int(raw, lineno)
             if value <= 0:
                 raise DataError(f"line {lineno}: non-positive value {value}")
             u = user_index.setdefault(uid, len(user_index))
@@ -205,6 +184,24 @@ def load_triplets(path, delimiter=None, skip_header=False):
         np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
         np.asarray(counts, dtype=np.int64),
         list(user_index), list(item_index))
+
+
+def _parse_int(raw, lineno):
+    """The int a triplet value's text denotes if integral, finite and < 2^63."""
+    try:
+        value = int(raw)
+    except ValueError:
+        try:
+            number = float(raw)
+        except ValueError:
+            raise ParseError(f"non-numeric value {raw!r}", lineno) from None
+        if not number.is_integer():
+            raise ParseError(f"value {raw!r} is not a finite integer",
+                             lineno) from None
+        value = int(number)
+    if value >= 1 << 63:
+        raise ParseError(f"value {raw!r} exceeds the int64 range", lineno)
+    return value
 
 
 def quantize_counts(triplets, scheme):

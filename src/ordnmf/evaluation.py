@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .inference import _entry_csr, predict_scores
+from .inference import _entry_csr, entry_dot, predict_scores
 from .model import log1mexp
 
 
@@ -135,8 +135,7 @@ def log_lik_nonzeros(test, state):
     if test.nnz == 0:
         raise DataError("test matrix is empty")
     thr = state.thresholds
-    lam = np.einsum("jk,jk->j",
-                    state.W.mean[test.rows], state.H.mean[test.cols])
+    lam = entry_dot(state.W.mean, state.H.mean, test.rows, test.cols)
     if np.any(lam <= 0):
         raise NumericalError("zero predicted intensity in held-out likelihood")
     log_p = thr.log_pmf(test.vals, lam)
@@ -162,7 +161,7 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
         n = min(chunk, remaining)
         users = rng.integers(0, U, size=n)
         items = rng.integers(0, I, size=n)
-        lam = np.einsum("jk,jk->j", w_sample[users], h_sample[items])
+        lam = entry_dot(w_sample, h_sample, users, items)
         classes = state.thresholds.sample_class(lam, rng)
         counts += np.bincount(classes, minlength=V + 1)
         remaining -= n

@@ -8,7 +8,8 @@ contribute n = 0, c = 0 and are never enumerated, so every update touches
 only the stored entries.
 
 One iteration runs: local (n, c) statistics -> user factors -> item factors
--> thresholds -> rate hyperparameters -> ELBO.  The ELBO is exact for this
+-> entry intensities (reused by the next local step) -> thresholds -> rate
+hyperparameters -> ELBO.  The ELBO is exact for this
 variational family and must be non-decreasing; a decrease beyond roundoff
 raises NumericalError since it indicates an update bug.
 """
@@ -141,10 +142,21 @@ class FitResult:
 class LocalStats:
     """Per-entry and aggregated statistics from one local sweep."""
 
-    lam_big: np.ndarray        # Lambda_ui = sum_k G_w G_h per non-zero entry
     e_n: np.ndarray            # E[n_ui] per non-zero entry
     cw: np.ndarray             # sum_i E[c_uik], shape (U, K)
     ch: np.ndarray             # sum_u E[c_uik], shape (I, K)
+
+
+def entry_dot(A, B, rows, cols):
+    """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T."""
+    return np.einsum("jk,jk->j", A[rows], B[cols])
+
+
+def entry_intensities(state, data):
+    """(Lambda, E[lambda]) at data's non-zeros: sum_k G_w G_h (geometric
+    means) and sum_k E[w_uk] E[h_ik].  Both depend only on the factors."""
+    return (entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
+            entry_dot(state.W.mean, state.H.mean, data.rows, data.cols))
 
 
 def _entry_csr(data, values):
@@ -192,16 +204,15 @@ def init_state(config, data, rng=None):
         alpha_w=config.alpha_w, alpha_h=config.alpha_h)
 
 
-def local_update(state, data, pf_approximation=False):
+def local_update(state, data, lam_big, pf_approximation=False):
     """E-step over the non-zero entries.
 
-    Lambda_uik = G_w[u,k] * G_h[i,k] (exp of expected logs); n_ui has mean
-    ztp_mean(Lambda_ui * delta_y) (or exactly 1 under the point-mass
-    approximation); c allocates n proportionally to Lambda_uik.  Returns the
-    per-(u,k) and per-(i,k) allocation totals.
+    Lambda_uik = G_w[u,k] * G_h[i,k] (exp of expected logs), and lam_big
+    holds Lambda_ui = sum_k Lambda_uik; n_ui has mean ztp_mean(Lambda_ui *
+    delta_y) (or exactly 1 under the point-mass approximation); c allocates
+    n proportionally to Lambda_uik.  Returns the per-(u,k) and per-(i,k)
+    allocation totals.
     """
-    GW, GH = state.W.geo_mean, state.H.geo_mean
-    lam_big = np.einsum("jk,jk->j", GW[data.rows], GH[data.cols])
     if not np.all(np.isfinite(lam_big)):
         j = int(np.flatnonzero(~np.isfinite(lam_big))[0])
         raise NumericalError(
@@ -212,10 +223,11 @@ def local_update(state, data, pf_approximation=False):
         delta_y = state.thresholds.delta[data.vals - 1]
         e_n = ztp_mean(lam_big * delta_y)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
+    GW, GH = state.W.geo_mean, state.H.geo_mean
     ratio = _entry_csr(data, e_n / lam_big)
     cw = GW * (ratio @ GH)
     ch = GH * (ratio.T @ GW)
-    return LocalStats(lam_big=lam_big, e_n=e_n, cw=cw, ch=ch)
+    return LocalStats(e_n=e_n, cw=cw, ch=ch)
 
 
 def _rate_correction(data, exposures, theta0, other_mean, transpose=False):
@@ -250,18 +262,13 @@ def update_item_factors(state, data, stats):
     state.H.set(state.alpha_h + stats.ch, rate)
 
 
-def expected_lambda_entries(state, data):
-    """E[lambda_ui] = sum_k E[w_uk] E[h_ik] at the non-zero positions."""
-    return np.einsum("jk,jk->j", state.W.mean[data.rows], state.H.mean[data.cols])
-
-
 def total_expected_lambda(state):
     """sum over all U x I cells of E[lambda_ui], in O(K)."""
     return float(state.W.mean_colsum @ state.H.mean_colsum)
 
 
-def update_thresholds(state, data, stats, delta_floor=1e-10):
-    """Point-estimate update of the decrements.
+def update_thresholds(state, data, stats, e_lam, delta_floor=1e-10):
+    """Point-estimate update of the decrements; e_lam is E[lambda] per entry.
 
     delta_l = (sum over entries with y = l of E[n]) /
               (sum over cells with y <= l of E[lambda]).
@@ -272,7 +279,6 @@ def update_thresholds(state, data, stats, delta_floor=1e-10):
     new sequence and the list of floored classes.
     """
     V = data.n_classes
-    e_lam = expected_lambda_entries(state, data)
     num = np.bincount(data.vals, weights=stats.e_n, minlength=V + 1)[1:]
     lam_by_class = np.bincount(data.vals, weights=e_lam, minlength=V + 1)[1:]
     # above[l-1] = sum of E[lambda] over entries with y > l
@@ -313,8 +319,8 @@ def _gamma_prior_minus_entropy(var, prior_shape, prior_rate):
     return float(term.sum())
 
 
-def compute_elbo(state, data, pf_approximation=False):
-    """Exact variational objective for the current state.
+def compute_elbo(state, data, lam_big, e_lam, pf_approximation=False):
+    """Exact variational objective for the state and its entry intensities.
 
     Per non-zero entry the augmented-likelihood and local-entropy terms
     collapse to -E[lambda] * theta_{y-1} + x + log(1 - e^{-x}) with
@@ -324,9 +330,6 @@ def compute_elbo(state, data, pf_approximation=False):
     cross-entropy minus entropy.
     """
     thr = state.thresholds
-    GW, GH = state.W.geo_mean, state.H.geo_mean
-    lam_big = np.einsum("jk,jk->j", GW[data.rows], GH[data.cols])
-    e_lam = expected_lambda_entries(state, data)
     x = lam_big * thr.delta[data.vals - 1]
     if pf_approximation:
         nonlinear = np.log(x)
@@ -347,24 +350,27 @@ def fit(data, config, rng=None):
     falls below config.tol or max_iter is reached."""
     state = init_state(config, data, rng)
     learn_thr = config.learn_thresholds and not config.bepof_mode
-    prev = compute_elbo(state, data, config.pf_approximation)
+    lam_big, e_lam = entry_intensities(state, data)
+    prev = compute_elbo(state, data, lam_big, e_lam, config.pf_approximation)
     trace = []
     floored = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
-        stats = local_update(state, data, config.pf_approximation)
+        stats = local_update(state, data, lam_big, config.pf_approximation)
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
+        # threshold and rate updates leave W and H, hence these, unchanged
+        lam_big, e_lam = entry_intensities(state, data)
         if learn_thr:
             state.thresholds, newly_floored = update_thresholds(
-                state, data, stats, config.delta_floor)
+                state, data, stats, e_lam, config.delta_floor)
             for cls in newly_floored:
                 if cls not in floored:
                     floored.append(cls)
         if config.update_rates:
             update_rate_hyperparams(state)
-        elbo = compute_elbo(state, data, config.pf_approximation)
+        elbo = compute_elbo(state, data, lam_big, e_lam, config.pf_approximation)
         iterations += 1
         trace.append(elbo)
         if elbo < prev - 1e-8 * abs(prev):

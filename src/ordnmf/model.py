@@ -9,7 +9,6 @@ the threshold sequence.
 """
 
 import numpy as np
-from scipy import special
 
 _LOG2 = float(np.log(2.0))
 
@@ -28,12 +27,6 @@ def log1mexp(x):
     out[small] = np.log(-np.expm1(-x[small]))
     out[~small] = np.log1p(-np.exp(-x[~small]))
     return out if out.ndim else float(out)
-
-
-def gamma_noise_cdf(x, shape):
-    """C.d.f. of gamma(shape, 1) multiplicative noise: regularized lower
-    incomplete gamma.  Numeric utility only; no inference path uses it."""
-    return special.gammainc(shape, np.asarray(x, dtype=float))
 
 
 class ThresholdSequence:
@@ -88,10 +81,6 @@ class ThresholdSequence:
     def exposure(self, v):
         """theta_0 if v == 0 else theta_{v-1} (vectorized over v)."""
         return self._exposure[v]
-
-    def theta_at(self, v):
-        """theta_v including the implicit theta_V = 0."""
-        return self._theta_ext[v]
 
     def __repr__(self):
         return f"ThresholdSequence(theta={self.theta!r})"

@@ -7,7 +7,7 @@ from ordnmf.baselines import (BinarizationRule, binarize,
                               count_approximation_gap, make_bepof_config,
                               make_pf_config)
 from ordnmf.errors import ConfigError
-from ordnmf.inference import FitConfig, fit, local_update
+from ordnmf.inference import FitConfig, entry_intensities, fit, local_update
 from ordnmf.model import ThresholdSequence
 
 from oracles import bepof_iteration, random_matrix, random_state_like
@@ -72,7 +72,9 @@ class TestConfigs:
         data = random_matrix(8, 6, 1, rng)
         cfg = make_pf_config(FitConfig(n_components=2, max_iter=20, tol=1e-14))
         res = fit(data, cfg)
-        stats = local_update(res.state, data, pf_approximation=True)
+        stats = local_update(res.state, data,
+                             entry_intensities(res.state, data)[0],
+                             pf_approximation=True)
         np.testing.assert_array_equal(stats.e_n, 1.0)
 
     def test_count_approximation_gap_reported(self):
@@ -93,7 +95,8 @@ class TestReductions:
                                   np.random.default_rng(seed),
                                   alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
         state.thresholds = ThresholdSequence([1.0])
-        stats = local_update(state, data, cfg.pf_approximation)
+        stats = local_update(state, data, entry_intensities(state, data)[0],
+                             cfg.pf_approximation)
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
         return state

@@ -210,6 +210,55 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             f"error: {other}: matrix shape differs from the model\n")
 
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (2, 6, 3), (2, 5, 4)],
+                             ids=["users", "items", "classes"])
+    def test_ppc_train_mismatch(self, tmp_path, capsys, ranking_files, shape):
+        other = tmp_path / "other.ordmat"
+        OrdinalMatrix(*shape, [0], [0], [1]).save(other)
+        out = tmp_path / "ppc.txt"
+        assert run("ppc", "--model", ranking_files["model"], "--train", other,
+                   "--output", out, "--budget", 100) == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: matrix shape differs from the model\n")
+        assert not out.exists()
+
+    def test_evaluate_test_classes_mismatch(self, tmp_path, capsys,
+                                            ranking_files):
+        other = tmp_path / "other.ordmat"
+        OrdinalMatrix(2, 5, 5, [0, 1], [4, 2], [5, 1]).save(other)
+        out = tmp_path / "eval.txt"
+        assert run("evaluate", "--model", ranking_files["model"],
+                   "--train", ranking_files["train"], "--test", other,
+                   "--output", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {other}: matrix shape differs from the model\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ("2.7", "value '2.7' is not a finite integer"),
+        ("inf", "value 'inf' is not a finite integer"),
+        ("1e30", "value '1e30' exceeds the int64 range"),
+    ])
+    def test_non_integer_triplet_value_rejected(self, tmp_path, capsys, raw,
+                                                message):
+        src = tmp_path / "counts.csv"
+        src.write_text(f"a,x,3\nb,y,{raw}\n")
+        out = tmp_path / "m.ordmat"
+        assert run("quantize", "--input", src, "--output", out,
+                   "--delimiter", ",", "--boundaries", "1,5") == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
+
+    def test_pf_and_bepof_together_rejected(self, tmp_path, capsys,
+                                            ranking_files):
+        model = tmp_path / "baseline.npz"
+        assert run("train", "--input", ranking_files["train"],
+                   "--output", model, "--k", 2, "--pf", "--bepof",
+                   "--binarize-at", 1) == 1
+        assert capsys.readouterr().err == (
+            "error: --bepof and --pf are mutually exclusive\n")
+        assert not model.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path, triplet_file):

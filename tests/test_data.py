@@ -52,6 +52,29 @@ class TestLoadTriplets:
         with pytest.raises(DataError):
             load_triplets(p, delimiter=",")
 
+    @pytest.mark.parametrize("raw, message", [
+        ("2.7", "value '2.7' is not a finite integer"),
+        ("inf", "value 'inf' is not a finite integer"),
+        ("nan", "value 'nan' is not a finite integer"),
+        ("1e30", "value '1e30' exceeds the int64 range"),
+        ("9223372036854775808", "value '9223372036854775808' exceeds the "
+                                "int64 range"),
+        ("three", "non-numeric value 'three'"),
+    ])
+    def test_non_integer_value_rejected(self, tmp_path, raw, message):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,x,3\nb,y,{raw}\n")
+        with pytest.raises(ParseError) as info:
+            load_triplets(p, delimiter=",")
+        assert str(info.value) == f"line 2: {message}"
+        assert info.value.line_number == 2
+
+    def test_integral_values_accepted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,x,3.0\na,y,4\nb,x,1e2\nb,y,9223372036854775807\n")
+        t = load_triplets(p, delimiter=",")
+        assert t.counts.tolist() == [3, 4, 100, 2**63 - 1]
+
     def test_header_skip_and_whitespace_delimiter(self, tmp_path):
         p = tmp_path / "ws.txt"
         p.write_text("user item count\na x 3\nb y 4\n")
@@ -111,15 +134,6 @@ class TestOrdinalMatrix:
         mat = make_matrix([[1, 0, 2], [0, 2, 3]], n_classes=3)
         assert mat.class_counts.tolist() == [1, 2, 1]
         assert mat.class_counts.sum() == mat.nnz
-
-    def test_column_view_consistent(self):
-        rng = np.random.default_rng(1)
-        mat = make_matrix(rng.integers(0, 4, size=(6, 5)), n_classes=3)
-        order = mat.col_order
-        assert np.all(np.diff(mat.cols[order]) >= 0)
-        for i in range(mat.n_items):
-            lo, hi = mat.col_indptr[i], mat.col_indptr[i + 1]
-            assert np.all(mat.cols[order[lo:hi]] == i)
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

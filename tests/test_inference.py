@@ -5,11 +5,14 @@ import copy
 import numpy as np
 import pytest
 
+from ordnmf import inference
+from ordnmf.baselines import (BinarizationRule, binarize, make_bepof_config,
+                              make_pf_config)
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, DegenerateThresholdError
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, compute_elbo,
-                              fit, init_state, load_state, local_update,
-                              predict_scores, save_state,
+                              entry_intensities, fit, init_state, load_state,
+                              local_update, predict_scores, save_state,
                               update_item_factors, update_rate_hyperparams,
                               update_thresholds, update_user_factors,
                               ztp_mean)
@@ -22,11 +25,14 @@ from oracles import (dense_iteration, random_matrix, random_state_like,
 
 def run_iteration(state, data, **kw):
     """Apply one library iteration in the canonical phase order."""
-    stats = local_update(state, data, kw.get("pf_approximation", False))
+    lam_big, _ = entry_intensities(state, data)
+    stats = local_update(state, data, lam_big,
+                         kw.get("pf_approximation", False))
     update_user_factors(state, data, stats)
     update_item_factors(state, data, stats)
+    _, e_lam = entry_intensities(state, data)
     if kw.get("learn_thresholds", True):
-        state.thresholds, _ = update_thresholds(state, data, stats)
+        state.thresholds, _ = update_thresholds(state, data, stats, e_lam)
     if kw.get("update_rates", True):
         update_rate_hyperparams(state)
     return stats
@@ -95,7 +101,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(5)
         data = random_matrix(5, 4, 3, rng)
         state = random_state_like(data, 1, rng)
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         np.testing.assert_allclose(stats.cw.sum(),
                                    stats.e_n.sum(), rtol=1e-12)
 
@@ -103,7 +109,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(6)
         data = random_matrix(6, 5, 4, rng)
         state = random_state_like(data, 3, rng)
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         # per-entry totals hold, so do the (u, k) and (i, k) aggregates
         np.testing.assert_allclose(stats.cw.sum(), stats.e_n.sum(),
                                    rtol=1e-12)
@@ -114,15 +120,16 @@ class TestLocalUpdate:
         rng = np.random.default_rng(7)
         data = random_matrix(6, 5, 4, rng)
         state = random_state_like(data, 3, rng)
-        assert np.all(local_update(state, data).e_n >= 1.0)
+        lam_big, _ = entry_intensities(state, data)
+        assert np.all(local_update(state, data, lam_big).e_n >= 1.0)
         np.testing.assert_array_equal(
-            local_update(state, data, pf_approximation=True).e_n, 1.0)
+            local_update(state, data, lam_big, pf_approximation=True).e_n, 1.0)
 
     def test_aggregates_match_dense_reference(self):
         rng = np.random.default_rng(8)
         data = random_matrix(2, 2, 2, rng, density=0.9)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         y = data.to_dense()
         GW, GH = state.W.geo_mean, state.H.geo_mean
         cw_ref = np.zeros_like(stats.cw)
@@ -146,7 +153,7 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, rng)
         theta0 = state.thresholds.theta[0]
         expect_rate = state.beta_w[1] + theta0 * state.H.mean.sum(axis=0)
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         update_user_factors(state, data, stats)
         np.testing.assert_allclose(state.W.shape[1], state.alpha_w, rtol=1e-12)
         np.testing.assert_allclose(state.W.rate[1], expect_rate, rtol=1e-12)
@@ -158,7 +165,7 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, rng)
         state.thresholds = ThresholdSequence([1.0])
         expected = state.beta_w[:, None] + state.H.mean.sum(axis=0)[None, :]
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         update_user_factors(state, data, stats)
         np.testing.assert_allclose(state.W.rate, expected, rtol=1e-12)
 
@@ -187,10 +194,11 @@ class TestFactorUpdates:
         state_t.W, state_t.H = state_t.H, state_t.W
         state_t.beta_w, state_t.beta_h = state_t.beta_h, state_t.beta_w
         state_t.alpha_w, state_t.alpha_h = state_t.alpha_h, state_t.alpha_w
-        stats = local_update(state, data)
+        stats = local_update(state, data, entry_intensities(state, data)[0])
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
-        stats_t = local_update(state_t, data_t)
+        stats_t = local_update(state_t, data_t,
+                             entry_intensities(state_t, data_t)[0])
         update_item_factors(state_t, data_t, stats_t)
         update_user_factors(state_t, data_t, stats_t)
         np.testing.assert_allclose(state.W.shape, state_t.H.shape, rtol=1e-12)
@@ -202,8 +210,9 @@ class TestThresholdUpdate:
         data = OrdinalMatrix(1, 1, 1, [0], [0], [1])
         rng = np.random.default_rng(12)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data)
-        thr, floored = update_thresholds(state, data, stats)
+        lam_big, e_lam = entry_intensities(state, data)
+        stats = local_update(state, data, lam_big)
+        thr, floored = update_thresholds(state, data, stats, e_lam)
         e_lam = float(state.W.mean[0] @ state.H.mean[0])
         assert thr.theta[0] == pytest.approx(stats.e_n[0] / e_lam, rel=1e-12)
         assert not floored
@@ -212,8 +221,9 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(13)
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data)
-        thr, _ = update_thresholds(state, data, stats)
+        lam_big, e_lam = entry_intensities(state, data)
+        stats = local_update(state, data, lam_big)
+        thr, _ = update_thresholds(state, data, stats, e_lam)
         for l in range(1, 4):
             num = stats.e_n[data.vals == l].sum()
             assert thr.delta[l - 1] * _denominator(state, data, l) == \
@@ -223,8 +233,9 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(14)
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data)
-        thr, _ = update_thresholds(state, data, stats)
+        lam_big, e_lam = entry_intensities(state, data)
+        stats = local_update(state, data, lam_big)
+        thr, _ = update_thresholds(state, data, stats, e_lam)
         y = data.to_dense()
         e_n = np.zeros(y.shape)
         e_n[data.rows, data.cols] = stats.e_n
@@ -241,12 +252,14 @@ class TestThresholdUpdate:
         data = OrdinalMatrix(2, 2, 3, *_triplets(dense))
         rng = np.random.default_rng(15)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data)
-        thr, floored = update_thresholds(state, data, stats, delta_floor=1e-10)
+        lam_big, e_lam = entry_intensities(state, data)
+        stats = local_update(state, data, lam_big)
+        thr, floored = update_thresholds(state, data, stats, e_lam,
+                                         delta_floor=1e-10)
         assert floored == [2]
         assert thr.delta[1] == pytest.approx(1e-10)
         with pytest.raises(DegenerateThresholdError):
-            update_thresholds(state, data, stats, delta_floor=None)
+            update_thresholds(state, data, stats, e_lam, delta_floor=None)
 
 
 class TestRateUpdate:
@@ -329,6 +342,51 @@ class TestFitLoop:
                                       seed=seed))
             diffs = np.diff(res.elbo_trace)
             assert np.all(diffs >= -1e-8 * np.abs(res.elbo_trace[:-1]))
+
+
+# ELBO traces of six-iteration fits (K=3, seed 1) on a 40x30, V=4 synthetic
+# matrix and on its binarization at class 2, one per model corner.
+PINNED_TRACES = {
+    "ordinal": [-1406.3859009370756, -1392.6583064884662, -1390.6954279165204,
+                -1390.1922053600697, -1389.9577298353001, -1389.7459786057805],
+    "bepof": [-745.8028209489933, -730.0230630299785, -726.657201732934,
+              -725.5377915808581, -725.035397872123, -724.7230012729025],
+    "pf": [-801.4838263942779, -798.2560386425571, -797.5655949565762,
+           -797.2476229548665, -797.033844488132, -796.8230158174961],
+}
+
+
+def _pinned_fit_inputs(corner):
+    data, _ = generate_dataset(40, 30, 3, default_thresholds(4),
+                               np.random.default_rng(0), scale=0.3)
+    base = FitConfig(n_components=3, tol=1e-300, max_iter=6, seed=1)
+    if corner == "ordinal":
+        return data, base
+    make = make_bepof_config if corner == "bepof" else make_pf_config
+    return binarize(data, BinarizationRule(2)), make(base)
+
+
+@pytest.mark.parametrize("corner", sorted(PINNED_TRACES))
+def test_elbo_trace_pinned(corner):
+    data, cfg = _pinned_fit_inputs(corner)
+    res = fit(data, cfg)
+    np.testing.assert_allclose(res.elbo_trace, PINNED_TRACES[corner],
+                               rtol=1e-12, atol=0)
+
+
+def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
+    calls = []
+    real = inference.entry_dot
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(inference, "entry_dot", spy)
+    data, cfg = _pinned_fit_inputs("ordinal")
+    res = fit(data, cfg)
+    assert res.iterations == 6
+    assert len(calls) == 2 * res.iterations + 2
 
 
 class TestPredictAndSerialize:

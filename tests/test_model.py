@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ordnmf.model import ThresholdSequence, gamma_noise_cdf, log1mexp
+from ordnmf.model import ThresholdSequence, log1mexp
 
 
 def random_thresholds(n_classes, rng):
@@ -215,11 +215,3 @@ class TestLog1mexp:
     def test_domain(self):
         with pytest.raises(ValueError):
             log1mexp(0.0)
-
-
-def test_gamma_noise_cdf_basics():
-    # shape 1 collapses to the exponential c.d.f.
-    x = np.linspace(0.01, 5, 50)
-    np.testing.assert_allclose(gamma_noise_cdf(x, 1.0), -np.expm1(-x),
-                               rtol=1e-12)
-    assert np.all(np.diff(gamma_noise_cdf(x, 2.5)) > 0)
