@@ -62,7 +62,7 @@ for baseline in bepof pf; do
     ordnmf evaluate --model "$OUTDIR/$baseline.npz" \
         --train "$OUTDIR/train.ordmat" --test "$OUTDIR/test.ordmat" \
         --output "$OUTDIR/$baseline.eval.txt" \
-        --ndcg-thresholds "$THRESHOLDS" --list-length 100 --binarize-at 1
+        --ndcg-thresholds "$THRESHOLDS" --list-length 100
 done
 
 ordnmf ppc --model "$OUTDIR/ordnmf.npz" --train "$OUTDIR/train.ordmat" \

@@ -1,6 +1,6 @@
 """Ordinal non-negative matrix factorization for recommendation."""
 
-from .baselines import BinarizationRule, binarize, make_bepof_config, make_pf_config
+from .baselines import binarize
 from .data import (
     OrdinalMatrix,
     QuantizationScheme,
@@ -13,7 +13,6 @@ from .data import (
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateThresholdError,
     NumericalError,
     OrdnmfError,
     ParseError,

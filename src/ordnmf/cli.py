@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import BinarizationRule, binarize, make_bepof_config, make_pf_config
+from .baselines import binarize
 from .data import (OrdinalMatrix, QuantizationScheme, load_triplets,
                    matrix_from_classes, quantize_counts, train_test_split,
                    write_index_map)
@@ -24,9 +24,12 @@ from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
 from .inference import FitConfig, fit, load_state, save_state
 
 SCHEMA_VERSION = 1
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _read_config_file(path):
+    """{key: (raw value, "path:line")} of a flat key=value file."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -36,7 +39,8 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("-", "_")] = (value.strip(),
+                                                     f"{path}:{lineno}")
     return values
 
 
@@ -60,16 +64,18 @@ def _effective_config(args, options):
                 if k not in ("func", "subcommand")}
     config_path = supplied.pop("config", None)
     if config_path:
-        for key, raw in _read_config_file(config_path).items():
+        for key, (raw, where) in _read_config_file(config_path).items():
             if key not in options:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{where}: unknown config key {key!r}")
             _, typ, is_flag = options[key]
-            if is_flag:
-                effective[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif typ is not None:
-                effective[key] = typ(raw)
-            else:
-                effective[key] = raw
+            try:
+                if is_flag:
+                    effective[key] = _FLAG_WORDS[raw.lower()]
+                else:
+                    effective[key] = raw if typ is None else typ(raw)
+            except (KeyError, ValueError):
+                raise ConfigError(
+                    f"{where}: invalid value {raw!r} for {key}") from None
     effective.update(supplied)
     effective.pop("config", None)
     return effective
@@ -87,15 +93,26 @@ def _write_report(path, text, cfg):
         fh.write(text)
 
 
-def _parse_int_list(text):
-    return [int(t) for t in str(text).split(",") if t != ""]
+def _parse_int_list(cfg, key):
+    try:
+        return [int(t) for t in str(cfg[key]).split(",") if t != ""]
+    except ValueError:
+        raise ConfigError(f"--{key.replace('_', '-')}: expected comma-"
+                          f"separated integers, got {cfg[key]!r}") from None
+
+
+def _at_least_one(cfg, key):
+    if cfg[key] < 1:
+        raise ConfigError(
+            f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+    return cfg[key]
 
 
 def cmd_quantize(cfg):
     triplets = load_triplets(cfg["input"], delimiter=cfg["delimiter"] or None,
                              skip_header=cfg["header"])
     if cfg["boundaries"]:
-        scheme = QuantizationScheme(_parse_int_list(cfg["boundaries"]))
+        scheme = QuantizationScheme(_parse_int_list(cfg, "boundaries"))
         matrix = quantize_counts(triplets, scheme)
     else:
         n_classes = int(triplets.counts.max()) if triplets.counts.size else 1
@@ -122,32 +139,21 @@ def cmd_split(cfg):
     return 0
 
 
-def _fit_config_from(cfg, seed):
-    base = FitConfig(
-        n_components=cfg["k"], alpha_w=cfg["alpha_w"], alpha_h=cfg["alpha_h"],
-        tol=cfg["tol"], max_iter=cfg["max_iter"], seed=seed,
-        learn_thresholds=not cfg["no_threshold_learning"],
-        update_rates=not cfg["no_rate_updates"],
-        delta_floor=cfg["delta_floor"])
-    if cfg["pf"]:
-        return make_pf_config(base)
-    if cfg["bepof"]:
-        return make_bepof_config(base)
-    return base
-
-
 def cmd_train(cfg):
     if cfg["bepof"] and cfg["pf"]:
         raise ConfigError("--bepof and --pf are mutually exclusive")
+    variant = "pf" if cfg["pf"] else "bepof" if cfg["bepof"] else "ordinal"
+    restarts = _at_least_one(cfg, "restarts")
     matrix = OrdinalMatrix.load(cfg["input"])
-    if cfg["binarize_at"]:
-        matrix = binarize(matrix, BinarizationRule(cfg["binarize_at"]))
-    if (cfg["bepof"] or cfg["pf"]) and matrix.n_classes != 1:
-        raise ConfigError("--bepof/--pf need binary data; pass --binarize-at")
+    if cfg["binarize_at"] is not None:
+        matrix = binarize(matrix, cfg["binarize_at"])
     best = None
-    for r in range(cfg["restarts"]):
+    for r in range(restarts):
         seed = cfg["seed"] + r
-        result = fit(matrix, _fit_config_from(cfg, seed))
+        result = fit(matrix, FitConfig(
+            n_components=cfg["k"], alpha_w=cfg["alpha_w"],
+            alpha_h=cfg["alpha_h"], tol=cfg["tol"], max_iter=cfg["max_iter"],
+            seed=seed, variant=variant))
         trace_path = f"{cfg['output']}.trace.{seed}.txt"
         np.savetxt(trace_path, result.elbo_trace)
         final = result.elbo_trace[-1]
@@ -179,11 +185,9 @@ def cmd_evaluate(cfg):
     train = _load_for_model(cfg["train"], state, same_classes=False)
     # V = 1 models (Bernoulli link, PF) rank any test V and skip the log-lik
     test = _load_for_model(cfg["test"], state, same_classes=state.n_classes > 1)
-    if cfg["binarize_at"]:
-        train = binarize(train, BinarizationRule(cfg["binarize_at"]))
     if test.nnz == 0:
         raise ConfigError("test matrix is empty")
-    thresholds = _parse_int_list(cfg["ndcg_thresholds"])
+    thresholds = _parse_int_list(cfg, "ndcg_thresholds")
     reports = evaluate_ranking(state, train, test, thresholds,
                                list_length=cfg["list_length"],
                                exclude_train=not cfg["no_train_exclusion"])
@@ -201,7 +205,8 @@ def cmd_ppc(cfg):
     state, _ = load_state(cfg["model"])
     train = _load_for_model(cfg["train"], state, same_classes=True)
     rng = np.random.default_rng(cfg["seed"])
-    report = ppc_histogram(state, train, rng, n_cells=cfg["budget"])
+    report = ppc_histogram(state, train, rng,
+                           n_cells=_at_least_one(cfg, "budget"))
     text = ppc_report_text(report)
     _write_report(cfg["output"], text, cfg)
     sys.stdout.write(text)
@@ -213,7 +218,7 @@ def cmd_predict(cfg):
     train = None
     if cfg["train"]:
         train = _load_for_model(cfg["train"], state, same_classes=False)
-    users = (_parse_int_list(cfg["users"]) if cfg["users"]
+    users = (_parse_int_list(cfg, "users") if cfg["users"]
              else range(state.n_users))
     lines = ["user\trank\titem\tscore"]
     for block, scores in score_blocks(state, users):
@@ -272,9 +277,6 @@ def build_parser():
     p.add_argument("--bepof", action="store_true")
     p.add_argument("--pf", action="store_true")
     p.add_argument("--binarize-at", type=int, default=None)
-    p.add_argument("--no-threshold-learning", action="store_true")
-    p.add_argument("--no-rate-updates", action="store_true")
-    p.add_argument("--delta-floor", type=float, default=1e-10)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="ranking metrics and held-out likelihood")
@@ -285,8 +287,6 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--ndcg-thresholds", default="1")
     p.add_argument("--list-length", type=int, default=100)
-    p.add_argument("--binarize-at", type=int, default=None,
-                   help="binarize the train matrix for exclusion bookkeeping")
     p.add_argument("--no-train-exclusion", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 

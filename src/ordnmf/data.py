@@ -188,6 +188,8 @@ def load_triplets(path, delimiter=None, skip_header=False):
 
 def _parse_int(raw, lineno):
     """The int a triplet value's text denotes if integral, finite and < 2^63."""
+    if "_" in raw:  # int() and float() would read 1_000 as 1000
+        raise ParseError(f"non-numeric value {raw!r}", lineno)
     try:
         value = int(raw)
     except ValueError:
@@ -226,9 +228,11 @@ def write_index_map(path, ids):
 def read_index_map(path):
     ids = []
     with open(path) as fh:
-        for line in fh:
-            orig, idx = line.rstrip("\n").split("\t")
-            assert int(idx) == len(ids)
+        for lineno, line in enumerate(fh, start=1):
+            orig, tab, idx = line.rstrip("\n").rpartition("\t")
+            if not tab or idx != str(len(ids)):
+                raise ParseError(
+                    f"{path}: expected index {len(ids)}, got {idx!r}", lineno)
             ids.append(orig)
     return ids
 

@@ -26,6 +26,3 @@ class ConfigError(OrdnmfError):
 class NumericalError(OrdnmfError):
     """Non-finite or out-of-domain quantity produced during computation."""
 
-
-class DegenerateThresholdError(NumericalError):
-    """A threshold decrement collapsed to zero and no floor was enabled."""

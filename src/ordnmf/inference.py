@@ -15,15 +15,19 @@ raises NumericalError since it indicates an update bug.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse, special
 
-from .errors import ConfigError, DataError, DegenerateThresholdError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .model import ThresholdSequence, log1mexp
 
 _STATE_VERSION = 1
+# Decrement given to a class absent from the train data.
+DELTA_FLOOR = 1e-10
+VARIANTS = ("ordinal", "bepof", "pf")
 
 
 def ztp_mean(x):
@@ -43,7 +47,7 @@ class GammaVariationalMatrix:
 
     Caches the per-entry mean E = shape/rate, the geometric mean
     G = exp(digamma(shape))/rate (so log G = E[log .]), and the column sums
-    of both, which the opposite side's updates consume.
+    of E, which the opposite side's updates consume.
     """
 
     def __init__(self, shape, rate):
@@ -59,7 +63,6 @@ class GammaVariationalMatrix:
         self.mean = shape / rate
         self.geo_mean = np.exp(special.digamma(shape)) / rate
         self.mean_colsum = self.mean.sum(axis=0)
-        self.geo_colsum = self.geo_mean.sum(axis=0)
 
     @property
     def n_rows(self):
@@ -75,7 +78,9 @@ class GammaVariationalMatrix:
 
 @dataclass
 class FitConfig:
-    """Knobs for a single fit."""
+    """Knobs for a single fit.  variant "ordinal" learns the thresholds;
+    "bepof" (Bernoulli link) and "pf" (Poisson factorization: point-mass
+    counts) fit binary data (V = 1) with theta_0 = 1 frozen."""
 
     n_components: int
     alpha_w: float = 0.3
@@ -83,13 +88,11 @@ class FitConfig:
     tol: float = 1e-5
     max_iter: int = 500
     seed: int = 0
-    learn_thresholds: bool = True
-    pf_approximation: bool = False
-    bepof_mode: bool = False
-    update_rates: bool = True
-    delta_floor: float = 1e-10
+    variant: str = "ordinal"
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant {self.variant!r} not in {VARIANTS}")
         if self.n_components < 1:
             raise ConfigError("n_components must be >= 1")
         if self.alpha_w <= 0 or self.alpha_h <= 0:
@@ -166,28 +169,26 @@ def _entry_csr(data, values):
         shape=(data.n_users, data.n_items))
 
 
-def init_thresholds(config, data):
+def init_thresholds(data):
     """Initial decrements proportional to freq(y = l) / freq(y <= l),
     rescaled so theta_0 = 1.  Mirrors the threshold update at a flat start."""
-    if config.bepof_mode:
-        return ThresholdSequence([1.0])
     v_counts = data.class_counts.astype(float)
     n_cells = float(data.n_users) * float(data.n_items)
     at_most = n_cells - data.nnz + np.cumsum(v_counts)
     delta = v_counts / at_most
-    delta = np.maximum(delta, config.delta_floor)
+    delta = np.maximum(delta, DELTA_FLOOR)
     delta /= delta.sum()
     return ThresholdSequence.from_delta(delta)
 
 
-def init_state(config, data, rng=None):
+def init_state(config, data):
     """Deterministic (per seed) starting point for the CAVI loop."""
     if data.nnz == 0:
         raise DataError("cannot fit an empty matrix")
-    if config.bepof_mode and data.n_classes != 1:
-        raise ConfigError("bepof_mode requires binary data (V = 1)")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    if config.variant != "ordinal" and data.n_classes != 1:
+        raise ConfigError(f"variant {config.variant!r} needs binary data "
+                          f"(V = 1), got V = {data.n_classes}")
+    rng = np.random.default_rng(config.seed)
     U, I, K = data.n_users, data.n_items, config.n_components
     # target factor magnitudes ~ sqrt(mean nnz per row / K)
     t_w = np.sqrt(max(data.nnz / U, 1e-8) / K)
@@ -198,13 +199,13 @@ def init_state(config, data, rng=None):
     H = GammaVariationalMatrix(shape_h, shape_h / t_h)
     return VariationalState(
         W=W, H=H,
-        thresholds=init_thresholds(config, data),
+        thresholds=init_thresholds(data),
         beta_w=np.full(U, config.alpha_w / t_w),
         beta_h=np.full(I, config.alpha_h / t_h),
         alpha_w=config.alpha_w, alpha_h=config.alpha_h)
 
 
-def local_update(state, data, lam_big, pf_approximation=False):
+def local_update(state, data, lam_big, point_mass=False):
     """E-step over the non-zero entries.
 
     Lambda_uik = G_w[u,k] * G_h[i,k] (exp of expected logs), and lam_big
@@ -217,7 +218,7 @@ def local_update(state, data, lam_big, pf_approximation=False):
         j = int(np.flatnonzero(~np.isfinite(lam_big))[0])
         raise NumericalError(
             f"non-finite intensity at (u={data.rows[j]}, i={data.cols[j]})")
-    if pf_approximation:
+    if point_mass:
         e_n = np.ones_like(lam_big)
     else:
         delta_y = state.thresholds.delta[data.vals - 1]
@@ -267,7 +268,7 @@ def total_expected_lambda(state):
     return float(state.W.mean_colsum @ state.H.mean_colsum)
 
 
-def update_thresholds(state, data, stats, e_lam, delta_floor=1e-10):
+def update_thresholds(state, data, stats, e_lam):
     """Point-estimate update of the decrements; e_lam is E[lambda] per entry.
 
     delta_l = (sum over entries with y = l of E[n]) /
@@ -275,8 +276,8 @@ def update_thresholds(state, data, stats, e_lam, delta_floor=1e-10):
 
     The denominator is the all-cells total minus a suffix sum over classes
     above l, so only non-zeros are touched.  Classes absent from the data
-    get the floor (or an error when the floor is disabled).  Returns the
-    new sequence and the list of floored classes.
+    get DELTA_FLOOR.  Returns the new sequence and the list of floored
+    classes.
     """
     V = data.n_classes
     num = np.bincount(data.vals, weights=stats.e_n, minlength=V + 1)[1:]
@@ -284,15 +285,11 @@ def update_thresholds(state, data, stats, e_lam, delta_floor=1e-10):
     # above[l-1] = sum of E[lambda] over entries with y > l
     above = np.concatenate((np.cumsum(lam_by_class[::-1])[::-1][1:], [0.0]))
     den = total_expected_lambda(state) - above
-    floored = np.flatnonzero(num <= 0)
-    if floored.size and delta_floor is None:
-        raise DegenerateThresholdError(
-            f"classes {list(1 + floored)} absent from train and no floor set")
-    delta = np.empty(V)
     ok = num > 0
+    delta = np.full(V, DELTA_FLOOR)
     delta[ok] = num[ok] / den[ok]
-    delta[~ok] = delta_floor if delta_floor is not None else np.nan
-    return ThresholdSequence.from_delta(delta), [int(1 + f) for f in floored]
+    floored = [int(1 + f) for f in np.flatnonzero(~ok)]
+    return ThresholdSequence.from_delta(delta), floored
 
 
 def update_rate_hyperparams(state):
@@ -319,7 +316,7 @@ def _gamma_prior_minus_entropy(var, prior_shape, prior_rate):
     return float(term.sum())
 
 
-def compute_elbo(state, data, lam_big, e_lam, pf_approximation=False):
+def compute_elbo(state, data, lam_big, e_lam, point_mass=False):
     """Exact variational objective for the state and its entry intensities.
 
     Per non-zero entry the augmented-likelihood and local-entropy terms
@@ -331,7 +328,7 @@ def compute_elbo(state, data, lam_big, e_lam, pf_approximation=False):
     """
     thr = state.thresholds
     x = lam_big * thr.delta[data.vals - 1]
-    if pf_approximation:
+    if point_mass:
         nonlinear = np.log(x)
     else:
         nonlinear = x + log1mexp(x)
@@ -345,32 +342,31 @@ def compute_elbo(state, data, lam_big, e_lam, pf_approximation=False):
     return elbo
 
 
-def fit(data, config, rng=None):
+def fit(data, config):
     """Run the coordinate-ascent loop until the relative ELBO increment
     falls below config.tol or max_iter is reached."""
-    state = init_state(config, data, rng)
-    learn_thr = config.learn_thresholds and not config.bepof_mode
+    state = init_state(config, data)
+    point_mass = config.variant == "pf"
     lam_big, e_lam = entry_intensities(state, data)
-    prev = compute_elbo(state, data, lam_big, e_lam, config.pf_approximation)
+    prev = compute_elbo(state, data, lam_big, e_lam, point_mass)
     trace = []
     floored = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
-        stats = local_update(state, data, lam_big, config.pf_approximation)
+        stats = local_update(state, data, lam_big, point_mass)
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
         # threshold and rate updates leave W and H, hence these, unchanged
         lam_big, e_lam = entry_intensities(state, data)
-        if learn_thr:
+        if config.variant == "ordinal":
             state.thresholds, newly_floored = update_thresholds(
-                state, data, stats, e_lam, config.delta_floor)
+                state, data, stats, e_lam)
             for cls in newly_floored:
                 if cls not in floored:
                     floored.append(cls)
-        if config.update_rates:
-            update_rate_hyperparams(state)
-        elbo = compute_elbo(state, data, lam_big, e_lam, config.pf_approximation)
+        update_rate_hyperparams(state)
+        elbo = compute_elbo(state, data, lam_big, e_lam, point_mass)
         iterations += 1
         trace.append(elbo)
         if elbo < prev - 1e-8 * abs(prev):
@@ -411,15 +407,23 @@ def save_state(path, state, metadata=None):
 
 
 def load_state(path):
-    with np.load(path) as z:
-        version = int(z["schema_version"])
-        if version != _STATE_VERSION:
-            raise DataError(f"unsupported model schema version {version}")
-        state = VariationalState(
-            W=GammaVariationalMatrix(z["w_shape"], z["w_rate"]),
-            H=GammaVariationalMatrix(z["h_shape"], z["h_rate"]),
-            thresholds=ThresholdSequence(z["theta"]),
-            beta_w=z["beta_w"], beta_h=z["beta_h"],
-            alpha_w=float(z["alpha_w"]), alpha_h=float(z["alpha_h"]))
-        metadata = json.loads(bytes(z["metadata"]).decode())
+    """(state, metadata) from a save_state file; DataError naming path for
+    any other file, including a truncated or corrupted model."""
+    try:
+        z = np.load(path)  # ValueError, EOFError: neither .npz nor .npy
+        version = int(z["schema_version"])  # KeyError, IndexError: not ours
+        with z:
+            if version != _STATE_VERSION:
+                raise DataError(
+                    f"{path}: unsupported model schema version {version}")
+            state = VariationalState(
+                W=GammaVariationalMatrix(z["w_shape"], z["w_rate"]),
+                H=GammaVariationalMatrix(z["h_shape"], z["h_rate"]),
+                thresholds=ThresholdSequence(z["theta"]),
+                beta_w=z["beta_w"], beta_h=z["beta_h"],
+                alpha_w=float(z["alpha_w"]), alpha_h=float(z["alpha_h"]))
+            metadata = json.loads(bytes(z["metadata"]).decode())
+    except (ValueError, EOFError, zipfile.BadZipFile, KeyError, IndexError,
+            NumericalError):
+        raise DataError(f"{path}: not a valid ordnmf model file") from None
     return state, metadata

@@ -12,12 +12,12 @@ class curve, class histogram) are the recovery targets.
 import copy
 import functools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ordnmf.baselines import BinarizationRule, binarize, make_bepof_config, \
-    make_pf_config
+from ordnmf.baselines import binarize
 from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
 from ordnmf.inference import (FitConfig, compute_elbo, entry_intensities, fit,
@@ -47,10 +47,10 @@ def _report(number, label):
     return wrap
 
 
-def _library_iteration(state, data, pf_approximation=False,
+def _library_iteration(state, data, point_mass=False,
                        learn_thresholds=True, update_rates=True):
     lam_big, _ = entry_intensities(state, data)
-    stats = local_update(state, data, lam_big, pf_approximation)
+    stats = local_update(state, data, lam_big, point_mass)
     update_user_factors(state, data, stats)
     update_item_factors(state, data, stats)
     _, e_lam = entry_intensities(state, data)
@@ -125,8 +125,8 @@ def test_criterion_3_monotonicity():
 def test_criterion_4_reductions():
     rng = np.random.default_rng(8)
     data = random_matrix(4, 3, 1, rng, density=0.6)
-    base = FitConfig(n_components=2)
-    for cfg in (make_bepof_config(base), make_pf_config(base)):
+    for variant in ("bepof", "pf"):
+        cfg = FitConfig(n_components=2, variant=variant)
         state = random_state_like(data, 2, np.random.default_rng(7),
                                   alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
         state.thresholds = ThresholdSequence([1.0])
@@ -135,8 +135,8 @@ def test_criterion_4_reductions():
             state.H.shape.copy(), state.H.rate.copy(),
             data.to_dense(), cfg.alpha_w, cfg.alpha_h,
             state.beta_w, state.beta_h,
-            point_mass_counts=cfg.pf_approximation)
-        _library_iteration(state, data, pf_approximation=cfg.pf_approximation,
+            point_mass_counts=variant == "pf")
+        _library_iteration(state, data, point_mass=variant == "pf",
                            learn_thresholds=False, update_rates=False)
         np.testing.assert_allclose(state.W.shape, ref[0], rtol=1e-12)
         np.testing.assert_allclose(state.W.rate, ref[1], rtol=1e-12)
@@ -248,14 +248,14 @@ def test_criterion_7_generative_recovery(recovery_setup):
 def test_criterion_8_ranking_ordering(recovery_setup):
     data = recovery_setup["data"]
     train, test = train_test_split(data, 0.2, 0)
-    bin_train = binarize(train, BinarizationRule(1))
+    bin_train = binarize(train, 1)
     ordinal, poisson = [], []
     for seed in range(5):
         cfg = FitConfig(n_components=10, tol=1e-6, max_iter=200, seed=seed)
         full = fit(train, cfg)
         ordinal.append(evaluate_ranking(full.state, train, test, [1],
                                         list_length=100)[0].mean_ndcg)
-        flat = fit(bin_train, make_pf_config(cfg))
+        flat = fit(bin_train, replace(cfg, variant="pf"))
         poisson.append(evaluate_ranking(flat.state, train, test, [1],
                                         list_length=100)[0].mean_ndcg)
     assert np.mean(ordinal) > np.mean(poisson), \

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from ordnmf.baselines import (BinarizationRule, binarize,
-                              count_approximation_gap, make_bepof_config,
-                              make_pf_config)
+from ordnmf.baselines import binarize, count_approximation_gap
 from ordnmf.errors import ConfigError
 from ordnmf.inference import FitConfig, entry_intensities, fit, local_update
 from ordnmf.model import ThresholdSequence
@@ -17,7 +15,7 @@ class TestBinarize:
     def test_lowest_threshold_keeps_all(self):
         rng = np.random.default_rng(0)
         mat = random_matrix(6, 5, 4, rng)
-        out = binarize(mat, BinarizationRule(1))
+        out = binarize(mat, 1)
         assert out.nnz == mat.nnz and out.n_classes == 1
         assert np.all(out.vals == 1)
 
@@ -25,34 +23,36 @@ class TestBinarize:
         from ordnmf.data import OrdinalMatrix
 
         mat = OrdinalMatrix(3, 3, 9, [0, 1, 2], [0, 1, 2], [1, 8, 9])
-        out = binarize(mat, BinarizationRule(8))
+        out = binarize(mat, 8)
         assert out.nnz == 2
 
     def test_out_of_range_threshold(self):
         rng = np.random.default_rng(1)
         mat = random_matrix(4, 4, 3, rng)
         with pytest.raises(ConfigError):
-            binarize(mat, BinarizationRule(4))
+            binarize(mat, 4)
         with pytest.raises(ConfigError):
-            BinarizationRule(0)
+            binarize(mat, 0)
 
     def test_idempotent_on_binary(self):
         rng = np.random.default_rng(2)
         mat = random_matrix(5, 5, 1, rng)
-        out = binarize(mat, BinarizationRule(1))
+        out = binarize(mat, 1)
         np.testing.assert_array_equal(out.to_dense(), mat.to_dense())
 
 
 class TestConfigs:
-    def test_configs_differ_only_in_count_approximation(self):
-        base = FitConfig(n_components=4, seed=3)
-        bepof = make_bepof_config(base)
-        pf = make_pf_config(base)
-        assert not bepof.pf_approximation and pf.pf_approximation
-        assert bepof.bepof_mode and pf.bepof_mode
-        for f in ("n_components", "alpha_w", "alpha_h", "tol", "max_iter",
-                  "seed", "learn_thresholds", "bepof_mode"):
-            assert getattr(bepof, f) == getattr(pf, f)
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigError, match=r"variant 'BePoF' not in "
+                                              r"\('ordinal', 'bepof', 'pf'\)"):
+            FitConfig(n_components=2, variant="BePoF")
+
+    @pytest.mark.parametrize("variant", ["bepof", "pf"])
+    def test_binary_variant_needs_binary_data(self, variant):
+        data = random_matrix(5, 4, 3, np.random.default_rng(3))
+        with pytest.raises(ConfigError, match=f"variant '{variant}' needs "
+                                              r"binary data \(V = 1\), got V = 3"):
+            fit(data, FitConfig(n_components=2, variant=variant))
 
     def test_binary_pmf_is_bernoulli_complement(self):
         thr = ThresholdSequence([1.0])
@@ -62,25 +62,25 @@ class TestConfigs:
     def test_thresholds_frozen_during_fit(self):
         rng = np.random.default_rng(4)
         data = random_matrix(8, 6, 1, rng)
-        cfg = make_bepof_config(FitConfig(n_components=2, max_iter=100,
-                                          tol=1e-14))
+        cfg = FitConfig(n_components=2, max_iter=100, tol=1e-14,
+                        variant="bepof")
         res = fit(data, cfg)
         assert res.state.thresholds.theta.tolist() == [1.0]
 
     def test_point_mass_counts_during_fit(self):
         rng = np.random.default_rng(5)
         data = random_matrix(8, 6, 1, rng)
-        cfg = make_pf_config(FitConfig(n_components=2, max_iter=20, tol=1e-14))
+        cfg = FitConfig(n_components=2, max_iter=20, tol=1e-14, variant="pf")
         res = fit(data, cfg)
         stats = local_update(res.state, data,
                              entry_intensities(res.state, data)[0],
-                             pf_approximation=True)
+                             point_mass=True)
         np.testing.assert_array_equal(stats.e_n, 1.0)
 
     def test_count_approximation_gap_reported(self):
         rng = np.random.default_rng(6)
         data = random_matrix(10, 8, 1, rng, density=0.3)
-        cfg = make_pf_config(FitConfig(n_components=2, max_iter=50, tol=1e-10))
+        cfg = FitConfig(n_components=2, max_iter=50, tol=1e-10, variant="pf")
         res = fit(data, cfg)
         gap = count_approximation_gap(res.state, data)
         assert gap >= 0.0 and np.isfinite(gap)
@@ -96,7 +96,7 @@ class TestReductions:
                                   alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
         state.thresholds = ThresholdSequence([1.0])
         stats = local_update(state, data, entry_intensities(state, data)[0],
-                             cfg.pf_approximation)
+                             cfg.variant == "pf")
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
         return state
@@ -105,8 +105,7 @@ class TestReductions:
     def test_factor_updates_match_standalone_binary_model(self, point_mass):
         rng = np.random.default_rng(8)
         data = random_matrix(4, 3, 1, rng, density=0.6)
-        base = FitConfig(n_components=2)
-        cfg = make_pf_config(base) if point_mass else make_bepof_config(base)
+        cfg = FitConfig(n_components=2, variant="pf" if point_mass else "bepof")
 
         ref_state = random_state_like(data, 2, np.random.default_rng(7),
                                       alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)

@@ -129,8 +129,7 @@ class TestPipeline:
         report = tmp_path / "eval.txt"
         assert run("evaluate", "--model", model, "--train", train,
                    "--test", test, "--output", report,
-                   "--ndcg-thresholds", "1", "--list-length", 10,
-                   "--binarize-at", 1) == 0
+                   "--ndcg-thresholds", "1", "--list-length", 10) == 0
         assert "log_lik_nonzeros\tN/A" in report.read_text()
 
     def test_predict_lists_no_train_items(self, tmp_path, ranking_files):
@@ -199,6 +198,36 @@ class TestErrorHandling:
         out = tmp_path / "out.txt"
         assert run(*argv, *files, "--output", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--restarts", 0], "--restarts must be >= 1, got 0"),
+        (["ppc", "--budget", 0], "--budget must be >= 1, got 0"),
+        (["predict", "--users", "a"],
+         "--users: expected comma-separated integers, got 'a'"),
+        (["evaluate", "--ndcg-thresholds", "a"],
+         "--ndcg-thresholds: expected comma-separated integers, got 'a'"),
+    ], ids=["train-restarts-0", "ppc-budget-0", "predict-users-a",
+            "evaluate-ndcg-thresholds-a"])
+    def test_bad_counts_and_lists_rejected(self, tmp_path, capsys,
+                                           ranking_files, argv, message):
+        files = {"train": ["--input", ranking_files["train"], "--k", 2],
+                 "ppc": ["--model", ranking_files["model"],
+                         "--train", ranking_files["train"]],
+                 "predict": ["--model", ranking_files["model"]],
+                 "evaluate": ["--model", ranking_files["model"],
+                              "--train", ranking_files["train"],
+                              "--test", ranking_files["test"]]}[argv[0]]
+        out = tmp_path / "out.txt"
+        assert run(*argv, *files, "--output", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_model_file_rejected(self, tmp_path, capsys, triplet_file):
+        out = tmp_path / "top.txt"
+        assert run("predict", "--model", triplet_file, "--output", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {triplet_file}: not a valid ordnmf model file\n")
         assert not out.exists()
 
     def test_predict_train_dimension_mismatch(self, tmp_path, capsys,
@@ -276,6 +305,34 @@ class TestConfigPrecedence:
         assert state.n_components == 3       # flag wins
         assert meta["config"]["max_iter"] == 5  # config-file value used
         assert meta["config"]["seed"] == 4
+
+    @pytest.mark.parametrize("line, message", [
+        ("k = abc", "invalid value 'abc' for k"),
+        ("bepof = flase", "invalid value 'flase' for bepof"),
+        ("bogus = 1", "unknown config key 'bogus'"),
+    ], ids=["int", "flag", "unknown-key"])
+    def test_bad_config_value_names_line(self, tmp_path, capsys,
+                                         ranking_files, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\nseed = 2\n{line}\n")
+        model = tmp_path / "fit.npz"
+        assert run("train", "--config", cfg, "--input", ranking_files["train"],
+                   "--output", model) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert not model.exists()
+
+    def test_config_flag_words(self, tmp_path, ranking_files):
+        cfg = tmp_path / "pf.cfg"
+        cfg.write_text("pf = Yes\nbepof = off\nbinarize-at = 1\nk = 2\n"
+                       "max-iter = 3\n")
+        model = tmp_path / "pf.npz"
+        assert run("train", "--config", cfg, "--input", ranking_files["train"],
+                   "--output", model) == 0
+        from ordnmf.inference import load_state
+
+        state, meta = load_state(model)
+        assert state.n_classes == 1
+        assert meta["config"]["pf"] is True and meta["config"]["bepof"] is False
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

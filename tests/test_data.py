@@ -60,6 +60,8 @@ class TestLoadTriplets:
         ("9223372036854775808", "value '9223372036854775808' exceeds the "
                                 "int64 range"),
         ("three", "non-numeric value 'three'"),
+        ("1_000", "non-numeric value '1_000'"),
+        ("1_0.0", "non-numeric value '1_0.0'"),
     ])
     def test_non_integer_value_rejected(self, tmp_path, raw, message):
         p = tmp_path / "t.csv"
@@ -156,6 +158,17 @@ class TestOrdinalMatrix:
         path = tmp_path / "map.txt"
         write_index_map(path, ["u1", "u9", "u3"])
         assert read_index_map(path) == ["u1", "u9", "u3"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\t0\nb\t5\n", "expected index 1, got '5'"),
+        ("a\t0\nb 1\n", "expected index 1, got 'b 1'"),
+    ], ids=["gap", "no-tab"])
+    def test_bad_index_map_rejected(self, tmp_path, text, message):
+        path = tmp_path / "map.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read_index_map(path)
+        assert str(info.value) == f"line 2: {path}: {message}"
 
 
 class TestFilterActivity:

@@ -1,15 +1,15 @@
 """Coordinate-ascent updates against dense references, plus loop behavior."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ordnmf import inference
-from ordnmf.baselines import (BinarizationRule, binarize, make_bepof_config,
-                              make_pf_config)
+from ordnmf.baselines import binarize
 from ordnmf.data import OrdinalMatrix
-from ordnmf.errors import ConfigError, DataError, DegenerateThresholdError
+from ordnmf.errors import ConfigError, DataError
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, compute_elbo,
                               entry_intensities, fit, init_state, load_state,
                               local_update, predict_scores, save_state,
@@ -23,18 +23,15 @@ from oracles import (dense_iteration, random_matrix, random_state_like,
                      threshold_objective, ztp_mean_series)
 
 
-def run_iteration(state, data, **kw):
+def run_iteration(state, data):
     """Apply one library iteration in the canonical phase order."""
     lam_big, _ = entry_intensities(state, data)
-    stats = local_update(state, data, lam_big,
-                         kw.get("pf_approximation", False))
+    stats = local_update(state, data, lam_big)
     update_user_factors(state, data, stats)
     update_item_factors(state, data, stats)
     _, e_lam = entry_intensities(state, data)
-    if kw.get("learn_thresholds", True):
-        state.thresholds, _ = update_thresholds(state, data, stats, e_lam)
-    if kw.get("update_rates", True):
-        update_rate_hyperparams(state)
+    state.thresholds, _ = update_thresholds(state, data, stats, e_lam)
+    update_rate_hyperparams(state)
     return stats
 
 
@@ -81,7 +78,7 @@ class TestInitState:
     def test_binary_mode_pins_threshold(self):
         rng = np.random.default_rng(3)
         data = random_matrix(5, 4, 1, rng)
-        state = init_state(FitConfig(n_components=2, bepof_mode=True), data)
+        state = init_state(FitConfig(n_components=2, variant="bepof"), data)
         assert state.thresholds.theta.tolist() == [1.0]
 
     def test_errors(self):
@@ -90,7 +87,7 @@ class TestInitState:
         with pytest.raises(ConfigError):
             FitConfig(n_components=0)
         with pytest.raises(ConfigError):
-            init_state(FitConfig(n_components=2, bepof_mode=True), data)
+            init_state(FitConfig(n_components=2, variant="bepof"), data)
         empty = OrdinalMatrix(3, 3, 2, [], [], [])
         with pytest.raises(DataError):
             init_state(FitConfig(n_components=2), empty)
@@ -123,7 +120,7 @@ class TestLocalUpdate:
         lam_big, _ = entry_intensities(state, data)
         assert np.all(local_update(state, data, lam_big).e_n >= 1.0)
         np.testing.assert_array_equal(
-            local_update(state, data, lam_big, pf_approximation=True).e_n, 1.0)
+            local_update(state, data, lam_big, point_mass=True).e_n, 1.0)
 
     def test_aggregates_match_dense_reference(self):
         rng = np.random.default_rng(8)
@@ -247,19 +244,16 @@ class TestThresholdUpdate:
                 delta[l] *= factor
                 assert threshold_objective(delta, y, e_n, e_lam) < best
 
-    def test_empty_class_floor_and_error(self):
+    def test_empty_class_floor(self):
         dense = np.array([[1, 0], [0, 3]])  # class 2 absent
         data = OrdinalMatrix(2, 2, 3, *_triplets(dense))
         rng = np.random.default_rng(15)
         state = random_state_like(data, 2, rng)
         lam_big, e_lam = entry_intensities(state, data)
         stats = local_update(state, data, lam_big)
-        thr, floored = update_thresholds(state, data, stats, e_lam,
-                                         delta_floor=1e-10)
+        thr, floored = update_thresholds(state, data, stats, e_lam)
         assert floored == [2]
         assert thr.delta[1] == pytest.approx(1e-10)
-        with pytest.raises(DegenerateThresholdError):
-            update_thresholds(state, data, stats, e_lam, delta_floor=None)
 
 
 class TestRateUpdate:
@@ -362,8 +356,7 @@ def _pinned_fit_inputs(corner):
     base = FitConfig(n_components=3, tol=1e-300, max_iter=6, seed=1)
     if corner == "ordinal":
         return data, base
-    make = make_bepof_config if corner == "bepof" else make_pf_config
-    return binarize(data, BinarizationRule(2)), make(base)
+    return binarize(data, 2), replace(base, variant=corner)
 
 
 @pytest.mark.parametrize("corner", sorted(PINNED_TRACES))
@@ -420,6 +413,34 @@ class TestPredictAndSerialize:
         state = random_state_like(data, 2, np.random.default_rng(25))
         with pytest.raises(ConfigError):
             predict_scores(state, [5])
+
+    @pytest.mark.parametrize("kind", ["text", "empty", "npy", "other-npz",
+                                      "truncated", "missing-key", "bad-theta"])
+    def test_load_state_rejects_other_files(self, tmp_path, kind):
+        path = tmp_path / f"model.{kind}"
+        if kind in ("text", "empty"):
+            path.write_text("a,x,3\n" if kind == "text" else "")
+        elif kind in ("npy", "other-npz"):
+            with open(path, "wb") as fh:
+                (np.save if kind == "npy" else np.savez)(fh, np.ones(3))
+        else:
+            data = OrdinalMatrix(2, 2, 1, [0], [0], [1])
+            with open(path, "wb") as fh:
+                save_state(fh, random_state_like(data, 2,
+                                                 np.random.default_rng(0)))
+            if kind == "truncated":
+                path.write_bytes(path.read_bytes()[:200])
+            else:
+                fields = dict(np.load(path))
+                if kind == "missing-key":
+                    del fields["w_rate"]
+                else:
+                    fields["theta"] = np.array([0.5, 1.0])
+                with open(path, "wb") as fh:
+                    np.savez(fh, **fields)
+        with pytest.raises(DataError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: not a valid ordnmf model file"
 
     def test_roundtrip_reproduces_scores_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(26)
