@@ -170,10 +170,16 @@ def cmd_train(cfg):
     return 0
 
 
-def _load_for_model(path, state, same_classes):
-    """The matrix at path; ConfigError unless it has the model's users and
-    items, and the model's V too when same_classes is set."""
+def _load_for_model(path, state, same_classes, binarize_at=None):
+    """The matrix at path, binarized at binarize_at unless that is None or
+    the matrix is binary already; ConfigError unless it has the model's
+    users and items, and the model's V too when same_classes is set."""
     matrix = OrdinalMatrix.load(path)
+    if binarize_at is not None and matrix.n_classes > 1:
+        try:
+            matrix = binarize(matrix, binarize_at)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if ((matrix.n_users, matrix.n_items) != (state.n_users, state.n_items)
             or same_classes and matrix.n_classes != state.n_classes):
         raise ConfigError(f"{path}: matrix shape differs from the model")
@@ -202,8 +208,11 @@ def cmd_evaluate(cfg):
 
 
 def cmd_ppc(cfg):
-    state, _ = load_state(cfg["model"])
-    train = _load_for_model(cfg["train"], state, same_classes=True)
+    state, meta = load_state(cfg["model"])
+    # a model trained with --binarize-at s is checked against train >= s
+    binarize_at = meta.get("config", {}).get("binarize_at")
+    train = _load_for_model(cfg["train"], state, same_classes=True,
+                            binarize_at=binarize_at)
     rng = np.random.default_rng(cfg["seed"])
     report = ppc_histogram(state, train, rng,
                            n_cells=_at_least_one(cfg, "budget"))
@@ -218,8 +227,13 @@ def cmd_predict(cfg):
     train = None
     if cfg["train"]:
         train = _load_for_model(cfg["train"], state, same_classes=False)
-    users = (_parse_int_list(cfg, "users") if cfg["users"]
-             else range(state.n_users))
+    users = range(state.n_users)
+    if cfg["users"]:
+        users = _parse_int_list(cfg, "users")
+        for u in users:
+            if not 0 <= u < state.n_users:
+                raise ConfigError(f"--users: user index {u} outside "
+                                  f"0..{state.n_users - 1}")
     lines = ["user\trank\titem\tscore"]
     for block, scores in score_blocks(state, users):
         items, lengths = top_m_items(scores, block, train, cfg["list_length"])

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inference
 from .errors import ConfigError, DataError, NumericalError
 from .inference import _entry_csr, entry_dot, predict_scores
 from .model import log1mexp
@@ -27,14 +28,11 @@ class PPCReport:
     n_cells_sampled: int
 
 
-# Cells (users x items) per block of dense scores: temporaries of ~16 MB.
-_BLOCK_CELLS = 1 << 21
-
-
 def score_blocks(state, users):
-    """Yield (users, predict_scores rows) for consecutive blocks of users."""
+    """Yield (users, predict_scores rows) for consecutive blocks of users,
+    inference.BLOCK_CELLS score cells at most (one row at least)."""
     users = np.asarray(users, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // state.n_items)
+    step = max(1, inference.BLOCK_CELLS // state.n_items)
     for start in range(0, users.size, step):
         block = users[start:start + step]
         yield block, predict_scores(state, block)
@@ -149,8 +147,10 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
     Draws one (W, H) sample from the variational posteriors, then samples
     classes at n_cells uniformly random (user, item) cells.  Observed
     frequencies come from the train matrix over all U x I cells (class 0 is
-    the implicit remainder).
+    the implicit remainder).  ConfigError unless n_cells >= 1.
     """
+    if n_cells < 1:
+        raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
     U, I, V = state.n_users, state.n_items, state.n_classes
     w_sample = rng.gamma(state.W.shape, 1.0 / state.W.rate)
     h_sample = rng.gamma(state.H.shape, 1.0 / state.H.rate)

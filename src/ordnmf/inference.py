@@ -28,6 +28,9 @@ _STATE_VERSION = 1
 # Decrement given to a class absent from the train data.
 DELTA_FLOOR = 1e-10
 VARIANTS = ("ordinal", "bepof", "pf")
+# Cells per dense float64 temporary (~16 MB): bounds the per-entry gathers
+# of entry_dot and the score blocks of evaluation.score_blocks.
+BLOCK_CELLS = 1 << 21
 
 
 def ztp_mean(x):
@@ -151,8 +154,18 @@ class LocalStats:
 
 
 def entry_dot(A, B, rows, cols):
-    """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T."""
-    return np.einsum("jk,jk->j", A[rows], B[cols])
+    """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T.
+
+    Gathers BLOCK_CELLS cells of A and B at a time, so extra memory does
+    not grow with len(rows) * K; each entry's sum is the same as in one
+    call over all entries.
+    """
+    out = np.empty(len(rows), dtype=np.result_type(A, B))
+    step = max(1, BLOCK_CELLS // A.shape[1])
+    for start in range(0, out.size, step):
+        block = slice(start, start + step)
+        out[block] = np.einsum("jk,jk->j", A[rows[block]], B[cols[block]])
+    return out
 
 
 def entry_intensities(state, data):
@@ -386,9 +399,11 @@ def predict_scores(state, user_indices=None):
     EW = state.W.mean
     if user_indices is not None:
         user_indices = np.asarray(user_indices)
-        if user_indices.size and (user_indices.min() < 0
-                                  or user_indices.max() >= state.n_users):
-            raise ConfigError("user index out of range")
+        bad = user_indices[(user_indices < 0)
+                           | (user_indices >= state.n_users)]
+        if bad.size:
+            raise ConfigError(f"user index {bad[0]} outside "
+                              f"0..{state.n_users - 1}")
         EW = EW[user_indices]
     return EW @ state.H.mean.T
 

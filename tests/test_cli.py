@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ordnmf.baselines import binarize
 from ordnmf.cli import main
 from ordnmf.data import OrdinalMatrix
 from ordnmf.inference import save_state
@@ -132,6 +133,35 @@ class TestPipeline:
                    "--ndcg-thresholds", "1", "--list-length", 10) == 0
         assert "log_lik_nonzeros\tN/A" in report.read_text()
 
+    def test_binarized_model_ppc_binarizes_train(self, tmp_path, capsys,
+                                                 triplet_file):
+        mat = tmp_path / "m.ordmat"
+        run("quantize", "--input", triplet_file, "--output", mat,
+            "--boundaries", "1,5,50", "--delimiter", ",")
+        model = tmp_path / "pf.npz"
+        assert run("train", "--input", mat, "--output", model, "--k", 3,
+                   "--max-iter", 5, "--pf", "--binarize-at", 3) == 0
+        binary = binarize(OrdinalMatrix.load(mat), 3)
+        share = binary.nnz / (binary.n_users * binary.n_items)
+        binary_path = tmp_path / "b.ordmat"
+        binary.save(binary_path)
+        for train in (mat, binary_path):  # binarized here or already binary
+            out = tmp_path / "ppc.txt"
+            assert run("ppc", "--model", model, "--train", train,
+                       "--output", out, "--budget", 1000) == 0
+            observed = [line.split("\t")[1] for line in
+                        out.read_text().splitlines()
+                        if not line.startswith(("#", "class"))]
+            assert observed == [f"{1 - share:.8f}", f"{share:.8f}"]
+
+        low = tmp_path / "low.ordmat"
+        OrdinalMatrix(binary.n_users, binary.n_items, 2,
+                      [0], [0], [2]).save(low)
+        assert run("ppc", "--model", model, "--train", low,
+                   "--output", tmp_path / "low.txt", "--budget", 1000) == 1
+        assert capsys.readouterr().err == (
+            f"error: {low}: binarization threshold 3 outside 1..2\n")
+
     def test_predict_lists_no_train_items(self, tmp_path, ranking_files):
         out = tmp_path / "top.txt"
         assert run("predict", "--model", ranking_files["model"],
@@ -205,9 +235,12 @@ class TestErrorHandling:
         (["ppc", "--budget", 0], "--budget must be >= 1, got 0"),
         (["predict", "--users", "a"],
          "--users: expected comma-separated integers, got 'a'"),
+        (["predict", "--users", "0,7"], "--users: user index 7 outside 0..1"),
+        (["predict", "--users", "-1"], "--users: user index -1 outside 0..1"),
         (["evaluate", "--ndcg-thresholds", "a"],
          "--ndcg-thresholds: expected comma-separated integers, got 'a'"),
     ], ids=["train-restarts-0", "ppc-budget-0", "predict-users-a",
+            "predict-users-7", "predict-users-negative",
             "evaluate-ndcg-thresholds-a"])
     def test_bad_counts_and_lists_rejected(self, tmp_path, capsys,
                                            ranking_files, argv, message):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ordnmf import evaluation
+from ordnmf import inference
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError
 from ordnmf.evaluation import (evaluate_ranking, log_lik_nonzeros, ndcg_at_m,
@@ -157,7 +157,7 @@ class TestRankingKernel:
         want = top_m_bruteforce(
             scores, case["train"] if case["exclude_train"] else None, m)
 
-        with mock.patch.object(evaluation, "_BLOCK_CELLS", case["block_cells"]):
+        with mock.patch.object(inference, "BLOCK_CELLS", case["block_cells"]):
             got = []
             for users, block in score_blocks(state, np.arange(train.n_users)):
                 items, lengths = top_m_items(block, users, exclude, m)
@@ -237,6 +237,15 @@ class TestPPC:
         a = ppc_histogram(state, data, np.random.default_rng(42), n_cells=5000)
         b = ppc_histogram(state, data, np.random.default_rng(42), n_cells=5000)
         np.testing.assert_array_equal(a.simulated_freq, b.simulated_freq)
+
+    @pytest.mark.parametrize("n_cells", [0, -5])
+    def test_non_positive_budget_rejected(self, n_cells):
+        data = random_matrix(4, 3, 2, np.random.default_rng(3))
+        state = random_state_like(data, 2, np.random.default_rng(4))
+        with pytest.raises(ConfigError,
+                           match=rf"^n_cells must be >= 1, got {n_cells}$"):
+            ppc_histogram(state, data, np.random.default_rng(0),
+                          n_cells=n_cells)
 
     def test_report_text_shapes(self):
         data, state = self.fitted()

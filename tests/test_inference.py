@@ -1,6 +1,7 @@
 """Coordinate-ascent updates against dense references, plus loop behavior."""
 
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,39 @@ def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
     res = fit(data, cfg)
     assert res.iterations == 6
     assert len(calls) == 2 * res.iterations + 2
+
+
+class TestEntryDot:
+    @pytest.mark.parametrize("nnz, K", [(0, 4), (3, 4), (12, 4), (13, 4),
+                                        (5, 20)],
+                             ids=["empty", "below-one-block", "exact-multiple",
+                                  "ragged-last-block", "k-above-block"])
+    def test_blocks_match_one_shot_einsum(self, monkeypatch, nnz, K):
+        # 16 cells per block: 4 entries at K = 4, one entry at K = 20
+        monkeypatch.setattr(inference, "BLOCK_CELLS", 16)
+        rng = np.random.default_rng(nnz + K)
+        A, B = rng.gamma(0.3, size=(9, K)), rng.gamma(0.3, size=(11, K))
+        rows, cols = rng.integers(0, 9, nnz), rng.integers(0, 11, nnz)
+        got = inference.entry_dot(A, B, rows, cols)
+        want = np.einsum("jk,jk->j", A[rows], B[cols])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_extra_memory_bounded_by_blocks(self, monkeypatch):
+        block_cells, K = 1 << 12, 8
+        monkeypatch.setattr(inference, "BLOCK_CELLS", block_cells)
+        nnz = 64 * block_cells // K  # nnz * K spans 64 blocks
+        rng = np.random.default_rng(5)
+        A, B = rng.random((300, K)), rng.random((200, K))
+        rows, cols = rng.integers(0, 300, nnz), rng.integers(0, 200, nnz)
+        tracemalloc.start()
+        try:
+            out = inference.entry_dot(A, B, rows, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two one-shot gathers would hold 2 * 64 blocks of cells
+        assert peak < out.nbytes + 4 * block_cells * 8
 
 
 class TestPredictAndSerialize:
