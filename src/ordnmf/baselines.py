@@ -28,6 +28,5 @@ def binarize(matrix, threshold):
 def count_approximation_gap(state, data):
     """Max |E[n] - 1| over non-zeros when the truncated-count mean is
     re-evaluated exactly; a posteriori check of the point-mass shortcut."""
-    lam_big, _ = entry_intensities(state, data)
-    stats = local_update(state, data, lam_big)
+    stats = local_update(state, data, entry_intensities(state, data))
     return float(np.abs(stats.e_n - 1.0).max())

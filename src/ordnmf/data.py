@@ -5,6 +5,8 @@ Entries live in CSR order by user.  Matrices are immutable after
 construction and safe for shared read access.
 """
 
+import functools
+import os
 import struct
 
 import numpy as np
@@ -13,6 +15,9 @@ from .errors import ConfigError, DataError, ParseError
 
 _MAGIC = b"ORDM"
 _FORMAT_VERSION = 1
+# magic, version, users, items, classes, nnz; then rows, cols, vals as
+# nnz little-endian int64 each
+_HEADER = struct.Struct("<4sIIIIQ")
 
 
 class OrdinalMatrix:
@@ -51,8 +56,13 @@ class OrdinalMatrix:
         self.rows, self.cols, self.vals = rows, cols, vals
         for a in (rows, cols, vals):
             a.setflags(write=False)
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=n_users))))
+
+    @functools.cached_property
+    def indptr(self):
+        """CSR row pointer, length n_users + 1.  Built on first use, so that
+        construction (and load) takes memory in nnz only, not in n_users."""
+        return np.concatenate(
+            ([0], np.cumsum(np.bincount(self.rows, minlength=self.n_users))))
 
     @property
     def nnz(self):
@@ -78,29 +88,35 @@ class OrdinalMatrix:
     def save(self, path):
         """Write the versioned little-endian binary format."""
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IIIIQ", _FORMAT_VERSION, self.n_users,
-                                 self.n_items, self.n_classes, self.nnz))
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_users,
+                                  self.n_items, self.n_classes, self.nnz))
             self.rows.astype("<i8").tofile(fh)
             self.cols.astype("<i8").tofile(fh)
             self.vals.astype("<i8").tofile(fh)
 
     @classmethod
     def load(cls, path):
+        """Read a file written by save; DataError naming path otherwise."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
+            header = fh.read(_HEADER.size)
+            if header[:4] != _MAGIC:
                 raise DataError(f"{path}: not an ordinal matrix file")
-            version, n_users, n_items, n_classes, nnz = struct.unpack(
-                "<IIIIQ", fh.read(24))
+            if len(header) != _HEADER.size:
+                raise DataError(f"{path}: truncated header")
+            _, version, n_users, n_items, n_classes, nnz = _HEADER.unpack(
+                header)
             if version != _FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported format version {version}")
-            rows = np.fromfile(fh, dtype="<i8", count=nnz)
-            cols = np.fromfile(fh, dtype="<i8", count=nnz)
-            vals = np.fromfile(fh, dtype="<i8", count=nnz)
-            if vals.size != nnz:
-                raise DataError(f"{path}: truncated file")
-        return cls(n_users, n_items, n_classes, rows, cols, vals)
+            size = os.fstat(fh.fileno()).st_size
+            if size != _HEADER.size + 24 * nnz:
+                raise DataError(f"{path}: {size} bytes, but a header with "
+                                f"nnz = {nnz} needs {_HEADER.size + 24 * nnz}")
+            rows, cols, vals = np.fromfile(fh, dtype="<i8",
+                                           count=3 * nnz).reshape(3, nnz)
+        try:
+            return cls(n_users, n_items, n_classes, rows, cols, vals)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 class QuantizationScheme:

@@ -9,9 +9,13 @@ only the stored entries.
 
 One iteration runs: local (n, c) statistics -> user factors -> item factors
 -> entry intensities (reused by the next local step) -> thresholds -> rate
-hyperparameters -> ELBO.  The ELBO is exact for this
-variational family and must be non-decreasing; a decrease beyond roundoff
-raises NumericalError since it indicates an update bug.
+hyperparameters -> ELBO.  Lambda_ui (geometric means) is the one per-entry
+product of an iteration.  E[lambda_ui] enters only through its per-class sums
+S_l, sparse-times-dense products over 0/1 class-indicator matrices whose rows
+are the shorter side of the data (items when I < U, users otherwise).  The
+ELBO is exact for this variational family and must be non-decreasing; a
+decrease beyond roundoff raises NumericalError since it indicates an update
+bug.
 """
 
 import json
@@ -169,10 +173,8 @@ def entry_dot(A, B, rows, cols):
 
 
 def entry_intensities(state, data):
-    """(Lambda, E[lambda]) at data's non-zeros: sum_k G_w G_h (geometric
-    means) and sum_k E[w_uk] E[h_ik].  Both depend only on the factors."""
-    return (entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
-            entry_dot(state.W.mean, state.H.mean, data.rows, data.cols))
+    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means)."""
+    return entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
 
 
 def _entry_csr(data, values):
@@ -180,6 +182,27 @@ def _entry_csr(data, values):
     return sparse.csr_matrix(
         (values, data.cols, data.indptr),
         shape=(data.n_users, data.n_items))
+
+
+def class_indicators(data):
+    """(rows_are_items, [Y_1 .. Y_V]): one 0/1 CSR matrix per class l, with
+    a 1 at each entry y_ui = l.  Rows are items when I < U and users
+    otherwise, so class_sums' temporaries are (shorter side) x K."""
+    by_item = data.n_items < data.n_users
+    mats = []
+    for cls in range(1, data.n_classes + 1):
+        Y = _entry_csr(data, (data.vals == cls).astype(float))
+        Y.eliminate_zeros()
+        mats.append(Y.T.tocsr() if by_item else Y)
+    return by_item, mats
+
+
+def class_sums(state, indicators):
+    """S_l = sum over entries with y = l of E[lambda_ui], for l = 1..V:
+    vdot(E[A], Y_l E[B]), A the factor on the indicators' row side."""
+    by_item, mats = indicators
+    A, B = (state.H, state.W) if by_item else (state.W, state.H)
+    return np.array([np.vdot(A.mean, Y @ B.mean) for Y in mats])
 
 
 def init_thresholds(data):
@@ -281,8 +304,8 @@ def total_expected_lambda(state):
     return float(state.W.mean_colsum @ state.H.mean_colsum)
 
 
-def update_thresholds(state, data, stats, e_lam):
-    """Point-estimate update of the decrements; e_lam is E[lambda] per entry.
+def update_thresholds(state, data, stats, lam_by_class):
+    """Point-estimate update of the decrements; lam_by_class is class_sums.
 
     delta_l = (sum over entries with y = l of E[n]) /
               (sum over cells with y <= l of E[lambda]).
@@ -294,7 +317,6 @@ def update_thresholds(state, data, stats, e_lam):
     """
     V = data.n_classes
     num = np.bincount(data.vals, weights=stats.e_n, minlength=V + 1)[1:]
-    lam_by_class = np.bincount(data.vals, weights=e_lam, minlength=V + 1)[1:]
     # above[l-1] = sum of E[lambda] over entries with y > l
     above = np.concatenate((np.cumsum(lam_by_class[::-1])[::-1][1:], [0.0]))
     den = total_expected_lambda(state) - above
@@ -329,13 +351,15 @@ def _gamma_prior_minus_entropy(var, prior_shape, prior_rate):
     return float(term.sum())
 
 
-def compute_elbo(state, data, lam_big, e_lam, point_mass=False):
-    """Exact variational objective for the state and its entry intensities.
+def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
+    """Exact variational objective for the state, its entry intensities
+    Lambda and its class sums of E[lambda] (class_sums).
 
     Per non-zero entry the augmented-likelihood and local-entropy terms
     collapse to -E[lambda] * theta_{y-1} + x + log(1 - e^{-x}) with
     x = Lambda * delta_y (under the point-mass count approximation the last
-    two terms become log x).  Zero cells contribute -E[lambda] * theta_0,
+    two terms become log x); the first term is linear in E[lambda], so it
+    sums per class.  Zero cells contribute -E[lambda] * theta_0,
     accumulated as total-minus-nonzero.  Factor terms are closed-form gamma
     cross-entropy minus entropy.
     """
@@ -345,8 +369,10 @@ def compute_elbo(state, data, lam_big, e_lam, point_mass=False):
         nonlinear = np.log(x)
     else:
         nonlinear = x + log1mexp(x)
-    nz_part = float((-e_lam * thr.exposure(data.vals) + nonlinear).sum())
-    zero_part = -thr.theta[0] * (total_expected_lambda(state) - float(e_lam.sum()))
+    exposures = thr.exposure(np.arange(1, thr.n_classes + 1))
+    nz_part = float(nonlinear.sum() - lam_by_class @ exposures)
+    zero_part = -thr.theta[0] * (total_expected_lambda(state)
+                                 - float(lam_by_class.sum()))
     elbo = (nz_part + zero_part
             + _gamma_prior_minus_entropy(state.W, state.alpha_w, state.beta_w)
             + _gamma_prior_minus_entropy(state.H, state.alpha_h, state.beta_h))
@@ -360,8 +386,10 @@ def fit(data, config):
     falls below config.tol or max_iter is reached."""
     state = init_state(config, data)
     point_mass = config.variant == "pf"
-    lam_big, e_lam = entry_intensities(state, data)
-    prev = compute_elbo(state, data, lam_big, e_lam, point_mass)
+    indicators = class_indicators(data)
+    lam_big = entry_intensities(state, data)
+    prev = compute_elbo(state, data, lam_big, class_sums(state, indicators),
+                        point_mass)
     trace = []
     floored = []
     converged = False
@@ -371,15 +399,16 @@ def fit(data, config):
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
         # threshold and rate updates leave W and H, hence these, unchanged
-        lam_big, e_lam = entry_intensities(state, data)
+        lam_big = entry_intensities(state, data)
+        lam_by_class = class_sums(state, indicators)
         if config.variant == "ordinal":
             state.thresholds, newly_floored = update_thresholds(
-                state, data, stats, e_lam)
+                state, data, stats, lam_by_class)
             for cls in newly_floored:
                 if cls not in floored:
                     floored.append(cls)
         update_rate_hyperparams(state)
-        elbo = compute_elbo(state, data, lam_big, e_lam, point_mass)
+        elbo = compute_elbo(state, data, lam_big, lam_by_class, point_mass)
         iterations += 1
         trace.append(elbo)
         if elbo < prev - 1e-8 * abs(prev):
@@ -431,11 +460,19 @@ def load_state(path):
             if version != _STATE_VERSION:
                 raise DataError(
                     f"{path}: unsupported model schema version {version}")
+            w, h = (z["w_shape"], z["w_rate"]), (z["h_shape"], z["h_rate"])
+            beta_w, beta_h = z["beta_w"], z["beta_h"]
+            # ValueError unless both factors are 2-d and the shapes agree
+            (n_users, k), (n_items, k_h) = w[0].shape, h[0].shape
+            if (k_h != k or w[1].shape != w[0].shape
+                    or h[1].shape != h[0].shape
+                    or beta_w.shape != (n_users,)
+                    or beta_h.shape != (n_items,)):
+                raise ValueError("model arrays disagree in shape")
             state = VariationalState(
-                W=GammaVariationalMatrix(z["w_shape"], z["w_rate"]),
-                H=GammaVariationalMatrix(z["h_shape"], z["h_rate"]),
+                W=GammaVariationalMatrix(*w), H=GammaVariationalMatrix(*h),
                 thresholds=ThresholdSequence(z["theta"]),
-                beta_w=z["beta_w"], beta_h=z["beta_h"],
+                beta_w=beta_w, beta_h=beta_h,
                 alpha_w=float(z["alpha_w"]), alpha_h=float(z["alpha_h"]))
             metadata = json.loads(bytes(z["metadata"]).decode())
     except (ValueError, EOFError, zipfile.BadZipFile, KeyError, IndexError,

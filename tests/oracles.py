@@ -5,6 +5,8 @@ use of the sparse update paths it validates.  Slow on purpose; only for tiny
 instances.
 """
 
+import struct
+
 import numpy as np
 from scipy import integrate, special, stats
 
@@ -270,3 +272,18 @@ def ndcg_bruteforce(lists, test_dense, threshold, list_length):
         total += dcg / idcg
         n_users += 1
     return (total / n_users if n_users else float("nan")), n_users
+
+
+def damaged_ordmat(kind):
+    """Bytes of an .ordmat file that load must reject, one per kind."""
+    header = struct.Struct("<4sIIIIQ")
+    if kind == "short-header":
+        return b"ORDM" + bytes(10)
+    if kind == "huge-nnz":
+        return header.pack(b"ORDM", 1, 2, 3, 1, 1 << 40)
+    entries = {"trailing-bytes": ([0, 1], [1, 2], [1, 2]),
+               "index-out-of-range": ([0, 5], [1, 2], [1, 2]),
+               "duplicate": ([0, 0], [1, 1], [1, 2])}[kind]
+    body = np.asarray(entries, dtype="<i8").tobytes()
+    tail = b"\0" if kind == "trailing-bytes" else b""
+    return header.pack(b"ORDM", 1, 2, 3, 2, 2) + body + tail

@@ -20,7 +20,8 @@ import pytest
 from ordnmf.baselines import binarize
 from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
-from ordnmf.inference import (FitConfig, compute_elbo, entry_intensities, fit,
+from ordnmf.inference import (FitConfig, class_indicators, class_sums,
+                              compute_elbo, entry_intensities, fit,
                               local_update, update_item_factors,
                               update_rate_hyperparams, update_thresholds,
                               update_user_factors, ztp_mean)
@@ -49,13 +50,13 @@ def _report(number, label):
 
 def _library_iteration(state, data, point_mass=False,
                        learn_thresholds=True, update_rates=True):
-    lam_big, _ = entry_intensities(state, data)
+    lam_big = entry_intensities(state, data)
     stats = local_update(state, data, lam_big, point_mass)
     update_user_factors(state, data, stats)
     update_item_factors(state, data, stats)
-    _, e_lam = entry_intensities(state, data)
     if learn_thresholds:
-        state.thresholds, _ = update_thresholds(state, data, stats, e_lam)
+        sums = class_sums(state, class_indicators(data))
+        state.thresholds, _ = update_thresholds(state, data, stats, sums)
     if update_rates:
         update_rate_hyperparams(state)
     return stats
@@ -80,7 +81,8 @@ def test_criterion_1_elbo_bruteforce():
     data = random_matrix(4, 3, 3, rng)
     state = random_state_like(data, 2, rng)
     t0 = time.perf_counter()
-    fast = compute_elbo(state, data, *entry_intensities(state, data))
+    fast = compute_elbo(state, data, entry_intensities(state, data),
+                        class_sums(state, class_indicators(data)))
     slow = elbo_bruteforce(state, data, n_max=500)
     elapsed = time.perf_counter() - t0
     np.testing.assert_allclose(fast, slow, rtol=1e-8)
@@ -181,11 +183,11 @@ def test_criterion_6_threshold_stationarity():
         rng = np.random.default_rng(40 + seed)
         data = random_matrix(8, 7, int(rng.integers(2, 6)), rng, density=0.7)
         state = random_state_like(data, 3, rng)
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
-        thr, floored = update_thresholds(state, data, stats,
-                                         entry_intensities(state, data)[1])
+        lam_by_class = class_sums(state, class_indicators(data))
+        thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert not floored
 
         y = data.to_dense()

@@ -73,7 +73,7 @@ class TestConfigs:
         cfg = FitConfig(n_components=2, max_iter=20, tol=1e-14, variant="pf")
         res = fit(data, cfg)
         stats = local_update(res.state, data,
-                             entry_intensities(res.state, data)[0],
+                             entry_intensities(res.state, data),
                              point_mass=True)
         np.testing.assert_array_equal(stats.e_n, 1.0)
 
@@ -95,7 +95,7 @@ class TestReductions:
                                   np.random.default_rng(seed),
                                   alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
         state.thresholds = ThresholdSequence([1.0])
-        stats = local_update(state, data, entry_intensities(state, data)[0],
+        stats = local_update(state, data, entry_intensities(state, data),
                              cfg.variant == "pf")
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)

@@ -10,7 +10,7 @@ from ordnmf.cli import main
 from ordnmf.data import OrdinalMatrix
 from ordnmf.inference import save_state
 
-from oracles import random_state_like
+from oracles import damaged_ordmat, random_state_like
 
 
 @pytest.fixture()
@@ -255,6 +255,19 @@ class TestErrorHandling:
         assert run(*argv, *files, "--output", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("short-header", "truncated header"),
+        ("duplicate", "duplicate entry for (user=0, item=1)")])
+    def test_damaged_matrix_file_rejected(self, tmp_path, capsys, kind,
+                                          message):
+        bad = tmp_path / "bad.ordmat"
+        bad.write_bytes(damaged_ordmat(kind))
+        train = tmp_path / "train.ordmat"
+        assert run("split", "--input", bad, "--train-output", train,
+                   "--test-output", tmp_path / "test.ordmat") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not train.exists()
 
     def test_non_model_file_rejected(self, tmp_path, capsys, triplet_file):
         out = tmp_path / "top.txt"

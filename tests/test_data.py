@@ -1,12 +1,18 @@
 """Ingestion, quantization, filtering, splitting, and the binary format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ordnmf.data import (OrdinalMatrix, QuantizationScheme, filter_activity,
                          load_triplets, quantize_counts, read_index_map,
                          train_test_split, write_index_map)
 from ordnmf.errors import ConfigError, DataError, ParseError
+
+from oracles import damaged_ordmat
 
 PLAYCOUNT_BOUNDARIES = [1, 2, 5, 10, 20, 50, 100, 200, 500]
 
@@ -153,6 +159,54 @@ class TestOrdinalMatrix:
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(DataError):
             OrdinalMatrix.load(path)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("short-header", "truncated header"),
+        ("huge-nnz", "28 bytes, but a header with nnz = 1099511627776 "
+                     "needs 26388279066652"),
+        ("trailing-bytes", "77 bytes, but a header with nnz = 2 needs 76"),
+        ("index-out-of-range", "user index out of range"),
+        ("duplicate", "duplicate entry for (user=0, item=1)"),
+    ])
+    def test_damaged_file_names_path(self, tmp_path, kind, message):
+        path = tmp_path / f"{kind}.ordmat"
+        path.write_bytes(damaged_ordmat(kind))
+        with pytest.raises(DataError) as info:
+            OrdinalMatrix.load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_load_memory_independent_of_shape(self, tmp_path):
+        # a header can name up to 2^32 - 1 users; only nnz sizes the load
+        path = tmp_path / "wide.ordmat"
+        n = (1 << 32) - 1
+        OrdinalMatrix(n, n, 2, [0, 5], [1, 2], [1, 2]).save(path)
+        tracemalloc.start()
+        try:
+            back = OrdinalMatrix.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (back.n_users, back.n_items, back.nnz) == (n, n, 2)
+        assert peak < 1 << 20
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_truncated_or_flipped_file_loads_or_names_path(self, tmp_path,
+                                                           data):
+        path = tmp_path / "m.ordmat"
+        make_matrix([[1, 0, 2], [0, 3, 3]], n_classes=3).save(path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="len")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(raw))
+        try:
+            OrdinalMatrix.load(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
     def test_index_map_roundtrip(self, tmp_path):
         path = tmp_path / "map.txt"

@@ -11,7 +11,8 @@ from ordnmf import inference
 from ordnmf.baselines import binarize
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError
-from ordnmf.inference import (FitConfig, GammaVariationalMatrix, compute_elbo,
+from ordnmf.inference import (FitConfig, GammaVariationalMatrix,
+                              class_indicators, class_sums, compute_elbo,
                               entry_intensities, fit, init_state, load_state,
                               local_update, predict_scores, save_state,
                               update_item_factors, update_rate_hyperparams,
@@ -26,12 +27,12 @@ from oracles import (dense_iteration, random_matrix, random_state_like,
 
 def run_iteration(state, data):
     """Apply one library iteration in the canonical phase order."""
-    lam_big, _ = entry_intensities(state, data)
+    lam_big = entry_intensities(state, data)
     stats = local_update(state, data, lam_big)
     update_user_factors(state, data, stats)
     update_item_factors(state, data, stats)
-    _, e_lam = entry_intensities(state, data)
-    state.thresholds, _ = update_thresholds(state, data, stats, e_lam)
+    lam_by_class = class_sums(state, class_indicators(data))
+    state.thresholds, _ = update_thresholds(state, data, stats, lam_by_class)
     update_rate_hyperparams(state)
     return stats
 
@@ -99,7 +100,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(5)
         data = random_matrix(5, 4, 3, rng)
         state = random_state_like(data, 1, rng)
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         np.testing.assert_allclose(stats.cw.sum(),
                                    stats.e_n.sum(), rtol=1e-12)
 
@@ -107,7 +108,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(6)
         data = random_matrix(6, 5, 4, rng)
         state = random_state_like(data, 3, rng)
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         # per-entry totals hold, so do the (u, k) and (i, k) aggregates
         np.testing.assert_allclose(stats.cw.sum(), stats.e_n.sum(),
                                    rtol=1e-12)
@@ -118,7 +119,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(7)
         data = random_matrix(6, 5, 4, rng)
         state = random_state_like(data, 3, rng)
-        lam_big, _ = entry_intensities(state, data)
+        lam_big = entry_intensities(state, data)
         assert np.all(local_update(state, data, lam_big).e_n >= 1.0)
         np.testing.assert_array_equal(
             local_update(state, data, lam_big, point_mass=True).e_n, 1.0)
@@ -127,7 +128,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(8)
         data = random_matrix(2, 2, 2, rng, density=0.9)
         state = random_state_like(data, 2, rng)
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         y = data.to_dense()
         GW, GH = state.W.geo_mean, state.H.geo_mean
         cw_ref = np.zeros_like(stats.cw)
@@ -151,7 +152,7 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, rng)
         theta0 = state.thresholds.theta[0]
         expect_rate = state.beta_w[1] + theta0 * state.H.mean.sum(axis=0)
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         update_user_factors(state, data, stats)
         np.testing.assert_allclose(state.W.shape[1], state.alpha_w, rtol=1e-12)
         np.testing.assert_allclose(state.W.rate[1], expect_rate, rtol=1e-12)
@@ -163,7 +164,7 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, rng)
         state.thresholds = ThresholdSequence([1.0])
         expected = state.beta_w[:, None] + state.H.mean.sum(axis=0)[None, :]
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         update_user_factors(state, data, stats)
         np.testing.assert_allclose(state.W.rate, expected, rtol=1e-12)
 
@@ -192,11 +193,11 @@ class TestFactorUpdates:
         state_t.W, state_t.H = state_t.H, state_t.W
         state_t.beta_w, state_t.beta_h = state_t.beta_h, state_t.beta_w
         state_t.alpha_w, state_t.alpha_h = state_t.alpha_h, state_t.alpha_w
-        stats = local_update(state, data, entry_intensities(state, data)[0])
+        stats = local_update(state, data, entry_intensities(state, data))
         update_user_factors(state, data, stats)
         update_item_factors(state, data, stats)
         stats_t = local_update(state_t, data_t,
-                             entry_intensities(state_t, data_t)[0])
+                             entry_intensities(state_t, data_t))
         update_item_factors(state_t, data_t, stats_t)
         update_user_factors(state_t, data_t, stats_t)
         np.testing.assert_allclose(state.W.shape, state_t.H.shape, rtol=1e-12)
@@ -208,9 +209,9 @@ class TestThresholdUpdate:
         data = OrdinalMatrix(1, 1, 1, [0], [0], [1])
         rng = np.random.default_rng(12)
         state = random_state_like(data, 2, rng)
-        lam_big, e_lam = entry_intensities(state, data)
-        stats = local_update(state, data, lam_big)
-        thr, floored = update_thresholds(state, data, stats, e_lam)
+        stats = local_update(state, data, entry_intensities(state, data))
+        lam_by_class = class_sums(state, class_indicators(data))
+        thr, floored = update_thresholds(state, data, stats, lam_by_class)
         e_lam = float(state.W.mean[0] @ state.H.mean[0])
         assert thr.theta[0] == pytest.approx(stats.e_n[0] / e_lam, rel=1e-12)
         assert not floored
@@ -219,9 +220,9 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(13)
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
-        lam_big, e_lam = entry_intensities(state, data)
-        stats = local_update(state, data, lam_big)
-        thr, _ = update_thresholds(state, data, stats, e_lam)
+        stats = local_update(state, data, entry_intensities(state, data))
+        lam_by_class = class_sums(state, class_indicators(data))
+        thr, _ = update_thresholds(state, data, stats, lam_by_class)
         for l in range(1, 4):
             num = stats.e_n[data.vals == l].sum()
             assert thr.delta[l - 1] * _denominator(state, data, l) == \
@@ -231,9 +232,9 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(14)
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
-        lam_big, e_lam = entry_intensities(state, data)
-        stats = local_update(state, data, lam_big)
-        thr, _ = update_thresholds(state, data, stats, e_lam)
+        stats = local_update(state, data, entry_intensities(state, data))
+        lam_by_class = class_sums(state, class_indicators(data))
+        thr, _ = update_thresholds(state, data, stats, lam_by_class)
         y = data.to_dense()
         e_n = np.zeros(y.shape)
         e_n[data.rows, data.cols] = stats.e_n
@@ -250,11 +251,37 @@ class TestThresholdUpdate:
         data = OrdinalMatrix(2, 2, 3, *_triplets(dense))
         rng = np.random.default_rng(15)
         state = random_state_like(data, 2, rng)
-        lam_big, e_lam = entry_intensities(state, data)
-        stats = local_update(state, data, lam_big)
-        thr, floored = update_thresholds(state, data, stats, e_lam)
+        stats = local_update(state, data, entry_intensities(state, data))
+        lam_by_class = class_sums(state, class_indicators(data))
+        thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert floored == [2]
         assert thr.delta[1] == pytest.approx(1e-10)
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("U, I, V, empty", [
+        (5, 9, 3, None), (9, 5, 3, None), (7, 7, 4, None), (9, 5, 4, 2),
+        (5, 9, 4, 3), (6, 8, 1, None)],
+        ids=["users-shorter", "items-shorter", "square", "empty-class-items",
+             "empty-class-users", "binary"])
+    def test_match_per_entry_bincount(self, U, I, V, empty):
+        rng = np.random.default_rng(U * I * V)
+        data = random_matrix(U, I, V, rng, density=0.6)
+        if empty is not None:
+            keep = data.vals != empty
+            data = OrdinalMatrix(U, I, V, data.rows[keep], data.cols[keep],
+                                 data.vals[keep])
+        state = random_state_like(data, 3, rng)
+        indicators = class_indicators(data)
+        assert indicators[0] == (I < U)
+        got = class_sums(state, indicators)
+        e_lam = np.einsum("jk,jk->j", state.W.mean[data.rows],
+                          state.H.mean[data.cols])
+        want = np.bincount(data.vals, weights=e_lam, minlength=V + 1)[1:]
+        assert got.shape == (V,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if empty is not None:
+            assert got[empty - 1] == 0.0
 
 
 class TestRateUpdate:
@@ -368,7 +395,7 @@ def test_elbo_trace_pinned(corner):
                                rtol=1e-12, atol=0)
 
 
-def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
+def test_fit_forms_one_entry_product_per_iteration(monkeypatch):
     calls = []
     real = inference.entry_dot
 
@@ -380,7 +407,7 @@ def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
     data, cfg = _pinned_fit_inputs("ordinal")
     res = fit(data, cfg)
     assert res.iterations == 6
-    assert len(calls) == 2 * res.iterations + 2
+    assert len(calls) == res.iterations + 1
 
 
 class TestEntryDot:
@@ -449,7 +476,10 @@ class TestPredictAndSerialize:
             predict_scores(state, [5])
 
     @pytest.mark.parametrize("kind", ["text", "empty", "npy", "other-npz",
-                                      "truncated", "missing-key", "bad-theta"])
+                                      "truncated", "missing-key", "bad-theta",
+                                      "w-rate-shape", "h-rate-shape",
+                                      "k-mismatch", "beta-w-length",
+                                      "beta-h-length"])
     def test_load_state_rejects_other_files(self, tmp_path, kind):
         path = tmp_path / f"model.{kind}"
         if kind in ("text", "empty"):
@@ -469,7 +499,16 @@ class TestPredictAndSerialize:
                 if kind == "missing-key":
                     del fields["w_rate"]
                 else:
-                    fields["theta"] = np.array([0.5, 1.0])
+                    # the saved model has 2 users, 2 items and K = 2
+                    fields.update({
+                        "bad-theta": {"theta": np.array([0.5, 1.0])},
+                        "w-rate-shape": {"w_rate": np.ones((2, 1))},
+                        "h-rate-shape": {"h_rate": np.ones(2)},
+                        "k-mismatch": {"w_shape": np.ones((2, 3)),
+                                       "w_rate": np.ones((2, 3))},
+                        "beta-w-length": {"beta_w": np.ones(3)},
+                        "beta-h-length": {"beta_h": np.ones(1)},
+                    }[kind])
                 with open(path, "wb") as fh:
                     np.savez(fh, **fields)
         with pytest.raises(DataError) as info:
