@@ -4,7 +4,6 @@ from .baselines import binarize
 from .data import (
     OrdinalMatrix,
     QuantizationScheme,
-    filter_activity,
     load_triplets,
     matrix_from_classes,
     quantize_counts,

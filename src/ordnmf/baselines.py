@@ -6,11 +6,8 @@ factorization is the same corner with the truncated count posterior
 replaced by a point mass at 1 (variant "pf").
 """
 
-import numpy as np
-
 from .data import OrdinalMatrix
 from .errors import ConfigError
-from .inference import entry_intensities, local_update
 
 
 def binarize(matrix, threshold):
@@ -24,9 +21,3 @@ def binarize(matrix, threshold):
                          matrix.rows[keep], matrix.cols[keep],
                          [1] * int(keep.sum()))
 
-
-def count_approximation_gap(state, data):
-    """Max |E[n] - 1| over non-zeros when the truncated-count mean is
-    re-evaluated exactly; a posteriori check of the point-mass shortcut."""
-    stats = local_update(state, data, entry_intensities(state, data))
-    return float(np.abs(stats.e_n - 1.0).max())

@@ -195,8 +195,7 @@ def cmd_evaluate(cfg):
         raise ConfigError("test matrix is empty")
     thresholds = _parse_int_list(cfg, "ndcg_thresholds")
     reports = evaluate_ranking(state, train, test, thresholds,
-                               list_length=cfg["list_length"],
-                               exclude_train=not cfg["no_train_exclusion"])
+                               list_length=cfg["list_length"])
     text = ranking_report_text(reports)
     if state.n_classes > 1:
         text += f"log_lik_nonzeros\t{log_lik_nonzeros(test, state):.6f}\n"
@@ -301,7 +300,6 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--ndcg-thresholds", default="1")
     p.add_argument("--list-length", type=int, default=100)
-    p.add_argument("--no-train-exclusion", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ppc", help="posterior predictive class histogram")
@@ -337,7 +335,9 @@ def main(argv=None):
         return args.func(cfg)
     except (OrdnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        print(f"error: {args.subcommand}: out of memory ({exc})", file=sys.stderr)
+    return 1
 
 
 def _subparsers(parser):

@@ -1,4 +1,4 @@
-"""Sparse ordinal matrices: ingestion, quantization, filtering, splitting.
+"""Sparse ordinal matrices: ingestion, quantization, splitting.
 
 The observed matrix stores only non-zero classes (class 0 is implicit).
 Entries live in CSR order by user.  Matrices are immutable after
@@ -30,6 +30,8 @@ class OrdinalMatrix:
     def __init__(self, n_users, n_items, n_classes, rows, cols, vals):
         if n_classes < 1:
             raise DataError("need at least one non-zero class")
+        if int(n_users) * int(n_items) >= 1 << 64:
+            raise DataError(f"shape {n_users} x {n_items} has 2^64 or more cells")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.int64)
@@ -42,14 +44,14 @@ class OrdinalMatrix:
                 raise DataError("item index out of range")
             if vals.min() < 1 or vals.max() > n_classes:
                 raise DataError(f"classes must lie in 1..{n_classes}")
-        order = np.lexsort((cols, rows))
+        # equal CSR keys are duplicates, so sort stability does not matter
+        key = rows.astype(np.uint64) * np.uint64(n_items) + cols.astype(np.uint64)
+        order = np.argsort(key)
+        dup = np.flatnonzero(np.diff(key[order]) == 0)
         rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(dup):
-                j = int(np.flatnonzero(dup)[0])
-                raise DataError(
-                    f"duplicate entry for (user={rows[j]}, item={cols[j]})")
+        if dup.size:
+            raise DataError(f"duplicate entry for (user={rows[dup[0]]}, "
+                            f"item={cols[dup[0]]})")
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.n_classes = int(n_classes)
@@ -72,12 +74,6 @@ class OrdinalMatrix:
     def class_counts(self):
         """Number of stored entries per class 1..V (length V)."""
         return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
-
-    def user_nnz(self):
-        return np.diff(self.indptr)
-
-    def item_nnz(self):
-        return np.bincount(self.cols, minlength=self.n_items)
 
     def to_dense(self):
         """Dense class matrix with explicit zeros (small instances only)."""
@@ -166,31 +162,28 @@ def load_triplets(path, delimiter=None, skip_header=False):
 
     Ids may be arbitrary strings; contiguous 0-based indices are assigned in
     first-appearance order.  Values must be positive integers below 2^63,
-    written as integers or as integral decimals such as 3.0.  Duplicate
-    (user, item) pairs are rejected.
+    written in ASCII as integers or as integral decimals such as 3.0.
+    Duplicate (user, item) pairs are rejected.  Lines end at newline bytes
+    and must be UTF-8; each rejection is a ParseError naming path and line.
     """
     user_index, item_index = {}, {}
     rows, cols, counts = [], [], []
     seen = set()
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1 and skip_header:
                 continue
-            line = line.strip()
-            if not line:
+            try:
+                triplet = _parse_line(line, delimiter)
+            except ValueError as exc:
+                raise ParseError(path, lineno, exc) from None
+            if triplet is None:
                 continue
-            parts = line.split(delimiter)
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 fields, got {len(parts)}", lineno)
-            uid, iid, raw = (p.strip() for p in parts)
-            value = _parse_int(raw, lineno)
-            if value <= 0:
-                raise DataError(f"line {lineno}: non-positive value {value}")
+            uid, iid, value = triplet
             u = user_index.setdefault(uid, len(user_index))
             i = item_index.setdefault(iid, len(item_index))
             if (u, i) in seen:
-                raise DataError(
-                    f"line {lineno}: duplicate entry for ({uid}, {iid})")
+                raise ParseError(path, lineno, f"duplicate entry for ({uid}, {iid})")
             seen.add((u, i))
             rows.append(u)
             cols.append(i)
@@ -202,24 +195,33 @@ def load_triplets(path, delimiter=None, skip_header=False):
         list(user_index), list(item_index))
 
 
-def _parse_int(raw, lineno):
-    """The int a triplet value's text denotes if integral, finite and < 2^63."""
-    if "_" in raw:  # int() and float() would read 1_000 as 1000
-        raise ParseError(f"non-numeric value {raw!r}", lineno)
+def _parse_line(line, delimiter):
+    """(user id, item id, value) of a triplet line's bytes; None if blank."""
+    line = line.decode().strip()  # UnicodeDecodeError is a ValueError
+    if not line:
+        return None
+    parts = line.split(delimiter)
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 fields, got {len(parts)}")
+    uid, iid, raw = (p.strip() for p in parts)
+    # int() and float() would also read 1_000 and non-ASCII digits
+    if "_" in raw or not raw.isascii():
+        raise ValueError(f"non-numeric value {raw!r}")
     try:
         value = int(raw)
     except ValueError:
         try:
             number = float(raw)
         except ValueError:
-            raise ParseError(f"non-numeric value {raw!r}", lineno) from None
+            raise ValueError(f"non-numeric value {raw!r}") from None
         if not number.is_integer():
-            raise ParseError(f"value {raw!r} is not a finite integer",
-                             lineno) from None
+            raise ValueError(f"value {raw!r} is not a finite integer") from None
         value = int(number)
+    if value <= 0:
+        raise ValueError(f"non-positive value {value}")
     if value >= 1 << 63:
-        raise ParseError(f"value {raw!r} exceeds the int64 range", lineno)
-    return value
+        raise ValueError(f"value {raw!r} exceeds the int64 range")
+    return uid, iid, value
 
 
 def quantize_counts(triplets, scheme):
@@ -239,48 +241,6 @@ def write_index_map(path, ids):
     with open(path, "w") as fh:
         for idx, orig in enumerate(ids):
             fh.write(f"{orig}\t{idx}\n")
-
-
-def read_index_map(path):
-    ids = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            orig, tab, idx = line.rstrip("\n").rpartition("\t")
-            if not tab or idx != str(len(ids)):
-                raise ParseError(
-                    f"{path}: expected index {len(ids)}, got {idx!r}", lineno)
-            ids.append(orig)
-    return ids
-
-
-def filter_activity(matrix, min_user_nnz, min_item_nnz, fixed_point=True):
-    """Drop users/items with too few non-zeros; compact the index spaces.
-
-    With fixed_point=True, removals are iterated until every surviving user
-    and item meets its minimum simultaneously; otherwise one pass runs
-    (users then items on the original degrees).
-    """
-    if min_user_nnz < 0 or min_item_nnz < 0:
-        raise ConfigError("activity thresholds must be >= 0")
-    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
-    keep_u = np.ones(matrix.n_users, dtype=bool)
-    keep_i = np.ones(matrix.n_items, dtype=bool)
-    mask = np.ones(rows.size, dtype=bool)
-    while True:
-        u_deg = np.bincount(rows[mask], minlength=matrix.n_users)
-        drop_u = keep_u & (u_deg < min_user_nnz)
-        keep_u &= ~drop_u
-        mask &= keep_u[rows]
-        i_deg = np.bincount(cols[mask], minlength=matrix.n_items)
-        drop_i = keep_i & (i_deg < min_item_nnz)
-        keep_i &= ~drop_i
-        mask &= keep_i[cols]
-        if not fixed_point or (not drop_u.any() and not drop_i.any()):
-            break
-    new_u = np.cumsum(keep_u) - 1
-    new_i = np.cumsum(keep_i) - 1
-    return OrdinalMatrix(int(keep_u.sum()), int(keep_i.sum()), matrix.n_classes,
-                         new_u[rows[mask]], new_i[cols[mask]], vals[mask])
 
 
 def train_test_split(matrix, test_fraction, seed):

@@ -10,12 +10,10 @@ class DataError(OrdnmfError):
 
 
 class ParseError(DataError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file; names it and carries the offending line number."""
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+    def __init__(self, path, line_number, message):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 

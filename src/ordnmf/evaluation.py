@@ -96,32 +96,28 @@ def _ndcg_reports(blocks, train, test, thresholds, list_length):
             for s, t, n in zip(thresholds, total, n_eval)]
 
 
-def ndcg_at_m(scores, train, test, threshold, list_length, exclude_train=True):
+def ndcg_at_m(scores, train, test, threshold, list_length):
     """NDCG report of a dense users x items score matrix; see evaluate_ranking."""
     scores = np.array(scores, dtype=float)
     if scores.shape != (train.n_users, train.n_items):
         raise DataError("scores must cover every (user, item) pair")
-    return _ndcg_reports([(np.arange(train.n_users), scores)],
-                         train if exclude_train else None, test,
+    return _ndcg_reports([(np.arange(train.n_users), scores)], train, test,
                          [threshold], list_length)[0]
 
 
-def evaluate_ranking(state, train, test, thresholds, list_length=100,
-                     exclude_train=True):
+def evaluate_ranking(state, train, test, thresholds, list_length=100):
     """NDCG@list_length reports at several relevance thresholds.
 
     Each user's items are ranked by predicted score descending, ties broken
-    by ascending item index.  Items non-zero in train are not candidates
-    unless exclude_train is off, so a list is shorter than list_length when
-    fewer candidates remain.  Relevance at threshold s is 1[test class >= s]
-    for s in 1..V; users with no relevant test item are skipped, and a
-    threshold no user reaches reports NaN.  The ideal DCG truncates at
-    min(list_length, number of relevant items).  One report per distinct
-    threshold, in ascending order.
+    by ascending item index.  Items non-zero in train are not candidates,
+    so a list is shorter than list_length when fewer candidates remain.
+    Relevance at threshold s is 1[test class >= s] for s in 1..V; users with
+    no relevant test item are skipped, and a threshold no user reaches
+    reports NaN.  The ideal DCG truncates at min(list_length, number of
+    relevant items).  One report per distinct threshold, in ascending order.
     """
     return _ndcg_reports(score_blocks(state, np.arange(train.n_users)),
-                         train if exclude_train else None, test, thresholds,
-                         list_length)
+                         train, test, thresholds, list_length)
 
 
 def log_lik_nonzeros(test, state):

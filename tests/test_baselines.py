@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ordnmf.baselines import binarize, count_approximation_gap
+from ordnmf.baselines import binarize
 from ordnmf.errors import ConfigError
 from ordnmf.inference import FitConfig, entry_intensities, fit, local_update
 from ordnmf.model import ThresholdSequence
@@ -76,14 +76,6 @@ class TestConfigs:
                              entry_intensities(res.state, data),
                              point_mass=True)
         np.testing.assert_array_equal(stats.e_n, 1.0)
-
-    def test_count_approximation_gap_reported(self):
-        rng = np.random.default_rng(6)
-        data = random_matrix(10, 8, 1, rng, density=0.3)
-        cfg = FitConfig(n_components=2, max_iter=50, tol=1e-10, variant="pf")
-        res = fit(data, cfg)
-        gap = count_approximation_gap(res.state, data)
-        assert gap >= 0.0 and np.isfinite(gap)
 
 
 class TestReductions:

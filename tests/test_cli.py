@@ -321,8 +321,32 @@ class TestErrorHandling:
         out = tmp_path / "m.ordmat"
         assert run("quantize", "--input", src, "--output", out,
                    "--delimiter", ",", "--boundaries", "1,5") == 1
-        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert capsys.readouterr().err == f"error: {src}: line 2: {message}\n"
         assert not out.exists()
+
+    def test_non_utf8_triplet_line_rejected(self, tmp_path, capsys):
+        src = tmp_path / "counts.csv"
+        src.write_bytes(b"u1,i1,3\nu\xff2,i2,4\n")
+        out = tmp_path / "m.ordmat"
+        assert run("quantize", "--input", src, "--output", out,
+                   "--delimiter", ",") == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: line 2: 'utf-8' codec can't decode byte 0xff in "
+            f"position 1: invalid start byte\n")
+        assert not out.exists()
+
+    def test_out_of_memory_exits_cleanly(self, tmp_path, capsys):
+        # the first (U, K) array is 2 PiB, beyond any address space, so
+        # its allocation fails at once instead of touching memory
+        mat = tmp_path / "tall.ordmat"
+        OrdinalMatrix((1 << 32) - 1, 3, 2, [0, 5], [1, 2], [1, 2]).save(mat)
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", mat, "--output", model,
+                   "--k", 65536) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train: out of memory (Unable to allocate")
+        assert err.endswith(")\n")
+        assert not model.exists()
 
     def test_pf_and_bepof_together_rejected(self, tmp_path, capsys,
                                             ranking_files):

@@ -1,4 +1,4 @@
-"""Ingestion, quantization, filtering, splitting, and the binary format."""
+"""Ingestion, quantization, splitting, and the binary format."""
 
 import tracemalloc
 
@@ -7,14 +7,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ordnmf.data import (OrdinalMatrix, QuantizationScheme, filter_activity,
-                         load_triplets, quantize_counts, read_index_map,
-                         train_test_split, write_index_map)
-from ordnmf.errors import ConfigError, DataError, ParseError
+from ordnmf.data import (OrdinalMatrix, QuantizationScheme, load_triplets,
+                         quantize_counts, train_test_split, write_index_map)
+from ordnmf.errors import ConfigError, DataError, OrdnmfError, ParseError
 
 from oracles import damaged_ordmat
 
 PLAYCOUNT_BOUNDARIES = [1, 2, 5, 10, 20, 50, 100, 200, 500]
+# pieces of triplet fields, valid and not: ids, digits, signs, exponents,
+# a byte that is not UTF-8 and a UTF-8 Arabic-Indic digit
+FIELD_PIECES = [b"a", b"b", b"1", b"30", b"0", b"-", b".", b"e", b"_", b"inf",
+                b"\xff", b"\xd9\xa3", b" ", b"\r"]
+FIELD = (st.lists(st.sampled_from(FIELD_PIECES), max_size=4).map(b"".join)
+         | (st.integers(-2**64, 2**64) | st.integers(2**63 - 2, 2**63 + 1)).map(
+             lambda n: str(n).encode())
+         | st.floats().map(lambda x: repr(x).encode()))
 
 
 def make_matrix(dense, n_classes=None):
@@ -43,20 +50,33 @@ class TestLoadTriplets:
     def test_duplicate_pair_rejected(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("a,x,3\na,x,1\n")
-        with pytest.raises(DataError, match=r"\(a, x\)"):
+        with pytest.raises(ParseError) as info:
             load_triplets(p, delimiter=",")
+        assert str(info.value) == f"{p}: line 2: duplicate entry for (a, x)"
 
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,x,3\na,y\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError) as info:
             load_triplets(p, delimiter=",")
+        assert str(info.value) == f"{p}: line 2: expected 3 fields, got 2"
 
     def test_nonpositive_value(self, tmp_path):
         p = tmp_path / "neg.csv"
         p.write_text("a,x,0\n")
-        with pytest.raises(DataError):
+        with pytest.raises(ParseError) as info:
             load_triplets(p, delimiter=",")
+        assert str(info.value) == f"{p}: line 1: non-positive value 0"
+
+    def test_non_utf8_line_rejected(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"u1,i1,3\nu\xff2,i2,4\n")
+        with pytest.raises(ParseError) as info:
+            load_triplets(p, delimiter=",")
+        assert str(info.value) == (
+            f"{p}: line 2: 'utf-8' codec can't decode byte 0xff in position "
+            f"1: invalid start byte")
+        assert info.value.line_number == 2
 
     @pytest.mark.parametrize("raw, message", [
         ("2.7", "value '2.7' is not a finite integer"),
@@ -68,13 +88,15 @@ class TestLoadTriplets:
         ("three", "non-numeric value 'three'"),
         ("1_000", "non-numeric value '1_000'"),
         ("1_0.0", "non-numeric value '1_0.0'"),
+        ("\u0663", "non-numeric value '\u0663'"),  # Arabic-Indic 3
+        ("\uff15", "non-numeric value '\uff15'"),  # fullwidth 5
     ])
     def test_non_integer_value_rejected(self, tmp_path, raw, message):
         p = tmp_path / "t.csv"
-        p.write_text(f"a,x,3\nb,y,{raw}\n")
+        p.write_text(f"a,x,3\nb,y,{raw}\n", encoding="utf-8")
         with pytest.raises(ParseError) as info:
             load_triplets(p, delimiter=",")
-        assert str(info.value) == f"line 2: {message}"
+        assert str(info.value) == f"{p}: line 2: {message}"
         assert info.value.line_number == 2
 
     def test_integral_values_accepted(self, tmp_path):
@@ -88,6 +110,23 @@ class TestLoadTriplets:
         p.write_text("user item count\na x 3\nb y 4\n")
         t = load_triplets(p, skip_header=True)
         assert t.n_users == 2 and t.counts.tolist() == [3, 4]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.sampled_from([None, ","]))
+    def test_random_lines_load_or_name_path_and_line(self, tmp_path, data,
+                                                     delimiter):
+        sep = data.draw(st.sampled_from([b" ", b"\t"]) if delimiter is None
+                        else st.just(b","))
+        fields = st.lists(FIELD, min_size=3, max_size=3) | st.lists(FIELD)
+        lines = data.draw(st.lists(fields.map(sep.join) | st.binary(),
+                                   max_size=4))
+        p = tmp_path / "fuzz.csv"
+        p.write_bytes(b"\n".join([sep.join([b"a", b"x", b"3"]), *lines]))
+        try:
+            load_triplets(p, delimiter=delimiter)
+        except OrdnmfError as exc:
+            assert str(exc).startswith(f"{p}: line ")
 
 
 class TestQuantization:
@@ -133,10 +172,25 @@ class TestOrdinalMatrix:
     def test_invariants_enforced(self):
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0, 0], [1, 1], [1, 2])  # duplicate
+        with pytest.raises(DataError, match="has 2\\^64 or more cells"):
+            OrdinalMatrix(1 << 32, 1 << 32, 3, [0], [0], [1])
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0], [0], [4])  # class out of range
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0], [0], [0])  # class 0 never stored
+
+    def test_far_corner_entries_in_csr_order(self):
+        # the sort key rows * I + cols reaches 2^64 - 2^33 here
+        n = (1 << 32) - 1
+        mat = OrdinalMatrix(n, n, 2, [n - 1, 0, n - 1, n - 2, 0],
+                            [n - 1, n - 1, 0, n - 1, 0], [1, 2, 2, 1, 1])
+        assert list(zip(mat.rows.tolist(), mat.cols.tolist(),
+                        mat.vals.tolist())) == [
+            (0, 0, 1), (0, n - 1, 2), (n - 2, n - 1, 1), (n - 1, 0, 2),
+            (n - 1, n - 1, 1)]
+        with pytest.raises(DataError, match=f"user={n - 1}, item={n - 1}"):
+            OrdinalMatrix(n, n, 2, [n - 1, 0, n - 1], [n - 1, 0, n - 1],
+                          [1, 1, 2])
 
     def test_class_counts(self):
         mat = make_matrix([[1, 0, 2], [0, 2, 3]], n_classes=3)
@@ -211,60 +265,7 @@ class TestOrdinalMatrix:
     def test_index_map_roundtrip(self, tmp_path):
         path = tmp_path / "map.txt"
         write_index_map(path, ["u1", "u9", "u3"])
-        assert read_index_map(path) == ["u1", "u9", "u3"]
-
-    @pytest.mark.parametrize("text, message", [
-        ("a\t0\nb\t5\n", "expected index 1, got '5'"),
-        ("a\t0\nb 1\n", "expected index 1, got 'b 1'"),
-    ], ids=["gap", "no-tab"])
-    def test_bad_index_map_rejected(self, tmp_path, text, message):
-        path = tmp_path / "map.txt"
-        path.write_text(text)
-        with pytest.raises(ParseError) as info:
-            read_index_map(path)
-        assert str(info.value) == f"line 2: {path}: {message}"
-
-
-class TestFilterActivity:
-    def test_zero_thresholds_noop(self):
-        mat = make_matrix([[1, 2], [0, 3]])
-        out = filter_activity(mat, 0, 0)
-        np.testing.assert_array_equal(out.to_dense(), mat.to_dense())
-
-    def test_hand_traced_fixed_point(self):
-        # item 2 has one entry; dropping it leaves user 2 with one entry,
-        # which the user threshold then removes as well
-        dense = [[1, 1, 0],
-                 [2, 1, 0],
-                 [0, 1, 3]]
-        out = filter_activity(make_matrix(dense), min_user_nnz=2,
-                              min_item_nnz=2)
-        np.testing.assert_array_equal(out.to_dense(), [[1, 1], [2, 1]])
-
-    def test_single_pass_flag(self):
-        dense = [[1, 1, 0],
-                 [2, 1, 0],
-                 [0, 1, 3]]
-        out = filter_activity(make_matrix(dense), min_user_nnz=2,
-                              min_item_nnz=2, fixed_point=False)
-        # one pass drops item 2 but leaves the now-degree-1 user 2
-        assert out.n_users == 3 and out.n_items == 2
-
-    def test_everything_removed(self):
-        mat = make_matrix([[1, 0], [0, 2]])
-        out = filter_activity(mat, 5, 5)
-        assert out.nnz == 0 and out.n_users == 0 and out.n_items == 0
-
-    def test_fixed_point_postcondition(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            dense = (rng.random((12, 9)) < 0.25).astype(int)
-            dense *= rng.integers(1, 4, size=dense.shape)
-            mat = make_matrix(dense, n_classes=3)
-            out = filter_activity(mat, 2, 2)
-            if out.nnz:
-                assert np.all(out.user_nnz() >= 2)
-                assert np.all(out.item_nnz() >= 2)
+        assert path.read_text() == "u1\t0\nu9\t1\nu3\t2\n"
 
 
 class TestTrainTestSplit:

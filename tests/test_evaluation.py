@@ -69,9 +69,6 @@ class TestNdcg:
         scores = np.array([[9.0, 1.0, 2.0]])
         report = ndcg_at_m(scores, train, test, threshold=1, list_length=2)
         assert report.mean_ndcg == pytest.approx(1.0 / np.log2(3.0))
-        report = ndcg_at_m(scores, train, test, threshold=1, list_length=2,
-                           exclude_train=False)
-        assert report.mean_ndcg == 0.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -137,7 +134,7 @@ def ranking_cases(draw):
     h = draw(hnp.arrays(float, (I, K), elements=factor))
     return dict(train=train, test=test, n_classes=V, w=w, h=h,
                 list_length=draw(st.integers(1, I + 2)),
-                exclude_train=draw(st.booleans()),
+                exclude=draw(st.booleans()),
                 block_cells=draw(st.integers(1, U * I)))
 
 
@@ -153,9 +150,9 @@ class TestRankingKernel:
         state.W.set(case["w"], np.ones_like(case["w"]))
         state.H.set(case["h"], np.ones_like(case["h"]))
         scores = predict_scores(state)
-        exclude = train if case["exclude_train"] else None
+        exclude = train if case["exclude"] else None
         want = top_m_bruteforce(
-            scores, case["train"] if case["exclude_train"] else None, m)
+            scores, case["train"] if case["exclude"] else None, m)
 
         with mock.patch.object(inference, "BLOCK_CELLS", case["block_cells"]):
             got = []
@@ -163,13 +160,13 @@ class TestRankingKernel:
                 items, lengths = top_m_items(block, users, exclude, m)
                 got += [row[:n] for row, n in zip(items.tolist(), lengths)]
             reports = evaluate_ranking(state, train, test, range(1, V + 1),
-                                       list_length=m,
-                                       exclude_train=case["exclude_train"])
+                                       list_length=m)
         assert got == want
+        # NDCG always ranks with the train items excluded
+        ranked = top_m_bruteforce(scores, case["train"], m)
         for s, report in zip(range(1, V + 1), reports):
-            ndcg, n_users = ndcg_bruteforce(want, case["test"], s, m)
-            single = ndcg_at_m(scores, train, test, s, m,
-                               exclude_train=case["exclude_train"])
+            ndcg, n_users = ndcg_bruteforce(ranked, case["test"], s, m)
+            single = ndcg_at_m(scores, train, test, s, m)
             for r in (report, single):
                 assert r.threshold == s
                 assert r.n_users_evaluated == n_users
