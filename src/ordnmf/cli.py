@@ -1,14 +1,14 @@
 """Command-line front end: quantize -> split -> train -> evaluate/ppc/predict.
 
-Every subcommand is deterministic given its effective configuration, which
-is resolved as command-line flags over config-file entries over defaults
-and echoed into each output's metadata.  Config files are flat key=value
-text; keys match the long flag names with dashes or underscores.
+Every subcommand is deterministic given its options.  Each output's
+metadata echoes the value of every option: the flag where one was given,
+the default otherwise.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,72 +24,17 @@ from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
 from .inference import FitConfig, fit, load_state, save_state
 
 SCHEMA_VERSION = 1
-_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
-def _read_config_file(path):
-    """{key: (raw value, "path:line")} of a flat key=value file."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = (value.strip(),
-                                                     f"{path}:{lineno}")
-    return values
-
-
-def _harvest_options(subparser):
-    """Record each option's default and type, then make argparse emit only
-    user-supplied values so precedence can be resolved explicitly."""
-    options = {}
-    for action in subparser._actions:
-        if action.dest in ("help", "func"):
-            continue
-        is_flag = isinstance(action, argparse._StoreTrueAction)
-        options[action.dest] = (action.default, action.type, is_flag)
-        action.default = argparse.SUPPRESS
-    return options
-
-
-def _effective_config(args, options):
-    """flags > config file > defaults; returns a plain dict."""
-    effective = {dest: default for dest, (default, _, _) in options.items()}
-    supplied = {k: v for k, v in vars(args).items()
-                if k not in ("func", "subcommand")}
-    config_path = supplied.pop("config", None)
-    if config_path:
-        for key, (raw, where) in _read_config_file(config_path).items():
-            if key not in options:
-                raise ConfigError(f"{where}: unknown config key {key!r}")
-            _, typ, is_flag = options[key]
-            try:
-                if is_flag:
-                    effective[key] = _FLAG_WORDS[raw.lower()]
-                else:
-                    effective[key] = raw if typ is None else typ(raw)
-            except (KeyError, ValueError):
-                raise ConfigError(
-                    f"{where}: invalid value {raw!r} for {key}") from None
-    effective.update(supplied)
-    effective.pop("config", None)
-    return effective
 
 
 def _metadata(cfg):
     return {"schema_version": SCHEMA_VERSION, "version": __version__,
-            "config": {k: v for k, v in cfg.items()}}
+            "config": cfg}
 
 
 def _write_report(path, text, cfg):
     with open(path, "w") as fh:
         fh.write(f"# ordnmf schema-version={SCHEMA_VERSION}\n")
-        fh.write(f"# config: {json.dumps(_metadata(cfg)['config'], sort_keys=True)}\n")
+        fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
         fh.write(text)
 
 
@@ -223,9 +168,10 @@ def cmd_ppc(cfg):
 
 def cmd_predict(cfg):
     state, _ = load_state(cfg["model"])
-    train = None
+    train_csr = None
     if cfg["train"]:
-        train = _load_for_model(cfg["train"], state, same_classes=False)
+        train_csr = _load_for_model(cfg["train"], state,
+                                    same_classes=False).csr()
     users = range(state.n_users)
     if cfg["users"]:
         users = _parse_int_list(cfg, "users")
@@ -235,7 +181,8 @@ def cmd_predict(cfg):
                                   f"0..{state.n_users - 1}")
     lines = ["user\trank\titem\tscore"]
     for block, scores in score_blocks(state, users):
-        items, lengths = top_m_items(scores, block, train, cfg["list_length"])
+        items, lengths = top_m_items(scores, block, train_csr,
+                                     cfg["list_length"])
         top = np.take_along_axis(scores, items, axis=1)
         for u, row, vals, n in zip(block.tolist(), items.tolist(),
                                    top.tolist(), lengths.tolist()):
@@ -246,18 +193,15 @@ def cmd_predict(cfg):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ordnmf",
         description="Ordinal NMF: quantize, split, train, evaluate, ppc, predict")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # train's fit options share FitConfig's defaults
+    fit_default = {f.name: f.default for f in fields(FitConfig)}
 
     p = sub.add_parser("quantize", help="triplet text file -> ordinal matrix")
-    _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--boundaries", default=None,
@@ -268,7 +212,6 @@ def build_parser():
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("split", help="partition non-zeros into train/test")
-    _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
@@ -277,15 +220,14 @@ def build_parser():
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="fit the model by coordinate ascent")
-    _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--k", type=int, default=50)
-    p.add_argument("--alpha-w", type=float, default=0.3)
-    p.add_argument("--alpha-h", type=float, default=0.3)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha-w", type=float, default=fit_default["alpha_w"])
+    p.add_argument("--alpha-h", type=float, default=fit_default["alpha_h"])
+    p.add_argument("--tol", type=float, default=fit_default["tol"])
+    p.add_argument("--max-iter", type=int, default=fit_default["max_iter"])
+    p.add_argument("--seed", type=int, default=fit_default["seed"])
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--bepof", action="store_true")
     p.add_argument("--pf", action="store_true")
@@ -293,7 +235,6 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="ranking metrics and held-out likelihood")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
@@ -303,7 +244,6 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ppc", help="posterior predictive class histogram")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--output", required=True)
@@ -312,7 +252,6 @@ def build_parser():
     p.set_defaults(func=cmd_ppc)
 
     p = sub.add_parser("predict", help="top-m item lists per user")
-    _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--train", default=None,
                    help="train matrix for excluding known items")
@@ -326,25 +265,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    harvested = {name: _harvest_options(sp)
-                 for name, sp in _subparsers(parser).items()}
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("func", "subcommand")}
     try:
-        cfg = _effective_config(args, harvested[args.subcommand])
         return args.func(cfg)
     except (OrdnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: {args.subcommand}: out of memory ({exc})", file=sys.stderr)
     return 1
-
-
-def _subparsers(parser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    raise AssertionError("no subparsers registered")
 
 
 if __name__ == "__main__":

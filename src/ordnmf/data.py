@@ -10,6 +10,7 @@ import os
 import struct
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -74,6 +75,13 @@ class OrdinalMatrix:
     def class_counts(self):
         """Number of stored entries per class 1..V (length V)."""
         return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
+
+    def csr(self, values=None):
+        """scipy CSR matrix over this sparsity pattern holding values, one
+        per stored entry in CSR order; the classes when values is None."""
+        return sparse.csr_matrix(
+            (self.vals if values is None else values, self.cols, self.indptr),
+            shape=(self.n_users, self.n_items))
 
     def to_dense(self):
         """Dense class matrix with explicit zeros (small instances only)."""
@@ -204,6 +212,10 @@ def _parse_line(line, delimiter):
     if len(parts) != 3:
         raise ValueError(f"expected 3 fields, got {len(parts)}")
     uid, iid, raw = (p.strip() for p in parts)
+    # the index maps are tab-separated
+    if "\t" in uid or "\t" in iid:
+        kind, name = ("user", uid) if "\t" in uid else ("item", iid)
+        raise ValueError(f"{kind} id {name!r} holds a tab")
     # int() and float() would also read 1_000 and non-ASCII digits
     if "_" in raw or not raw.isascii():
         raise ValueError(f"non-numeric value {raw!r}")

@@ -20,10 +20,10 @@ bug.
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 
 from .errors import ConfigError, DataError, NumericalError
 from .model import ThresholdSequence, log1mexp
@@ -145,7 +145,6 @@ class FitResult:
     elbo_trace: np.ndarray
     iterations: int
     converged: bool
-    floored_classes: list = field(default_factory=list)
 
 
 @dataclass
@@ -177,13 +176,6 @@ def entry_intensities(state, data):
     return entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
 
 
-def _entry_csr(data, values):
-    """CSR matrix over the data's sparsity pattern with the given entry data."""
-    return sparse.csr_matrix(
-        (values, data.cols, data.indptr),
-        shape=(data.n_users, data.n_items))
-
-
 def class_indicators(data):
     """(rows_are_items, [Y_1 .. Y_V]): one 0/1 CSR matrix per class l, with
     a 1 at each entry y_ui = l.  Rows are items when I < U and users
@@ -191,7 +183,7 @@ def class_indicators(data):
     by_item = data.n_items < data.n_users
     mats = []
     for cls in range(1, data.n_classes + 1):
-        Y = _entry_csr(data, (data.vals == cls).astype(float))
+        Y = data.csr((data.vals == cls).astype(float))
         Y.eliminate_zeros()
         mats.append(Y.T.tocsr() if by_item else Y)
     return by_item, mats
@@ -261,7 +253,7 @@ def local_update(state, data, lam_big, point_mass=False):
         e_n = ztp_mean(lam_big * delta_y)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
     GW, GH = state.W.geo_mean, state.H.geo_mean
-    ratio = _entry_csr(data, e_n / lam_big)
+    ratio = data.csr(e_n / lam_big)
     cw = GW * (ratio @ GH)
     ch = GH * (ratio.T @ GW)
     return LocalStats(e_n=e_n, cw=cw, ch=ch)
@@ -274,7 +266,7 @@ def _rate_correction(data, exposures, theta0, other_mean, transpose=False):
     into a dense theta_0 * colsum term plus this sparse correction.
     """
     weights = exposures - theta0
-    mat = _entry_csr(data, weights)
+    mat = data.csr(weights)
     return (mat.T @ other_mean) if transpose else (mat @ other_mean)
 
 
@@ -391,7 +383,6 @@ def fit(data, config):
     prev = compute_elbo(state, data, lam_big, class_sums(state, indicators),
                         point_mass)
     trace = []
-    floored = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
@@ -402,11 +393,8 @@ def fit(data, config):
         lam_big = entry_intensities(state, data)
         lam_by_class = class_sums(state, indicators)
         if config.variant == "ordinal":
-            state.thresholds, newly_floored = update_thresholds(
-                state, data, stats, lam_by_class)
-            for cls in newly_floored:
-                if cls not in floored:
-                    floored.append(cls)
+            state.thresholds, _ = update_thresholds(state, data, stats,
+                                                    lam_by_class)
         update_rate_hyperparams(state)
         elbo = compute_elbo(state, data, lam_big, lam_by_class, point_mass)
         iterations += 1
@@ -419,8 +407,7 @@ def fit(data, config):
             break
         prev = elbo
     return FitResult(state=state, elbo_trace=np.asarray(trace),
-                     iterations=iterations, converged=converged,
-                     floored_classes=floored)
+                     iterations=iterations, converged=converged)
 
 
 def predict_scores(state, user_indices=None):

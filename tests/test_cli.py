@@ -1,16 +1,22 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ordnmf.baselines import binarize
-from ordnmf.cli import main
+from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
-from ordnmf.inference import save_state
+from ordnmf.inference import load_state, predict_scores, save_state
 
 from oracles import damaged_ordmat, random_state_like
+
+PROTOCOL_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
+                   / "reproduce_protocol.sh")
 
 
 @pytest.fixture()
@@ -111,8 +117,6 @@ class TestPipeline:
         for out in (m1, m2):
             assert run("train", "--input", mat, "--output", out, "--k", 3,
                        "--max-iter", 15, "--seed", 9) == 0
-        from ordnmf.inference import load_state, predict_scores
-
         s1, _ = load_state(m1)
         s2, _ = load_state(m2)
         np.testing.assert_array_equal(predict_scores(s1), predict_scores(s2))
@@ -172,6 +176,19 @@ class TestPipeline:
         assert [r[:3] for r in rows if r[0] == "0"] == [["0", "1", "4"]]
         assert sorted(r[2] for r in rows if r[0] == "1") == ["1", "2", "3", "4"]
         assert "-inf" not in out.read_text()
+
+    def test_protocol_script_commands_parse(self):
+        # join the continuation lines, then stand 1 in for each variable
+        text = PROTOCOL_SCRIPT.read_text().replace("\\\n", " ")
+        commands = [shlex.split(re.sub(r"\$\w+", "1", line))[1:]
+                    for line in text.splitlines()
+                    if line.lstrip().startswith("ordnmf ")]
+        assert [argv[0] for argv in commands] == [
+            "quantize", "split", "train", "train", "train", "evaluate",
+            "evaluate", "ppc"]
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestErrorHandling:
@@ -360,55 +377,7 @@ class TestErrorHandling:
 
 
 class TestConfigPrecedence:
-    def test_flags_override_config_file(self, tmp_path, triplet_file):
-        mat = tmp_path / "m.ordmat"
-        run("quantize", "--input", triplet_file, "--output", mat,
-            "--boundaries", "1,5,50", "--delimiter", ",")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 2\nmax-iter = 5\nseed = 4\n")
-        model = tmp_path / "model.npz"
-        assert run("train", "--config", cfg, "--input", mat,
-                   "--output", model, "--k", 3) == 0
-        from ordnmf.inference import load_state
-
-        state, meta = load_state(model)
-        assert state.n_components == 3       # flag wins
-        assert meta["config"]["max_iter"] == 5  # config-file value used
-        assert meta["config"]["seed"] == 4
-
-    @pytest.mark.parametrize("line, message", [
-        ("k = abc", "invalid value 'abc' for k"),
-        ("bepof = flase", "invalid value 'flase' for bepof"),
-        ("bogus = 1", "unknown config key 'bogus'"),
-    ], ids=["int", "flag", "unknown-key"])
-    def test_bad_config_value_names_line(self, tmp_path, capsys,
-                                         ranking_files, line, message):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# comment\nseed = 2\n{line}\n")
-        model = tmp_path / "fit.npz"
-        assert run("train", "--config", cfg, "--input", ranking_files["train"],
-                   "--output", model) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
-        assert not model.exists()
-
-    def test_config_flag_words(self, tmp_path, ranking_files):
-        cfg = tmp_path / "pf.cfg"
-        cfg.write_text("pf = Yes\nbepof = off\nbinarize-at = 1\nk = 2\n"
-                       "max-iter = 3\n")
-        model = tmp_path / "pf.npz"
-        assert run("train", "--config", cfg, "--input", ranking_files["train"],
-                   "--output", model) == 0
-        from ordnmf.inference import load_state
-
-        state, meta = load_state(model)
-        assert state.n_classes == 1
-        assert meta["config"]["pf"] is True and meta["config"]["bepof"] is False
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 1\n")
-        assert run("train", "--config", cfg, "--input", "x",
-                   "--output", "y") != 0
+    """Flags over defaults, echoed into each output's metadata."""
 
     def test_metadata_echoes_effective_config(self, tmp_path, triplet_file):
         mat = tmp_path / "m.ordmat"
@@ -417,3 +386,12 @@ class TestConfigPrecedence:
         meta = json.loads((tmp_path / "m.ordmat.meta.json").read_text())
         assert meta["schema_version"] == 1
         assert meta["config"]["boundaries"] == "1,5"
+
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", mat, "--output", model, "--k", 2,
+                   "--max-iter", 3, "--seed", 4) == 0
+        _, meta = load_state(model)
+        assert meta["config"] == {
+            "input": str(mat), "output": str(model), "k": 2, "alpha_w": 0.3,
+            "alpha_h": 0.3, "tol": 1e-5, "max_iter": 3, "seed": 4,
+            "restarts": 1, "bepof": False, "pf": False, "binarize_at": None}

@@ -90,10 +90,15 @@ class TestLoadTriplets:
         ("1_0.0", "non-numeric value '1_0.0'"),
         ("\u0663", "non-numeric value '\u0663'"),  # Arabic-Indic 3
         ("\uff15", "non-numeric value '\uff15'"),  # fullwidth 5
+        # a whole line 2: the tab would split the user's index map line
+        ("b\tc,y,3", "user id 'b\\tc' holds a tab"),
+        ("b,y\tz,3", "item id 'y\\tz' holds a tab"),
     ])
     def test_non_integer_value_rejected(self, tmp_path, raw, message):
+        """raw is line 2's value, or the whole line when it holds a comma."""
         p = tmp_path / "t.csv"
-        p.write_text(f"a,x,3\nb,y,{raw}\n", encoding="utf-8")
+        line = raw if "," in raw else f"b,y,{raw}"
+        p.write_text(f"a,x,3\n{line}\n", encoding="utf-8")
         with pytest.raises(ParseError) as info:
             load_triplets(p, delimiter=",")
         assert str(info.value) == f"{p}: line 2: {message}"
