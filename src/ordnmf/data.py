@@ -31,8 +31,11 @@ class OrdinalMatrix:
     def __init__(self, n_users, n_items, n_classes, rows, cols, vals):
         if n_classes < 1:
             raise DataError("need at least one non-zero class")
-        if int(n_users) * int(n_items) >= 1 << 64:
-            raise DataError(f"shape {n_users} x {n_items} has 2^64 or more cells")
+        # the .ordmat header stores U, I and V in 32 bits each; this also
+        # keeps the uint64 sort key rows * I + cols below 2^64
+        if max(int(n_users), int(n_items), int(n_classes)) >= 1 << 32:
+            raise DataError(f"{n_users} users, {n_items} items, V = "
+                            f"{n_classes}: each must be below 2^32")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.int64)

@@ -1,13 +1,14 @@
 """Coordinate-ascent variational inference for the ordinal factor model.
 
 Factors w_uk ~ Gamma(alpha_w, beta_w_u) and h_ik ~ Gamma(alpha_h, beta_h_i)
-get factorized gamma posteriors.  Each non-zero entry is augmented with a
-zero-truncated Poisson count n_ui (intensity Lambda_ui * delta_{y_ui}) and a
-multinomial allocation c_ui of that count over components; zero entries
-contribute n = 0, c = 0 and are never enumerated, so every update touches
-only the stored entries.
+get factorized gamma posteriors; each factor carries its prior (alpha and
+one rate per row), so each per-side step is written once, for W then H.
+Each non-zero entry is augmented with a zero-truncated Poisson count n_ui
+(intensity Lambda_ui * delta_{y_ui}) and a multinomial allocation c_ui of
+that count over components; zero entries contribute n = 0, c = 0 and are
+never enumerated, so every update touches only the stored entries.
 
-One iteration runs: local (n, c) statistics -> user factors -> item factors
+One iteration runs: local (n, c) statistics -> factors (users, then items)
 -> entry intensities (reused by the next local step) -> thresholds -> rate
 hyperparameters -> ELBO.  Lambda_ui (geometric means) is the one per-entry
 product of an iteration.  E[lambda_ui] enters only through its per-class sums
@@ -50,15 +51,22 @@ def ztp_mean(x):
 
 
 class GammaVariationalMatrix:
-    """Entrywise gamma posterior over a factor matrix.
+    """Entrywise gamma posterior over a factor matrix, with its prior
+    x_rk ~ Gamma(alpha, beta_r): one shape alpha, one rate per row.
 
     Caches the per-entry mean E = shape/rate, the geometric mean
     G = exp(digamma(shape))/rate (so log G = E[log .]), and the column sums
-    of E, which the opposite side's updates consume.
+    of E, which the opposite side's updates consume.  ValueError unless
+    shape and rate are equal 2-d shapes and beta has one entry per row.
     """
 
-    def __init__(self, shape, rate):
+    def __init__(self, shape, rate, alpha, beta):
         self.set(shape, rate)
+        self.alpha = float(alpha)
+        self.beta = np.asarray(beta, dtype=float)
+        if (self.shape.ndim != 2 or self.rate.shape != self.shape.shape
+                or self.beta.shape != self.shape.shape[:1]):
+            raise ValueError("factor arrays disagree in shape")
 
     def set(self, shape, rate):
         shape = np.asarray(shape, dtype=float)
@@ -79,8 +87,14 @@ class GammaVariationalMatrix:
     def n_components(self):
         return self.shape.shape[1]
 
-    def mean_log(self):
-        return special.digamma(self.shape) - np.log(self.rate)
+    def prior_minus_entropy(self):
+        """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form."""
+        a, b, a_t = self.alpha, self.beta[:, None], self.shape
+        e_log = special.digamma(a_t) - np.log(self.rate)
+        term = (a * np.log(b) - special.gammaln(a)
+                + (a - a_t) * e_log - b * self.mean
+                - a_t * np.log(self.rate) + special.gammaln(a_t) + a_t)
+        return float(term.sum())
 
 
 @dataclass
@@ -112,15 +126,11 @@ class FitConfig:
 
 @dataclass
 class VariationalState:
-    """Complete fitted model: both factor posteriors, thresholds, rates."""
+    """Complete fitted model: both factors, each with its prior; thresholds."""
 
     W: GammaVariationalMatrix
     H: GammaVariationalMatrix
     thresholds: ThresholdSequence
-    beta_w: np.ndarray
-    beta_h: np.ndarray
-    alpha_w: float
-    alpha_h: float
 
     @property
     def n_users(self):
@@ -143,8 +153,11 @@ class VariationalState:
 class FitResult:
     state: VariationalState
     elbo_trace: np.ndarray
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self):
+        return len(self.elbo_trace)
 
 
 @dataclass
@@ -217,20 +230,17 @@ def init_state(config, data):
         raise ConfigError(f"variant {config.variant!r} needs binary data "
                           f"(V = 1), got V = {data.n_classes}")
     rng = np.random.default_rng(config.seed)
-    U, I, K = data.n_users, data.n_items, config.n_components
-    # target factor magnitudes ~ sqrt(mean nnz per row / K)
-    t_w = np.sqrt(max(data.nnz / U, 1e-8) / K)
-    t_h = np.sqrt(max(data.nnz / I, 1e-8) / K)
-    shape_w = config.alpha_w * (1.0 + 0.01 * rng.random((U, K)))
-    shape_h = config.alpha_h * (1.0 + 0.01 * rng.random((I, K)))
-    W = GammaVariationalMatrix(shape_w, shape_w / t_w)
-    H = GammaVariationalMatrix(shape_h, shape_h / t_h)
-    return VariationalState(
-        W=W, H=H,
-        thresholds=init_thresholds(data),
-        beta_w=np.full(U, config.alpha_w / t_w),
-        beta_h=np.full(I, config.alpha_h / t_h),
-        alpha_w=config.alpha_w, alpha_h=config.alpha_h)
+    K = config.n_components
+    factors = []
+    for alpha, n_rows in ((config.alpha_w, data.n_users),
+                          (config.alpha_h, data.n_items)):
+        # target factor magnitude ~ sqrt(mean nnz per row / K)
+        t = np.sqrt(max(data.nnz / n_rows, 1e-8) / K)
+        shape = alpha * (1.0 + 0.01 * rng.random((n_rows, K)))
+        factors.append(GammaVariationalMatrix(shape, shape / t, alpha,
+                                              np.full(n_rows, alpha / t)))
+    W, H = factors
+    return VariationalState(W=W, H=H, thresholds=init_thresholds(data))
 
 
 def local_update(state, data, lam_big, point_mass=False):
@@ -259,36 +269,19 @@ def local_update(state, data, lam_big, point_mass=False):
     return LocalStats(e_n=e_n, cw=cw, ch=ch)
 
 
-def _rate_correction(data, exposures, theta0, other_mean, transpose=False):
-    """sum over non-zeros of (exposure(y) - theta_0) * E[other factor].
-
-    Exposure equals theta_0 at y = 0, so the full sum over all cells splits
-    into a dense theta_0 * colsum term plus this sparse correction.
-    """
-    weights = exposures - theta0
-    mat = data.csr(weights)
-    return (mat.T @ other_mean) if transpose else (mat @ other_mean)
-
-
-def update_user_factors(state, data, stats):
-    """shape = alpha_w + sum_i E[c_uik]; rate = beta_w_u + sum_i T_y E[h_ik]."""
+def update_factors(state, data, stats):
+    """shape = alpha + sum E[c]; rate = beta_r + sum over the row's cells of
+    exposure(y) * E[other factor].  Users first, so item rates see the new
+    user means.  Exposure is theta_0 at y = 0, so a rate is a dense theta_0
+    * colsum term plus a sparse term from one CSR of exposure(y) - theta_0
+    over the non-zeros (its transpose for the items)."""
     theta0 = state.thresholds.theta[0]
-    exposures = state.thresholds.exposure(data.vals)
-    rate = (state.beta_w[:, None]
-            + theta0 * state.H.mean_colsum[None, :]
-            + _rate_correction(data, exposures, theta0, state.H.mean))
-    state.W.set(state.alpha_w + stats.cw, rate)
-
-
-def update_item_factors(state, data, stats):
-    """Mirror of the user update with the roles of the axes swapped."""
-    theta0 = state.thresholds.theta[0]
-    exposures = state.thresholds.exposure(data.vals)
-    rate = (state.beta_h[:, None]
-            + theta0 * state.W.mean_colsum[None, :]
-            + _rate_correction(data, exposures, theta0, state.W.mean,
-                               transpose=True))
-    state.H.set(state.alpha_h + stats.ch, rate)
+    weights = data.csr(state.thresholds.exposure(data.vals) - theta0)
+    for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
+                                     (state.H, stats.ch, weights.T, state.W)):
+        rate = (side.beta[:, None] + theta0 * other.mean_colsum[None, :]
+                + mat @ other.mean)
+        side.set(side.alpha + counts, rate)
 
 
 def total_expected_lambda(state):
@@ -320,27 +313,15 @@ def update_thresholds(state, data, stats, lam_by_class):
 
 
 def update_rate_hyperparams(state):
-    """Empirical-Bayes rates: beta_u = K * alpha / sum_k E[w_uk].
+    """Empirical-Bayes rates: beta_r = K * alpha / sum_k E[x_rk], W then H.
 
     Closed-form maximizer of the expected gamma prior term in beta.
     """
-    sum_w = state.W.mean.sum(axis=1)
-    sum_h = state.H.mean.sum(axis=1)
-    if np.any(sum_w <= 0) or np.any(sum_h <= 0):
-        raise NumericalError("zero factor sum in rate update")
-    state.beta_w = state.n_components * state.alpha_w / sum_w
-    state.beta_h = state.n_components * state.alpha_h / sum_h
-
-
-def _gamma_prior_minus_entropy(var, prior_shape, prior_rate):
-    """sum over entries of E_q[log p(x; a, b) - log q(x)] in closed form."""
-    a_t, b_t = var.shape, var.rate
-    e_log = var.mean_log()
-    e_x = var.mean
-    term = (prior_shape * np.log(prior_rate[:, None]) - special.gammaln(prior_shape)
-            + (prior_shape - a_t) * e_log - prior_rate[:, None] * e_x
-            - a_t * np.log(b_t) + special.gammaln(a_t) + a_t)
-    return float(term.sum())
+    for factor in (state.W, state.H):
+        row_sum = factor.mean.sum(axis=1)
+        if np.any(row_sum <= 0):
+            raise NumericalError("zero factor sum in rate update")
+        factor.beta = state.n_components * factor.alpha / row_sum
 
 
 def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
@@ -365,9 +346,8 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     nz_part = float(nonlinear.sum() - lam_by_class @ exposures)
     zero_part = -thr.theta[0] * (total_expected_lambda(state)
                                  - float(lam_by_class.sum()))
-    elbo = (nz_part + zero_part
-            + _gamma_prior_minus_entropy(state.W, state.alpha_w, state.beta_w)
-            + _gamma_prior_minus_entropy(state.H, state.alpha_h, state.beta_h))
+    elbo = (nz_part + zero_part + state.W.prior_minus_entropy()
+            + state.H.prior_minus_entropy())
     if not np.isfinite(elbo):
         raise NumericalError("non-finite ELBO")
     return elbo
@@ -384,11 +364,9 @@ def fit(data, config):
                         point_mass)
     trace = []
     converged = False
-    iterations = 0
     for _ in range(config.max_iter):
         stats = local_update(state, data, lam_big, point_mass)
-        update_user_factors(state, data, stats)
-        update_item_factors(state, data, stats)
+        update_factors(state, data, stats)
         # threshold and rate updates leave W and H, hence these, unchanged
         lam_big = entry_intensities(state, data)
         lam_by_class = class_sums(state, indicators)
@@ -397,17 +375,16 @@ def fit(data, config):
                                                     lam_by_class)
         update_rate_hyperparams(state)
         elbo = compute_elbo(state, data, lam_big, lam_by_class, point_mass)
-        iterations += 1
         trace.append(elbo)
         if elbo < prev - 1e-8 * abs(prev):
             raise NumericalError(
-                f"ELBO decreased at iteration {iterations}: {prev} -> {elbo}")
+                f"ELBO decreased at iteration {len(trace)}: {prev} -> {elbo}")
         if (elbo - prev) < config.tol * abs(prev):
             converged = True
             break
         prev = elbo
     return FitResult(state=state, elbo_trace=np.asarray(trace),
-                     iterations=iterations, converged=converged)
+                     converged=converged)
 
 
 def predict_scores(state, user_indices=None):
@@ -432,8 +409,8 @@ def save_state(path, state, metadata=None):
         theta=state.thresholds.theta,
         w_shape=state.W.shape, w_rate=state.W.rate,
         h_shape=state.H.shape, h_rate=state.H.rate,
-        beta_w=state.beta_w, beta_h=state.beta_h,
-        alpha_w=np.float64(state.alpha_w), alpha_h=np.float64(state.alpha_h),
+        beta_w=state.W.beta, beta_h=state.H.beta,
+        alpha_w=np.float64(state.W.alpha), alpha_h=np.float64(state.H.alpha),
         metadata=np.bytes_(json.dumps(metadata or {}).encode()))
 
 
@@ -447,20 +424,15 @@ def load_state(path):
             if version != _STATE_VERSION:
                 raise DataError(
                     f"{path}: unsupported model schema version {version}")
-            w, h = (z["w_shape"], z["w_rate"]), (z["h_shape"], z["h_rate"])
-            beta_w, beta_h = z["beta_w"], z["beta_h"]
-            # ValueError unless both factors are 2-d and the shapes agree
-            (n_users, k), (n_items, k_h) = w[0].shape, h[0].shape
-            if (k_h != k or w[1].shape != w[0].shape
-                    or h[1].shape != h[0].shape
-                    or beta_w.shape != (n_users,)
-                    or beta_h.shape != (n_items,)):
-                raise ValueError("model arrays disagree in shape")
-            state = VariationalState(
-                W=GammaVariationalMatrix(*w), H=GammaVariationalMatrix(*h),
-                thresholds=ThresholdSequence(z["theta"]),
-                beta_w=beta_w, beta_h=beta_h,
-                alpha_w=float(z["alpha_w"]), alpha_h=float(z["alpha_h"]))
+            # each factor's constructor checks its own shapes
+            W = GammaVariationalMatrix(z["w_shape"], z["w_rate"],
+                                       z["alpha_w"], z["beta_w"])
+            H = GammaVariationalMatrix(z["h_shape"], z["h_rate"],
+                                       z["alpha_h"], z["beta_h"])
+            if H.n_components != W.n_components:
+                raise ValueError("factors disagree in K")
+            state = VariationalState(W=W, H=H,
+                                     thresholds=ThresholdSequence(z["theta"]))
             metadata = json.loads(bytes(z["metadata"]).decode())
     except (ValueError, EOFError, zipfile.BadZipFile, KeyError, IndexError,
             NumericalError):

@@ -157,13 +157,16 @@ class ThresholdSequence:
         return float(out) if out.ndim == 0 else out
 
     def sample_class(self, lam, rng):
-        """Draw classes by inverting the c.d.f. on one uniform per entry."""
+        """Draw classes by inverting the c.d.f. on one uniform u per entry.
+
+        The c.d.f. increases in v and is 1 at v = V > u, so the smallest v
+        with cdf(v) >= u is the count of v < V with cdf(v) < u, taken one v
+        at a time: extra memory is O(len(lam)) whatever V is."""
         lam = np.asarray(lam, dtype=float)
         if np.any(lam <= 0):
             raise ValueError("sample_class requires lambda > 0")
         u = rng.random(size=lam.shape)
-        # cdf over v is increasing; smallest v with cdf(v) >= u
-        cdf = np.exp(-lam[..., None] * self._theta_ext[None, :]) if lam.ndim else np.exp(-lam * self._theta_ext)
-        if lam.ndim == 0:
-            return int(np.searchsorted(cdf, u, side="left"))
-        return (cdf < u[..., None]).sum(axis=-1)
+        classes = np.zeros(lam.shape, dtype=np.int64)
+        for theta_v in self.theta:
+            classes += np.exp(-lam * theta_v) < u
+        return int(classes) if classes.ndim == 0 else classes

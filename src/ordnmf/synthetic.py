@@ -1,7 +1,7 @@
 """Synthetic ordinal matrices drawn from the generative model.
 
-Used by the test suite and by the packaged smoke pipeline; kept in the
-library so the CLI can materialize demo datasets.
+The test suite and the README's library quick start draw their data here;
+the command-line interface does not use this module.
 """
 
 from dataclasses import dataclass

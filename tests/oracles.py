@@ -62,8 +62,8 @@ def dense_iteration(state, data, pf_approximation=False,
     w_rate = np.zeros((U, K))
     for u in range(U):
         for k in range(K):
-            w_shape[u, k] = state.alpha_w + e_c[u, :, k].sum()
-            w_rate[u, k] = state.beta_w[u] + sum(
+            w_shape[u, k] = state.W.alpha + e_c[u, :, k].sum()
+            w_rate[u, k] = state.W.beta[u] + sum(
                 exposure(thr, y[u, i]) * EH_old[i, k] for i in range(I))
     EW_new = w_shape / w_rate
 
@@ -71,8 +71,8 @@ def dense_iteration(state, data, pf_approximation=False,
     h_rate = np.zeros((I, K))
     for i in range(I):
         for k in range(K):
-            h_shape[i, k] = state.alpha_h + e_c[:, i, k].sum()
-            h_rate[i, k] = state.beta_h[i] + sum(
+            h_shape[i, k] = state.H.alpha + e_c[:, i, k].sum()
+            h_rate[i, k] = state.H.beta[i] + sum(
                 exposure(thr, y[u, i]) * EW_new[u, k] for u in range(U))
     EH_new = h_shape / h_rate
 
@@ -87,11 +87,11 @@ def dense_iteration(state, data, pf_approximation=False,
             delta[l - 1] = num / den if num > 0 else delta_floor
         theta = np.cumsum(delta[::-1])[::-1]
 
-    beta_w = state.beta_w.copy()
-    beta_h = state.beta_h.copy()
+    beta_w = state.W.beta.copy()
+    beta_h = state.H.beta.copy()
     if update_rates:
-        beta_w = K * state.alpha_w / EW_new.sum(axis=1)
-        beta_h = K * state.alpha_h / EH_new.sum(axis=1)
+        beta_w = K * state.W.alpha / EW_new.sum(axis=1)
+        beta_h = K * state.H.alpha / EH_new.sum(axis=1)
 
     return w_shape, w_rate, h_shape, h_rate, theta, beta_w, beta_h
 
@@ -154,12 +154,10 @@ def elbo_bruteforce(state, data, n_max=500, pf_approximation=False):
                        + float((e_c * np.log(lam_k)).sum()))
             e_log_q_c = e_logfact_n + float((e_c * np.log(phi)).sum())
             total += e_log_p - e_log_q_n - e_log_q_c
-    total += _gamma_term_quadrature(
-        state.W.shape, state.W.rate, state.alpha_w,
-        np.broadcast_to(state.beta_w[:, None], state.W.shape.shape))
-    total += _gamma_term_quadrature(
-        state.H.shape, state.H.rate, state.alpha_h,
-        np.broadcast_to(state.beta_h[:, None], state.H.shape.shape))
+    for factor in (state.W, state.H):
+        total += _gamma_term_quadrature(
+            factor.shape, factor.rate, factor.alpha,
+            np.broadcast_to(factor.beta[:, None], factor.shape.shape))
     return total
 
 
@@ -201,6 +199,14 @@ def bepof_iteration(shape_w, rate_w, shape_h, rate_h, y, alpha_w, alpha_h,
     return new_shape_w, new_rate_w, new_shape_h, new_rate_h
 
 
+def sample_class_table(thr, lam, u):
+    """Classes from the whole (n, V+1) c.d.f. table: per entry, the number
+    of v in 0..V with exp(-lam * theta_v) < u, given the uniforms u."""
+    cdf = np.exp(-np.asarray(lam, dtype=float)[..., None]
+                 * np.append(thr.theta, 0.0))
+    return (cdf < np.asarray(u)[..., None]).sum(axis=-1)
+
+
 def threshold_objective(delta, y, e_n, e_lam):
     """sum_l [ (sum_{y=l} E[n]) log delta_l - (sum_{y<=l} E[lambda]) delta_l ]."""
     total = 0.0
@@ -218,14 +224,13 @@ def random_state_like(data, n_components, rng, alpha_w=0.3, alpha_h=0.3):
     V = data.n_classes
     delta = rng.uniform(0.2, 1.0, size=V)
     thr = ThresholdSequence.from_delta(delta)
-    W = GammaVariationalMatrix(rng.uniform(0.3, 2.0, (U, n_components)),
-                               rng.uniform(0.5, 3.0, (U, n_components)))
-    H = GammaVariationalMatrix(rng.uniform(0.3, 2.0, (I, n_components)),
-                               rng.uniform(0.5, 3.0, (I, n_components)))
-    return VariationalState(W=W, H=H, thresholds=thr,
-                            beta_w=rng.uniform(0.5, 2.0, U),
-                            beta_h=rng.uniform(0.5, 2.0, I),
-                            alpha_w=alpha_w, alpha_h=alpha_h)
+    # draw order: both posteriors, then both prior rates
+    posteriors = [(rng.uniform(0.3, 2.0, (n, n_components)),
+                   rng.uniform(0.5, 3.0, (n, n_components))) for n in (U, I)]
+    beta_w, beta_h = rng.uniform(0.5, 2.0, U), rng.uniform(0.5, 2.0, I)
+    W = GammaVariationalMatrix(*posteriors[0], alpha_w, beta_w)
+    H = GammaVariationalMatrix(*posteriors[1], alpha_h, beta_h)
+    return VariationalState(W=W, H=H, thresholds=thr)
 
 
 def random_matrix(n_users, n_items, n_classes, rng, density=0.5):

@@ -22,9 +22,9 @@ from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
 from ordnmf.inference import (FitConfig, class_indicators, class_sums,
                               compute_elbo, entry_intensities, fit,
-                              local_update, update_item_factors,
+                              local_update, update_factors,
                               update_rate_hyperparams, update_thresholds,
-                              update_user_factors, ztp_mean)
+                              ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -52,8 +52,7 @@ def _library_iteration(state, data, point_mass=False,
                        learn_thresholds=True, update_rates=True):
     lam_big = entry_intensities(state, data)
     stats = local_update(state, data, lam_big, point_mass)
-    update_user_factors(state, data, stats)
-    update_item_factors(state, data, stats)
+    update_factors(state, data, stats)
     if learn_thresholds:
         sums = class_sums(state, class_indicators(data))
         state.thresholds, _ = update_thresholds(state, data, stats, sums)
@@ -100,7 +99,7 @@ def test_criterion_2_sparse_dense():
         _library_iteration(state, data)
         for got, want in zip((state.W.shape, state.W.rate, state.H.shape,
                               state.H.rate, state.thresholds.theta,
-                              state.beta_w, state.beta_h), ref):
+                              state.W.beta, state.H.beta), ref):
             np.testing.assert_allclose(got, want, rtol=1e-10)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"20-seed equivalence sweep took {elapsed:.2f}s"
@@ -136,7 +135,7 @@ def test_criterion_4_reductions():
             state.W.shape.copy(), state.W.rate.copy(),
             state.H.shape.copy(), state.H.rate.copy(),
             data.to_dense(), cfg.alpha_w, cfg.alpha_h,
-            state.beta_w, state.beta_h,
+            state.W.beta, state.H.beta,
             point_mass_counts=variant == "pf")
         _library_iteration(state, data, point_mass=variant == "pf",
                            learn_thresholds=False, update_rates=False)
@@ -184,8 +183,7 @@ def test_criterion_6_threshold_stationarity():
         data = random_matrix(8, 7, int(rng.integers(2, 6)), rng, density=0.7)
         state = random_state_like(data, 3, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        update_user_factors(state, data, stats)
-        update_item_factors(state, data, stats)
+        update_factors(state, data, stats)
         lam_by_class = class_sums(state, class_indicators(data))
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert not floored

@@ -80,8 +80,7 @@ class TestConfigs:
 
 class TestReductions:
     def _one_library_iteration(self, data, cfg, seed=7):
-        from ordnmf.inference import (init_state, update_item_factors,
-                                      update_user_factors)
+        from ordnmf.inference import update_factors
 
         state = random_state_like(data, cfg.n_components,
                                   np.random.default_rng(seed),
@@ -89,8 +88,7 @@ class TestReductions:
         state.thresholds = ThresholdSequence([1.0])
         stats = local_update(state, data, entry_intensities(state, data),
                              cfg.variant == "pf")
-        update_user_factors(state, data, stats)
-        update_item_factors(state, data, stats)
+        update_factors(state, data, stats)
         return state
 
     @pytest.mark.parametrize("point_mass", [False, True])
@@ -105,7 +103,7 @@ class TestReductions:
             ref_state.W.shape.copy(), ref_state.W.rate.copy(),
             ref_state.H.shape.copy(), ref_state.H.rate.copy(),
             data.to_dense(), cfg.alpha_w, cfg.alpha_h,
-            ref_state.beta_w, ref_state.beta_h,
+            ref_state.W.beta, ref_state.H.beta,
             point_mass_counts=point_mass)
 
         state = self._one_library_iteration(data, cfg)

@@ -352,6 +352,18 @@ class TestErrorHandling:
             f"position 1: invalid start byte\n")
         assert not out.exists()
 
+    def test_class_beyond_file_format_rejected(self, tmp_path, capsys):
+        # without --boundaries the largest value is V, which the .ordmat
+        # header stores in 32 bits
+        src = tmp_path / "counts.txt"
+        src.write_text("u1 i1 3\nu2 i2 5000000000\n")
+        out = tmp_path / "m.ordmat"
+        assert run("quantize", "--input", src, "--output", out) == 1
+        assert capsys.readouterr().err == (
+            "error: 2 users, 2 items, V = 5000000000: each must be below "
+            "2^32\n")
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_out_of_memory_exits_cleanly(self, tmp_path, capsys):
         # the first (U, K) array is 2 PiB, beyond any address space, so
         # its allocation fails at once instead of touching memory

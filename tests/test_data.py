@@ -177,8 +177,10 @@ class TestOrdinalMatrix:
     def test_invariants_enforced(self):
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0, 0], [1, 1], [1, 2])  # duplicate
-        with pytest.raises(DataError, match="has 2\\^64 or more cells"):
-            OrdinalMatrix(1 << 32, 1 << 32, 3, [0], [0], [1])
+        # the .ordmat header stores U, I and V as uint32
+        for shape in ((1 << 32, 2, 3), (2, 1 << 32, 3), (2, 2, 1 << 32)):
+            with pytest.raises(DataError, match="each must be below 2\\^32"):
+                OrdinalMatrix(*shape, [0], [0], [1])
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0], [0], [4])  # class out of range
         with pytest.raises(DataError):

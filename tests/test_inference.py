@@ -15,9 +15,8 @@ from ordnmf.inference import (FitConfig, GammaVariationalMatrix,
                               class_indicators, class_sums, compute_elbo,
                               entry_intensities, fit, init_state, load_state,
                               local_update, predict_scores, save_state,
-                              update_item_factors, update_rate_hyperparams,
-                              update_thresholds, update_user_factors,
-                              ztp_mean)
+                              update_factors, update_rate_hyperparams,
+                              update_thresholds, ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -29,8 +28,7 @@ def run_iteration(state, data):
     """Apply one library iteration in the canonical phase order."""
     lam_big = entry_intensities(state, data)
     stats = local_update(state, data, lam_big)
-    update_user_factors(state, data, stats)
-    update_item_factors(state, data, stats)
+    update_factors(state, data, stats)
     lam_by_class = class_sums(state, class_indicators(data))
     state.thresholds, _ = update_thresholds(state, data, stats, lam_by_class)
     update_rate_hyperparams(state)
@@ -151,10 +149,10 @@ class TestFactorUpdates:
         rng = np.random.default_rng(9)
         state = random_state_like(data, 2, rng)
         theta0 = state.thresholds.theta[0]
-        expect_rate = state.beta_w[1] + theta0 * state.H.mean.sum(axis=0)
+        expect_rate = state.W.beta[1] + theta0 * state.H.mean.sum(axis=0)
         stats = local_update(state, data, entry_intensities(state, data))
-        update_user_factors(state, data, stats)
-        np.testing.assert_allclose(state.W.shape[1], state.alpha_w, rtol=1e-12)
+        update_factors(state, data, stats)
+        np.testing.assert_allclose(state.W.shape[1], state.W.alpha, rtol=1e-12)
         np.testing.assert_allclose(state.W.rate[1], expect_rate, rtol=1e-12)
 
     def test_binary_rate_independent_of_classes(self):
@@ -163,9 +161,9 @@ class TestFactorUpdates:
         data = random_matrix(5, 4, 1, rng)
         state = random_state_like(data, 2, rng)
         state.thresholds = ThresholdSequence([1.0])
-        expected = state.beta_w[:, None] + state.H.mean.sum(axis=0)[None, :]
+        expected = state.W.beta[:, None] + state.H.mean.sum(axis=0)[None, :]
         stats = local_update(state, data, entry_intensities(state, data))
-        update_user_factors(state, data, stats)
+        update_factors(state, data, stats)
         np.testing.assert_allclose(state.W.rate, expected, rtol=1e-12)
 
     def test_sparse_matches_dense_oracle(self):
@@ -184,6 +182,8 @@ class TestFactorUpdates:
                                        rtol=1e-10)
 
     def test_transpose_symmetry(self):
+        # the item step equals the user step on the transposed data, taken
+        # against the fresh user factor
         rng = np.random.default_rng(11)
         dense = rng.integers(0, 3, size=(5, 5))
         data = OrdinalMatrix(5, 5, 2, *_triplets(dense))
@@ -191,17 +191,14 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, np.random.default_rng(42))
         state_t = copy.deepcopy(state)
         state_t.W, state_t.H = state_t.H, state_t.W
-        state_t.beta_w, state_t.beta_h = state_t.beta_h, state_t.beta_w
-        state_t.alpha_w, state_t.alpha_h = state_t.alpha_h, state_t.alpha_w
         stats = local_update(state, data, entry_intensities(state, data))
-        update_user_factors(state, data, stats)
-        update_item_factors(state, data, stats)
         stats_t = local_update(state_t, data_t,
-                             entry_intensities(state_t, data_t))
-        update_item_factors(state_t, data_t, stats_t)
-        update_user_factors(state_t, data_t, stats_t)
-        np.testing.assert_allclose(state.W.shape, state_t.H.shape, rtol=1e-12)
-        np.testing.assert_allclose(state.H.rate, state_t.W.rate, rtol=1e-12)
+                               entry_intensities(state_t, data_t))
+        update_factors(state, data, stats)
+        state_t.H = copy.deepcopy(state.W)
+        update_factors(state_t, data_t, stats_t)
+        np.testing.assert_allclose(state_t.W.shape, state.H.shape, rtol=1e-12)
+        np.testing.assert_allclose(state_t.W.rate, state.H.rate, rtol=1e-12)
 
 
 class TestThresholdUpdate:
@@ -291,21 +288,21 @@ class TestRateUpdate:
         state = random_state_like(data, 2, rng)
         # posterior mean equal to the prior mean for every component
         state.W.set(np.full((4, 2), 2.0),
-                    np.full((4, 2), 2.0) * state.beta_w[:, None]
-                    / state.alpha_w)
-        before = state.beta_w.copy()
+                    np.full((4, 2), 2.0) * state.W.beta[:, None]
+                    / state.W.alpha)
+        before = state.W.beta.copy()
         update_rate_hyperparams(state)
-        np.testing.assert_allclose(state.beta_w, before, rtol=1e-12)
+        np.testing.assert_allclose(state.W.beta, before, rtol=1e-12)
 
     def test_scale_property(self):
         rng = np.random.default_rng(17)
         data = random_matrix(4, 3, 2, rng)
         state = random_state_like(data, 2, rng)
         update_rate_hyperparams(state)
-        first = state.beta_w.copy()
+        first = state.W.beta.copy()
         state.W.set(state.W.shape * 2.0, state.W.rate)
         update_rate_hyperparams(state)
-        np.testing.assert_allclose(state.beta_w, first / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(state.W.beta, first / 2.0, rtol=1e-12)
 
     def test_grid_search_confirms_maximizer(self):
         # 1 user, K = 2: closed form should beat a fine grid on
@@ -518,13 +515,35 @@ class TestPredictAndSerialize:
     def test_roundtrip_reproduces_scores_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(26)
         data = random_matrix(6, 5, 3, rng)
-        res = fit(data, FitConfig(n_components=3, max_iter=10, tol=1e-12))
+        # distinct prior shapes, so a swapped alpha shows
+        res = fit(data, FitConfig(n_components=3, alpha_w=0.4, alpha_h=0.25,
+                                  max_iter=10, tol=1e-12))
         path = tmp_path / "model.npz"
         save_state(path, res.state, metadata={"note": "test"})
         loaded, meta = load_state(path)
         assert meta["note"] == "test"
         np.testing.assert_array_equal(predict_scores(loaded),
                                       predict_scores(res.state))
+
+        def arrays(state):
+            return {"theta": state.thresholds.theta,
+                    "w_shape": state.W.shape, "w_rate": state.W.rate,
+                    "h_shape": state.H.shape, "h_rate": state.H.rate,
+                    "beta_w": state.W.beta, "beta_h": state.H.beta,
+                    "alpha_w": np.float64(state.W.alpha),
+                    "alpha_h": np.float64(state.H.alpha)}
+
+        # schema 1: these keys and no others, each array bit for bit
+        want = arrays(res.state)
+        with np.load(path) as z:
+            assert sorted(z.files) == sorted(
+                [*want, "schema_version", "metadata"])
+            saved = {key: z[key] for key in want}
+        for got in (saved, arrays(loaded)):
+            for key, arr in want.items():
+                assert got[key].dtype == arr.dtype == np.float64, key
+                assert got[key].shape == arr.shape, key
+                assert got[key].tobytes() == arr.tobytes(), key
 
 
 def test_per_iteration_cost_scales_with_nnz():

@@ -1,9 +1,13 @@
 """Observation-model checks: thresholds, p.m.f., c.d.f., sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ordnmf.model import ThresholdSequence, log1mexp
+
+from oracles import sample_class_table
 
 
 def random_thresholds(n_classes, rng):
@@ -190,6 +194,34 @@ class TestSampleClass:
         thr = random_thresholds(3, np.random.default_rng(13))
         draws = thr.sample_class(np.full(1000, 1e-12), np.random.default_rng(0))
         assert np.all(draws == 0)
+
+    def test_matches_cdf_table_draw_for_draw(self):
+        thr = random_thresholds(10, np.random.default_rng(15))
+        lam = np.random.default_rng(16).gamma(0.5, 2.0, size=20_000) + 1e-9
+        got = thr.sample_class(lam, np.random.default_rng(17))
+        u = np.random.default_rng(17).random(size=lam.shape)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
+        # one scalar draw at a time takes the same path
+        sampler = np.random.default_rng(18)
+        uniforms = np.random.default_rng(18)
+        for x in lam[:150]:
+            v = thr.sample_class(x, sampler)
+            assert type(v) is int
+            assert v == sample_class_table(thr, x, uniforms.random(size=()))
+
+    def test_extra_memory_linear_in_cells(self):
+        # a (n, V+1) float64 table alone would take 88 bytes per cell here
+        thr = random_thresholds(10, np.random.default_rng(19))
+        n = 100_000
+        lam = np.random.default_rng(20).gamma(0.5, 2.0, size=n) + 1e-9
+        tracemalloc.start()
+        try:
+            thr.sample_class(lam, np.random.default_rng(21))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
 
     def test_frequencies_match_pmf(self):
         rng = np.random.default_rng(14)
