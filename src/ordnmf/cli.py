@@ -46,10 +46,10 @@ def _parse_int_list(cfg, key):
                           f"separated integers, got {cfg[key]!r}") from None
 
 
-def _at_least_one(cfg, key):
-    if cfg[key] < 1:
+def _at_least(cfg, key, low):
+    if cfg[key] < low:
         raise ConfigError(
-            f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+            f"--{key.replace('_', '-')} must be >= {low}, got {cfg[key]}")
     return cfg[key]
 
 
@@ -73,8 +73,9 @@ def cmd_quantize(cfg):
 
 
 def cmd_split(cfg):
+    seed = _at_least(cfg, "seed", 0)
     matrix = OrdinalMatrix.load(cfg["input"])
-    train, test = train_test_split(matrix, cfg["test_fraction"], cfg["seed"])
+    train, test = train_test_split(matrix, cfg["test_fraction"], seed)
     train.save(cfg["train_output"])
     test.save(cfg["test_output"])
     for path in (cfg["train_output"], cfg["test_output"]):
@@ -88,7 +89,8 @@ def cmd_train(cfg):
     if cfg["bepof"] and cfg["pf"]:
         raise ConfigError("--bepof and --pf are mutually exclusive")
     variant = "pf" if cfg["pf"] else "bepof" if cfg["bepof"] else "ordinal"
-    restarts = _at_least_one(cfg, "restarts")
+    restarts = _at_least(cfg, "restarts", 1)
+    _at_least(cfg, "seed", 0)
     matrix = OrdinalMatrix.load(cfg["input"])
     if cfg["binarize_at"] is not None:
         matrix = binarize(matrix, cfg["binarize_at"])
@@ -138,6 +140,12 @@ def cmd_evaluate(cfg):
     test = _load_for_model(cfg["test"], state, same_classes=state.n_classes > 1)
     if test.nnz == 0:
         raise ConfigError("test matrix is empty")
+    # ranking leaves out every train item, so a shared entry would count as
+    # a miss without any error
+    shared = test.first_shared_entry(train)
+    if shared is not None:
+        raise ConfigError(f"{cfg['test']}: entry (user={shared[0]}, "
+                          f"item={shared[1]}) is also in the train matrix")
     thresholds = _parse_int_list(cfg, "ndcg_thresholds")
     reports = evaluate_ranking(state, train, test, thresholds,
                                list_length=cfg["list_length"])
@@ -157,9 +165,9 @@ def cmd_ppc(cfg):
     binarize_at = meta.get("config", {}).get("binarize_at")
     train = _load_for_model(cfg["train"], state, same_classes=True,
                             binarize_at=binarize_at)
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(_at_least(cfg, "seed", 0))
     report = ppc_histogram(state, train, rng,
-                           n_cells=_at_least_one(cfg, "budget"))
+                           n_cells=_at_least(cfg, "budget", 1))
     text = ppc_report_text(report)
     _write_report(cfg["output"], text, cfg)
     sys.stdout.write(text)

@@ -6,6 +6,7 @@ construction and safe for shared read access.
 """
 
 import functools
+import itertools
 import os
 import struct
 
@@ -19,6 +20,12 @@ _FORMAT_VERSION = 1
 # magic, version, users, items, classes, nnz; then rows, cols, vals as
 # nnz little-endian int64 each
 _HEADER = struct.Struct("<4sIIIIQ")
+
+
+def _cell_keys(rows, cols, n_items):
+    """uint64 keys rows * n_items + cols, equal only for equal cells and
+    ascending in CSR order; below 2^64 while U and I are below 2^32."""
+    return rows.astype(np.uint64) * np.uint64(n_items) + cols.astype(np.uint64)
 
 
 class OrdinalMatrix:
@@ -49,7 +56,7 @@ class OrdinalMatrix:
             if vals.min() < 1 or vals.max() > n_classes:
                 raise DataError(f"classes must lie in 1..{n_classes}")
         # equal CSR keys are duplicates, so sort stability does not matter
-        key = rows.astype(np.uint64) * np.uint64(n_items) + cols.astype(np.uint64)
+        key = _cell_keys(rows, cols, n_items)
         order = np.argsort(key)
         dup = np.flatnonzero(np.diff(key[order]) == 0)
         rows, cols, vals = rows[order], cols[order], vals[order]
@@ -85,6 +92,20 @@ class OrdinalMatrix:
         return sparse.csr_matrix(
             (self.vals if values is None else values, self.cols, self.indptr),
             shape=(self.n_users, self.n_items))
+
+    def first_shared_entry(self, other):
+        """(user, item) of this matrix's first entry, in CSR order, that
+        other holds too; None when they share none.  Same shape assumed."""
+        theirs = _cell_keys(other.rows, other.cols, self.n_items)
+        if theirs.size == 0:
+            return None
+        mine = _cell_keys(self.rows, self.cols, self.n_items)
+        # both ascend in CSR order
+        at = np.minimum(np.searchsorted(theirs, mine), theirs.size - 1)
+        hit = np.flatnonzero(theirs[at] == mine)
+        if hit.size == 0:
+            return None
+        return int(self.rows[hit[0]]), int(self.cols[hit[0]])
 
     def to_dense(self):
         """Dense class matrix with explicit zeros (small instances only)."""
@@ -175,35 +196,190 @@ def load_triplets(path, delimiter=None, skip_header=False):
     first-appearance order.  Values must be positive integers below 2^63,
     written in ASCII as integers or as integral decimals such as 3.0.
     Duplicate (user, item) pairs are rejected.  Lines end at newline bytes
-    and must be UTF-8; each rejection is a ParseError naming path and line.
+    and must be UTF-8; each rejection is a ParseError naming path and line,
+    the first in file order when there are several.
+
+    The file is read once, in runs of whole lines.  The clean lines of a
+    run (see _split_clean_lines) are split in bulk; only the other lines
+    go through _parse_line, so that every line is accepted or rejected as
+    _parse_line alone would.
     """
-    user_index, item_index = {}, {}
-    rows, cols, counts = [], [], []
-    seen = set()
+    users, items = {}, {}  # id -> index, in first-appearance order
+    empty = np.zeros(0, dtype=np.int64)
+    parts, error = [(empty,) * 4], None  # (lines, rows, cols, values)
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and skip_header:
-                continue
-            try:
-                triplet = _parse_line(line, delimiter)
-            except ValueError as exc:
-                raise ParseError(path, lineno, exc) from None
-            if triplet is None:
-                continue
-            uid, iid, value = triplet
-            u = user_index.setdefault(uid, len(user_index))
-            i = item_index.setdefault(iid, len(item_index))
-            if (u, i) in seen:
-                raise ParseError(path, lineno, f"duplicate entry for ({uid}, {iid})")
-            seen.add((u, i))
-            rows.append(u)
-            cols.append(i)
-            counts.append(value)
-    return RawTriplets(
-        len(user_index), len(item_index),
-        np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-        list(user_index), list(item_index))
+        first_line = 1
+        if skip_header:
+            fh.readline()
+            first_line = 2
+        for first_line, data in _line_runs(fh, first_line):
+            lines, uids, iids, values, error = _parse_lines(
+                data, delimiter, path, first_line)
+            parts.append((lines, _index(users, uids), _index(items, iids),
+                          values))
+            if error is not None:
+                break
+    lines, rows, cols, values = map(np.concatenate, zip(*parts))
+    user_ids, item_ids = list(users), list(items)
+    dup = _first_duplicate(rows, cols, len(item_ids))
+    if dup is not None:
+        # entries stop before a failing line, so this one comes first
+        raise ParseError(path, int(lines[dup]),
+                         f"duplicate entry for ({user_ids[rows[dup]]}, "
+                         f"{item_ids[cols[dup]]})")
+    if error is not None:
+        raise error
+    return RawTriplets(len(user_ids), len(item_ids), rows, cols, values,
+                       user_ids, item_ids)
+
+
+# bytes read at a time; a run of lines takes memory in proportion, while
+# the whole file would take ~40 bytes per field in Python strings at once
+_RUN_BYTES = 1 << 18
+
+
+def _line_runs(fh, first_line):
+    """(number of its first line, bytes) of each run of whole lines in fh,
+    read _RUN_BYTES at a time; only the last may lack a final newline."""
+    rest = b""
+    while block := fh.read(_RUN_BYTES):
+        block = rest + block
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield first_line, block[:cut]
+            first_line += block.count(b"\n", 0, cut)
+        rest = block[cut:]
+    if rest:
+        yield first_line, rest
+
+
+def _parse_lines(data, delimiter, path, first_line):
+    """(line numbers, user ids, item ids, values, error) of data, whole
+    lines whose first is line first_line.  error is the ParseError of the
+    first line that fails, or None; the entries stop before that line."""
+    starts, ends, clean, users, items, values = _split_clean_lines(
+        data, delimiter)
+    lines = np.flatnonzero(clean)
+    other = np.flatnonzero(~clean)
+    parsed, error = [], None
+    for j, start, end in zip(other.tolist(), starts[other].tolist(),
+                             ends[other].tolist()):
+        try:
+            # the line's bytes, its newline included, as iterating over the
+            # file yields them: a decode error names the same position
+            triplet = _parse_line(data[start:end + 1], delimiter)
+        except ValueError as exc:
+            error = ParseError(path, first_line + j, exc)
+            n = np.searchsorted(lines, j)
+            lines, users, items, values = (lines[:n], users[:n], items[:n],
+                                           values[:n])
+            break
+        if triplet is not None:
+            parsed.append((j, *triplet))
+    if parsed:
+        more_lines, more_users, more_items, more_values = zip(*parsed)
+        lines = np.concatenate((lines, more_lines))
+        order = np.argsort(lines)
+        lines = lines[order]
+        users = np.array(users + list(more_users), dtype=object)[order].tolist()
+        items = np.array(items + list(more_items), dtype=object)[order].tolist()
+        values = np.concatenate(
+            (values, np.asarray(more_values, dtype=np.int64)))[order]
+    return lines + first_line, users, items, values, error
+
+
+# byte classes for _split_clean_lines: printable ASCII other than space,
+# which str.strip and str.split leave alone, and the newline that ends a
+# line are "plain"; a delimiter byte is a separator; the rest are "other"
+_PLAIN, _SEPARATOR, _OTHER = 0, 1, 2
+# every value of at most 18 decimal digits is below 2^63
+_MAX_FAST_DIGITS = 18
+
+
+def _split_clean_lines(data, delimiter):
+    """(starts, ends, clean, users, items, values) of the lines of data.
+
+    Line j spans data[starts[j]:ends[j]], its newline excluded; clean[j]
+    marks a line with exactly two separator bytes (the delimiter, or space
+    or tab when it is None), no "other" byte, three non-empty fields and a
+    value of 1 to 18 ASCII digits that is not zero, perhaps followed by a
+    "\r" before the newline.  On such a line _parse_line's decode, strip
+    and split change nothing, so the clean lines are split in one pass:
+    users, items and values hold their fields in file order.  (A "\r" left
+    at the end of a value field is never read.)
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline_at = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], newline_at + 1))
+    ends = np.append(newline_at, buf.size)
+    if starts[-1] == buf.size:  # no line follows the last newline
+        starts, ends = starts[:-1], ends[:-1]
+    if delimiter is None:
+        separators = b" \t"
+    elif len(delimiter) == 1 and delimiter.isascii() and delimiter != "\n":
+        separators = delimiter.encode()
+    else:  # only _parse_line splits on longer or non-ASCII delimiters
+        separators = b""
+    kind = np.full(256, _OTHER, dtype=np.uint8)
+    kind[0x21:0x7f] = kind[10] = _PLAIN
+    kind[list(separators)] = _SEPARATOR
+    kind = kind[buf]
+    # a "\r" right before a newline ends the line with it: str.strip
+    # drops it, so it does not make the line unclean
+    before = newline_at[newline_at > 0] - 1
+    cr_at = before[buf[before] == 13]
+    kind[cr_at] = _PLAIN
+    sep_at = np.flatnonzero(kind == _SEPARATOR)
+    first_sep = np.searchsorted(sep_at, starts)
+    clean = np.diff(np.append(first_sep, sep_at.size)) == 2
+    other_at = np.flatnonzero(kind == _OTHER)
+    clean[np.searchsorted(starts, other_at, side="right") - 1] = False
+    candidates = np.flatnonzero(clean)
+    sep1 = sep_at[first_sep[candidates]]
+    sep2 = sep_at[first_sep[candidates] + 1]
+    end = ends[candidates]
+    end = end - (buf[end - 1] == 13)  # value ends before that "\r"
+    width = end - sep2 - 1
+    ok = ((sep1 > starts[candidates]) & (sep2 > sep1 + 1) & (width >= 1)
+          & (width <= _MAX_FAST_DIGITS))
+    values = np.zeros(candidates.size, dtype=np.int64)
+    for k in range(int(width[ok].max(initial=0))):  # k-th digit from the right
+        digit = buf[np.maximum(end - 1 - k, 0)].astype(np.int64) - ord("0")
+        in_value = k < width
+        ok &= ~in_value | ((digit >= 0) & (digit <= 9))
+        values += np.where(in_value & ok, digit * 10**k, 0)
+    ok &= values > 0
+    clean[candidates[~ok]] = False
+    n = int(ok.sum())
+    if n < starts.size:
+        lengths = np.diff(np.append(starts, buf.size))
+        data = buf[np.repeat(clean, lengths)].tobytes()
+    text = data.decode("ascii")
+    fields = (text.split() if delimiter is None
+              else text.replace("\n", delimiter).split(delimiter))
+    return (starts, ends, clean, fields[0:3 * n:3], fields[1:3 * n:3],
+            values[ok])
+
+
+def _index(position, ids):
+    """Index of each of ids in position, an id -> index dict in
+    first-appearance order that the ids not in it yet join."""
+    fresh = list(itertools.filterfalse(position.__contains__,
+                                       dict.fromkeys(ids)))
+    position.update(zip(fresh, itertools.count(len(position))))
+    return np.fromiter(map(position.__getitem__, ids), dtype=np.int64,
+                       count=len(ids))
+
+
+def _first_duplicate(rows, cols, n_items):
+    """Position of the first entry whose (row, col) an earlier entry holds;
+    None when all pairs are distinct."""
+    key = _cell_keys(rows, cols, n_items)
+    if not np.any(np.diff(np.sort(key)) == 0):
+        return None
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return int(order[1:][key[1:] == key[:-1]].min())
 
 
 def _parse_line(line, delimiter):

@@ -116,10 +116,16 @@ class FitConfig:
             raise ConfigError(f"variant {self.variant!r} not in {VARIANTS}")
         if self.n_components < 1:
             raise ConfigError("n_components must be >= 1")
-        if self.alpha_w <= 0 or self.alpha_h <= 0:
-            raise ConfigError("prior shapes must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        # NaN fails every comparison, so test for what is allowed
+        for name in ("alpha_w", "alpha_h"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
+        if not self.tol > 0:  # tol = inf stops after the first iteration
+            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
 

@@ -10,6 +10,8 @@ import struct
 import numpy as np
 from scipy import integrate, special, stats
 
+from ordnmf.data import RawTriplets, _parse_line
+from ordnmf.errors import ParseError
 from ordnmf.model import ThresholdSequence
 
 
@@ -292,3 +294,36 @@ def damaged_ordmat(kind):
     body = np.asarray(entries, dtype="<i8").tobytes()
     tail = b"\0" if kind == "trailing-bytes" else b""
     return header.pack(b"ORDM", 1, 2, 3, 2, 2) + body + tail
+
+
+def load_triplets_by_line(path, delimiter=None, skip_header=False):
+    """data.load_triplets, one line at a time: every line through
+    _parse_line, first-appearance indices by setdefault, duplicates by a
+    set of index pairs."""
+    user_index, item_index = {}, {}
+    rows, cols, counts = [], [], []
+    seen = set()
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 and skip_header:
+                continue
+            try:
+                triplet = _parse_line(line, delimiter)
+            except ValueError as exc:
+                raise ParseError(path, lineno, exc) from None
+            if triplet is None:
+                continue
+            uid, iid, value = triplet
+            u = user_index.setdefault(uid, len(user_index))
+            i = item_index.setdefault(iid, len(item_index))
+            if (u, i) in seen:
+                raise ParseError(path, lineno, f"duplicate entry for ({uid}, {iid})")
+            seen.add((u, i))
+            rows.append(u)
+            cols.append(i)
+            counts.append(value)
+    return RawTriplets(
+        len(user_index), len(item_index),
+        np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
+        list(user_index), list(item_index))

@@ -377,6 +377,51 @@ class TestErrorHandling:
         assert err.endswith(")\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--seed", -1], "--seed must be >= 0, got -1"),
+        (["train", "--seed", -1], "--seed must be >= 0, got -1"),
+        (["ppc", "--seed", -1], "--seed must be >= 0, got -1"),
+        (["train", "--tol", "nan"], "tol must be positive, got nan"),
+        (["train", "--alpha-w", "nan"],
+         "alpha_w must be finite and positive, got nan"),
+        (["train", "--alpha-h", "inf"],
+         "alpha_h must be finite and positive, got inf"),
+    ], ids=["split-seed", "train-seed", "ppc-seed", "train-tol-nan",
+            "train-alpha-w-nan", "train-alpha-h-inf"])
+    def test_negative_seed_and_non_finite_options_rejected(
+            self, tmp_path, capsys, ranking_files, argv, message):
+        out = tmp_path / "out"
+        files = {"split": ["--input", ranking_files["train"],
+                           "--train-output", out,
+                           "--test-output", tmp_path / "test.ordmat"],
+                 "train": ["--input", ranking_files["train"], "--k", 2,
+                           "--output", out],
+                 "ppc": ["--model", ranking_files["model"],
+                         "--train", ranking_files["train"], "--output", out,
+                         "--budget", 100]}[argv[0]]
+        assert run(*argv, *files) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == sorted(ranking_files.values())
+
+    @pytest.mark.parametrize("test_entries, shared", [
+        (None, (0, 0)),  # the train file itself
+        (([0, 1, 1], [4, 0, 2], [3, 2, 1]), (1, 0)),
+    ], ids=["train-as-test", "one-shared-entry"])
+    def test_evaluate_test_sharing_train_entries_rejected(
+            self, tmp_path, capsys, ranking_files, test_entries, shared):
+        test = ranking_files["train"]
+        if test_entries is not None:
+            test = tmp_path / "overlap.ordmat"
+            OrdinalMatrix(2, 5, 3, *test_entries).save(test)
+        out = tmp_path / "eval.txt"
+        assert run("evaluate", "--model", ranking_files["model"],
+                   "--train", ranking_files["train"], "--test", test,
+                   "--output", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {test}: entry (user={shared[0]}, item={shared[1]}) is "
+            f"also in the train matrix\n")
+        assert not out.exists()
+
     def test_pf_and_bepof_together_rejected(self, tmp_path, capsys,
                                             ranking_files):
         model = tmp_path / "baseline.npz"

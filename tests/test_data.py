@@ -1,17 +1,19 @@
 """Ingestion, quantization, splitting, and the binary format."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ordnmf import data as data_module
 from ordnmf.data import (OrdinalMatrix, QuantizationScheme, load_triplets,
                          quantize_counts, train_test_split, write_index_map)
 from ordnmf.errors import ConfigError, DataError, OrdnmfError, ParseError
 
-from oracles import damaged_ordmat
+from oracles import damaged_ordmat, load_triplets_by_line
 
 PLAYCOUNT_BOUNDARIES = [1, 2, 5, 10, 20, 50, 100, 200, 500]
 # pieces of triplet fields, valid and not: ids, digits, signs, exponents,
@@ -22,6 +24,19 @@ FIELD = (st.lists(st.sampled_from(FIELD_PIECES), max_size=4).map(b"".join)
          | (st.integers(-2**64, 2**64) | st.integers(2**63 - 2, 2**63 + 1)).map(
              lambda n: str(n).encode())
          | st.floats().map(lambda x: repr(x).encode()))
+# fields of lines the bulk reader splits itself: a few ids, so that pairs
+# repeat, and values of up to 20 digits, so that some exceed its 18; an
+# empty id and some values need the per-line parse
+CLEAN_ID = (st.sampled_from([b"a", b"b", b"u1", b""])
+            | st.text("ab1_-.+", min_size=1, max_size=3).map(str.encode))
+CLEAN_VALUE = (st.integers(1, 10**20).map(lambda n: str(n).encode())
+               | st.sampled_from([b"0", b"00", b"007", b"999999999999999999",
+                                  b"1000000000000000000",
+                                  b"9223372036854775808"]))
+# bytes that make a clean line need the per-line parse: whitespace that
+# str.strip drops, a no-break space, a delimiter, a sign, a decimal point
+STRAY_BYTES = [b"\r", b" ", b"\t", b"\x0b", b"\x1c", b"\xc2\xa0", b",", b"+",
+               b"."]
 
 
 def make_matrix(dense, n_classes=None):
@@ -132,6 +147,126 @@ class TestLoadTriplets:
             load_triplets(p, delimiter=delimiter)
         except OrdnmfError as exc:
             assert str(exc).startswith(f"{p}: line ")
+
+    @staticmethod
+    def outcome(load, path, **kwargs):
+        """What a reader makes of path: its triplets, or its ParseError."""
+        try:
+            t = load(path, **kwargs)
+        except ParseError as exc:
+            return str(exc), exc.line_number
+        assert t.rows.dtype == t.cols.dtype == t.counts.dtype == np.int64
+        return (t.n_users, t.n_items, t.rows.tolist(), t.cols.tolist(),
+                t.counts.tolist(), t.user_ids, t.item_ids)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.sampled_from([None, ","]), st.booleans(),
+           st.sampled_from([1 << 18, 7]))
+    def test_matches_line_by_line_oracle(self, tmp_path, data, delimiter,
+                                         skip_header, run_bytes):
+        """Clean lines, clean lines with a stray byte, the fuzz lines, CRLF
+        and blank lines, an optional final newline; 7-byte reads put line
+        breaks across runs."""
+        sep = data.draw(st.sampled_from([b" ", b"\t"]) if delimiter is None
+                        else st.just(b","))
+        clean = st.tuples(CLEAN_ID, CLEAN_ID, CLEAN_VALUE).map(sep.join)
+        stray = st.tuples(clean, st.sampled_from(STRAY_BYTES),
+                          st.integers(0, 12)).map(
+            lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+        fuzz = ((st.lists(FIELD, min_size=3, max_size=3) | st.lists(FIELD))
+                .map(sep.join) | st.just(b"") | st.binary(max_size=8))
+        lines = data.draw(st.lists(clean | stray, max_size=12))
+        # few fuzz lines: the first fault ends the comparison
+        for _ in range(data.draw(st.integers(0, 2), label="fuzz lines")):
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(fuzz))
+        ends = [data.draw(st.sampled_from([b"\n", b"\r\n"]))
+                for _ in lines]
+        text = b"".join(line + end for line, end in zip(lines, ends))
+        if lines and data.draw(st.booleans(), label="drop final newline"):
+            text = text[:-1]
+        p = tmp_path / "mixed.csv"
+        p.write_bytes(text)
+        kwargs = {"delimiter": delimiter, "skip_header": skip_header}
+        with mock.patch.object(data_module, "_RUN_BYTES", run_bytes):
+            got = self.outcome(load_triplets, p, **kwargs)
+        assert got == self.outcome(load_triplets_by_line, p, **kwargs)
+
+    @pytest.mark.parametrize("delimiter", [None, ","])
+    def test_stray_byte_anywhere_matches_oracle(self, tmp_path, delimiter):
+        """A clean line with each stray byte at each position, or with one
+        field empty."""
+        sep = b"," if delimiter else b" "
+        fields = [b"ab", b"xy", b"12"]
+        line = sep.join(fields)
+        variants = [line[:at] + stray + line[at:]
+                    for stray in STRAY_BYTES + [b"\n", b"0"]
+                    for at in range(len(line) + 1)]
+        variants += [sep.join(fields[:k] + [b""] + fields[k + 1:])
+                     for k in range(3)]
+        p = tmp_path / "stray.csv"
+        for variant in variants:
+            p.write_bytes(sep.join([b"u", b"i", b"3\n"]) + variant
+                          + sep.join([b"\nab", b"xz", b"4\n"]))
+            got = self.outcome(load_triplets, p, delimiter=delimiter)
+            assert got == self.outcome(load_triplets_by_line, p,
+                                       delimiter=delimiter), variant
+
+    @pytest.mark.parametrize("text, message", [
+        # a duplicate before a malformed line is reported, and one after it
+        # is not
+        (b"a,x,3\na,x,4\nb,y\n", "line 2: duplicate entry for (a, x)"),
+        (b"a,x,3\nb,y\na,x,4\n", "line 2: expected 3 fields, got 2"),
+        # the halves of a pair compare equal when read by different paths
+        # or decoded from UTF-8
+        (b"a,x,3.0\nb,y,1\na,x,4\n", "line 3: duplicate entry for (a, x)"),
+        (b"a,x,3\r\nb,y,1\na,x,+4\n", "line 3: duplicate entry for (a, x)"),
+        (b"\xc3\xa9,x,3\n\xc3\xa9,x,5\n", "line 2: duplicate entry for "
+                                           "(\u00e9, x)"),
+        (b"a,x,000000000000000000003\nb,y,0\n", "line 2: non-positive "
+                                                 "value 0"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text)
+        assert self.outcome(load_triplets, p, delimiter=",") == self.outcome(
+            load_triplets_by_line, p, delimiter=",")
+        with pytest.raises(ParseError) as info:
+            load_triplets(p, delimiter=",")
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_clean_lines_skip_per_line_parse(self, tmp_path, monkeypatch):
+        calls = []
+        parse_line = data_module._parse_line
+
+        def spy(line, delimiter):
+            calls.append(line)
+            return parse_line(line, delimiter)
+
+        monkeypatch.setattr(data_module, "_parse_line", spy)
+        lines = [f"u{n % 37},i{n},{n + 1}" for n in range(1000)]
+        p = tmp_path / "clean.csv"
+        p.write_text("\n".join(lines) + "\n")
+        t = load_triplets(p, delimiter=",")
+        assert calls == [] and t.counts.tolist() == list(range(1, 1001))
+        lines[500] = "u19,i500,3.0"
+        p.write_text("\n".join(lines) + "\n")
+        t = load_triplets(p, delimiter=",")
+        assert calls == [b"u19,i500,3.0\n"]
+        assert t.counts[500] == 3 and t.rows[500] == 19
+
+    def test_duplicate_in_large_clean_file_names_line(self, tmp_path):
+        # several runs of reading, so the line count carries across them
+        lines = [f"user{n},item{n % 1009},{n % 500 + 1}"
+                 for n in range(100_000)]
+        lines[87_654] = lines[12_345].rsplit(",", 1)[0] + ",7"
+        p = tmp_path / "large.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_triplets(p, delimiter=",")
+        assert str(info.value) == (
+            f"{p}: line 87655: duplicate entry for (user12345, item237)")
 
 
 class TestQuantization:

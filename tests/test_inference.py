@@ -92,6 +92,21 @@ class TestInitState:
         with pytest.raises(DataError):
             init_state(FitConfig(n_components=2), empty)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha_w", float("nan"), "alpha_w must be finite and positive, "
+                                  "got nan"),
+        ("alpha_h", float("inf"), "alpha_h must be finite and positive, "
+                                  "got inf"),
+        ("alpha_w", 0.0, "alpha_w must be finite and positive, got 0.0"),
+        ("tol", float("nan"), "tol must be positive, got nan"),
+        ("tol", -1e-3, "tol must be positive, got -0.001"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_config_names_bad_field(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            FitConfig(n_components=2, **{field: value})
+        assert str(info.value) == message
+
 
 class TestLocalUpdate:
     def test_single_component_allocates_everything(self):
