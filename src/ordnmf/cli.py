@@ -39,11 +39,16 @@ def _write_report(path, text, cfg):
 
 
 def _parse_int_list(cfg, key):
+    """The integers of a comma-separated option; ConfigError naming the
+    flag unless there is at least one."""
     try:
-        return [int(t) for t in str(cfg[key]).split(",") if t != ""]
+        values = [int(t) for t in str(cfg[key]).split(",") if t != ""]
     except ValueError:
+        values = []
+    if not values:
         raise ConfigError(f"--{key.replace('_', '-')}: expected comma-"
-                          f"separated integers, got {cfg[key]!r}") from None
+                          f"separated integers, got {cfg[key]!r}")
+    return values
 
 
 def _at_least(cfg, key, low):
@@ -56,7 +61,7 @@ def _at_least(cfg, key, low):
 def cmd_quantize(cfg):
     triplets = load_triplets(cfg["input"], delimiter=cfg["delimiter"] or None,
                              skip_header=cfg["header"])
-    if cfg["boundaries"]:
+    if cfg["boundaries"] is not None:
         scheme = QuantizationScheme(_parse_int_list(cfg, "boundaries"))
         matrix = quantize_counts(triplets, scheme)
     else:
@@ -176,12 +181,11 @@ def cmd_ppc(cfg):
 
 def cmd_predict(cfg):
     state, _ = load_state(cfg["model"])
-    train_csr = None
-    if cfg["train"]:
-        train_csr = _load_for_model(cfg["train"], state,
-                                    same_classes=False).csr()
+    train = None
+    if cfg["train"] is not None:
+        train = _load_for_model(cfg["train"], state, same_classes=False)
     users = range(state.n_users)
-    if cfg["users"]:
+    if cfg["users"] is not None:
         users = _parse_int_list(cfg, "users")
         for u in users:
             if not 0 <= u < state.n_users:
@@ -189,8 +193,7 @@ def cmd_predict(cfg):
                                   f"0..{state.n_users - 1}")
     lines = ["user\trank\titem\tscore"]
     for block, scores in score_blocks(state, users):
-        items, lengths = top_m_items(scores, block, train_csr,
-                                     cfg["list_length"])
+        items, lengths = top_m_items(scores, block, train, cfg["list_length"])
         top = np.take_along_axis(scores, items, axis=1)
         for u, row, vals, n in zip(block.tolist(), items.tolist(),
                                    top.tolist(), lengths.tolist()):

@@ -11,7 +11,6 @@ import os
 import struct
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -86,12 +85,20 @@ class OrdinalMatrix:
         """Number of stored entries per class 1..V (length V)."""
         return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
 
-    def csr(self, values=None):
-        """scipy CSR matrix over this sparsity pattern holding values, one
-        per stored entry in CSR order; the classes when values is None."""
-        return sparse.csr_matrix(
-            (self.vals if values is None else values, self.cols, self.indptr),
-            shape=(self.n_users, self.n_items))
+    def dense_rows(self, users):
+        """Dense len(users) x n_items int64 block of classes, zeros explicit:
+        to_dense()[users] for users in 0..n_users-1, in any order."""
+        users = np.asarray(users, dtype=np.int64)
+        starts = self.indptr[users]
+        lengths = self.indptr[users + 1] - starts
+        # entries are stored in CSR order, so each row's are one slice
+        before = np.cumsum(lengths) - lengths
+        at = (np.repeat(starts - before, lengths)
+              + np.arange(int(lengths.sum())))
+        row = np.repeat(np.arange(users.size), lengths)
+        out = np.zeros((users.size, self.n_items), dtype=np.int64)
+        out[row, self.cols[at]] = self.vals[at]
+        return out
 
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that
@@ -391,10 +398,13 @@ def _parse_line(line, delimiter):
     if len(parts) != 3:
         raise ValueError(f"expected 3 fields, got {len(parts)}")
     uid, iid, raw = (p.strip() for p in parts)
-    # the index maps are tab-separated
-    if "\t" in uid or "\t" in iid:
-        kind, name = ("user", uid) if "\t" in uid else ("item", iid)
-        raise ValueError(f"{kind} id {name!r} holds a tab")
+    # the index maps hold one "id<TAB>index" per line, and str.splitlines
+    # breaks lines at \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029 too
+    for kind, name in (("user", uid), ("item", iid)):
+        if "\t" in name:
+            raise ValueError(f"{kind} id {name!r} holds a tab")
+        if len(name.splitlines()) > 1:  # stripped: no break at either end
+            raise ValueError(f"{kind} id {name!r} holds a line break")
     # int() and float() would also read 1_000 and non-ASCII digits
     if "_" in raw or not raw.isascii():
         raise ValueError(f"non-numeric value {raw!r}")

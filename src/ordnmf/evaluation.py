@@ -38,13 +38,12 @@ def score_blocks(state, users):
         yield block, predict_scores(state, block)
 
 
-def top_m_items(scores, users, train_csr, list_length):
+def top_m_items(scores, users, train, list_length):
     """Top-m lists (items, lengths) of a block of score rows of users.
 
     Row j's list is items[j, :lengths[j]], ordered by score descending and
-    ascending item.  Unless train_csr (the train matrix's csr()) is None,
-    the users' train items are set to -inf in scores (in place) and never
-    listed.
+    ascending item.  Unless train (an OrdinalMatrix) is None, the users'
+    train items are set to -inf in scores (in place) and never listed.
     """
     if list_length < 1:
         raise ConfigError(f"list length must be >= 1, got {list_length}")
@@ -53,8 +52,8 @@ def top_m_items(scores, users, train_csr, list_length):
     n_rows, n_items = scores.shape
     m = min(int(list_length), n_items)
     lengths = np.full(n_rows, m)
-    if train_csr is not None:
-        in_train = train_csr[users].toarray() > 0
+    if train is not None:
+        in_train = train.dense_rows(users) > 0
         scores[in_train] = -np.inf
         lengths = np.minimum(m, n_items - in_train.sum(axis=1))
     # every item above the m-th largest score, then the lowest-index items
@@ -78,11 +77,10 @@ def _ndcg_reports(blocks, train, test, thresholds, list_length):
             raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
     total = np.zeros(len(thresholds))
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
-    train_csr, test_csr = train.csr(), test.csr()
     for users, scores in blocks:
-        items, lengths = top_m_items(scores, users, train_csr, list_length)
+        items, lengths = top_m_items(scores, users, train, list_length)
         m = items.shape[1]
-        classes = test_csr[users].toarray()
+        classes = test.dense_rows(users)
         ranked = np.take_along_axis(classes, items, axis=1)
         ranked[np.arange(m) >= lengths[:, None]] = 0
         discounts = 1.0 / np.log2(np.arange(2, m + 2))

@@ -17,14 +17,18 @@ are the shorter side of the data (items when I < U, users otherwise).  The
 ELBO is exact for this variational family and must be non-decreasing; a
 decrease beyond roundoff raises NumericalError since it indicates an update
 bug.
+
+SciPy (sparse products, digamma, gammaln) is imported inside the functions
+of the fit that use it, so that neither importing the package nor loading
+a fitted model for evaluate, predict or ppc loads it.
 """
 
+import functools
 import json
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DataError, NumericalError
 from .model import ThresholdSequence, log1mexp
@@ -54,10 +58,11 @@ class GammaVariationalMatrix:
     """Entrywise gamma posterior over a factor matrix, with its prior
     x_rk ~ Gamma(alpha, beta_r): one shape alpha, one rate per row.
 
-    Caches the per-entry mean E = shape/rate, the geometric mean
-    G = exp(digamma(shape))/rate (so log G = E[log .]), and the column sums
-    of E, which the opposite side's updates consume.  ValueError unless
-    shape and rate are equal 2-d shapes and beta has one entry per row.
+    Caches the per-entry mean E = shape/rate and the column sums of E,
+    which the opposite side's updates consume, and, on first use after
+    each set, the geometric mean G = exp(digamma(shape))/rate (so log G =
+    E[log .]).  ValueError unless shape and rate are equal 2-d shapes and
+    beta has one entry per row.
     """
 
     def __init__(self, shape, rate, alpha, beta):
@@ -76,8 +81,15 @@ class GammaVariationalMatrix:
         self.shape = shape
         self.rate = rate
         self.mean = shape / rate
-        self.geo_mean = np.exp(special.digamma(shape)) / rate
         self.mean_colsum = self.mean.sum(axis=0)
+        self.__dict__.pop("geo_mean", None)
+
+    @functools.cached_property
+    def geo_mean(self):
+        # not at module level: importing scipy costs ~0.27 s of CPU (2-core
+        # x86 box), and only the fit calls it
+        from scipy import special
+        return np.exp(special.digamma(self.shape)) / self.rate
 
     @property
     def n_rows(self):
@@ -89,6 +101,7 @@ class GammaVariationalMatrix:
 
     def prior_minus_entropy(self):
         """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form."""
+        from scipy import special  # see geo_mean
         a, b, a_t = self.alpha, self.beta[:, None], self.shape
         e_log = special.digamma(a_t) - np.log(self.rate)
         term = (a * np.log(b) - special.gammaln(a)
@@ -195,6 +208,14 @@ def entry_intensities(state, data):
     return entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
 
 
+def _csr(data, values):
+    """scipy CSR matrix over data's sparsity pattern holding values, one
+    per stored entry in CSR order."""
+    from scipy import sparse  # see GammaVariationalMatrix.geo_mean
+    return sparse.csr_matrix((values, data.cols, data.indptr),
+                             shape=(data.n_users, data.n_items))
+
+
 def class_indicators(data):
     """(rows_are_items, [Y_1 .. Y_V]): one 0/1 CSR matrix per class l, with
     a 1 at each entry y_ui = l.  Rows are items when I < U and users
@@ -202,7 +223,7 @@ def class_indicators(data):
     by_item = data.n_items < data.n_users
     mats = []
     for cls in range(1, data.n_classes + 1):
-        Y = data.csr((data.vals == cls).astype(float))
+        Y = _csr(data, (data.vals == cls).astype(float))
         Y.eliminate_zeros()
         mats.append(Y.T.tocsr() if by_item else Y)
     return by_item, mats
@@ -269,7 +290,7 @@ def local_update(state, data, lam_big, point_mass=False):
         e_n = ztp_mean(lam_big * delta_y)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
     GW, GH = state.W.geo_mean, state.H.geo_mean
-    ratio = data.csr(e_n / lam_big)
+    ratio = _csr(data, e_n / lam_big)
     cw = GW * (ratio @ GH)
     ch = GH * (ratio.T @ GW)
     return LocalStats(e_n=e_n, cw=cw, ch=ch)
@@ -282,7 +303,7 @@ def update_factors(state, data, stats):
     * colsum term plus a sparse term from one CSR of exposure(y) - theta_0
     over the non-zeros (its transpose for the items)."""
     theta0 = state.thresholds.theta[0]
-    weights = data.csr(state.thresholds.exposure(data.vals) - theta0)
+    weights = _csr(data, state.thresholds.exposure(data.vals) - theta0)
     for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
                                      (state.H, stats.ch, weights.T, state.W)):
         rate = (side.beta[:, None] + theta0 * other.mean_colsum[None, :]

@@ -1,13 +1,17 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordnmf
 from ordnmf.baselines import binarize
 from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
@@ -17,6 +21,20 @@ from oracles import damaged_ordmat, random_state_like
 
 PROTOCOL_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
                    / "reproduce_protocol.sh")
+# runs the stages of a JSON list of argv lists, then train's argv, through
+# ordnmf.cli.main; the last line it prints is a JSON record of the exit
+# codes and of the scipy modules loaded before and after train
+SCIPY_PROBE = """
+import json, sys
+from ordnmf.cli import main
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+stages, train = json.load(sys.stdin)
+codes = [main(argv) for argv in stages]
+before = scipy_modules()
+codes.append(main(train))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
 
 
 @pytest.fixture()
@@ -177,6 +195,37 @@ class TestPipeline:
         assert sorted(r[2] for r in rows if r[0] == "1") == ["1", "2", "3", "4"]
         assert "-inf" not in out.read_text()
 
+    def test_only_train_imports_scipy(self, tmp_path, triplet_file,
+                                      ranking_files):
+        """One fresh interpreter runs every other stage without loading
+        SciPy, then train, which does load it."""
+        mat = tmp_path / "data.ordmat"
+        model, train = ranking_files["model"], ranking_files["train"]
+        stages = [
+            ["quantize", "--input", triplet_file, "--output", mat,
+             "--boundaries", "1,5", "--delimiter", ","],
+            ["split", "--input", mat, "--train-output", tmp_path / "a.ordmat",
+             "--test-output", tmp_path / "b.ordmat"],
+            ["evaluate", "--model", model, "--train", train,
+             "--test", ranking_files["test"], "--output", tmp_path / "e.txt"],
+            ["predict", "--model", model, "--train", train,
+             "--output", tmp_path / "top.txt"],
+            ["ppc", "--model", model, "--train", train,
+             "--output", tmp_path / "ppc.txt", "--budget", 100]]
+        fit = ["train", "--input", train, "--output", tmp_path / "m.npz",
+               "--k", 2, "--max-iter", 2]
+        src = str(Path(ordnmf.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+            input=json.dumps([[[str(a) for a in argv] for argv in stages],
+                              [str(a) for a in fit]]))
+        record = json.loads(child.stdout.splitlines()[-1])
+        assert record["codes"] == [0] * 6, child.stderr
+        assert record["before"] == []
+        assert "scipy.sparse" in record["after"]
+        assert "scipy.special" in record["after"]
+
     def test_protocol_script_commands_parse(self):
         # join the continuation lines, then stand 1 in for each variable
         text = PROTOCOL_SCRIPT.read_text().replace("\\\n", " ")
@@ -256,12 +305,25 @@ class TestErrorHandling:
         (["predict", "--users", "-1"], "--users: user index -1 outside 0..1"),
         (["evaluate", "--ndcg-thresholds", "a"],
          "--ndcg-thresholds: expected comma-separated integers, got 'a'"),
+        # an empty list is an error, not the flag's absence
+        (["evaluate", "--ndcg-thresholds", ""],
+         "--ndcg-thresholds: expected comma-separated integers, got ''"),
+        (["predict", "--users", ""],
+         "--users: expected comma-separated integers, got ''"),
+        (["quantize", "--boundaries", ""],
+         "--boundaries: expected comma-separated integers, got ''"),
+        (["quantize", "--boundaries", ","],
+         "--boundaries: expected comma-separated integers, got ','"),
     ], ids=["train-restarts-0", "ppc-budget-0", "predict-users-a",
             "predict-users-7", "predict-users-negative",
-            "evaluate-ndcg-thresholds-a"])
+            "evaluate-ndcg-thresholds-a", "evaluate-ndcg-thresholds-empty",
+            "predict-users-empty", "quantize-boundaries-empty",
+            "quantize-boundaries-comma"])
     def test_bad_counts_and_lists_rejected(self, tmp_path, capsys,
-                                           ranking_files, argv, message):
-        files = {"train": ["--input", ranking_files["train"], "--k", 2],
+                                           ranking_files, triplet_file, argv,
+                                           message):
+        files = {"quantize": ["--input", triplet_file, "--delimiter", ","],
+                 "train": ["--input", ranking_files["train"], "--k", 2],
                  "ppc": ["--model", ranking_files["model"],
                          "--train", ranking_files["train"]],
                  "predict": ["--model", ranking_files["model"]],

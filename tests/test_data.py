@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ordnmf import data as data_module
 from ordnmf.data import (OrdinalMatrix, QuantizationScheme, load_triplets,
@@ -45,6 +46,17 @@ def make_matrix(dense, n_classes=None):
     return OrdinalMatrix(dense.shape[0], dense.shape[1],
                          n_classes or int(dense.max()), rows, cols,
                          dense[rows, cols])
+
+
+@st.composite
+def row_blocks(draw):
+    """A small class matrix (often without entries, or with empty rows)
+    and a list of its users that may repeat and come in any order."""
+    U, I = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    dense = draw(hnp.arrays(np.int64, (U, I), elements=st.sampled_from(
+        [0, 0, 0, 1, 2])))
+    users = draw(st.lists(st.integers(0, U - 1), max_size=2 * U + 1))
+    return dense, users
 
 
 class TestLoadTriplets:
@@ -108,6 +120,12 @@ class TestLoadTriplets:
         # a whole line 2: the tab would split the user's index map line
         ("b\tc,y,3", "user id 'b\\tc' holds a tab"),
         ("b,y\tz,3", "item id 'y\\tz' holds a tab"),
+        # str.splitlines would split the map line at these; the bulk
+        # reader leaves each such line to _parse_line
+        ("a\x1cb,y,3", "user id 'a\\x1cb' holds a line break"),
+        ("b,c\rd,3", "item id 'c\\rd' holds a line break"),
+        ("b\u2028c,y,3", "user id 'b\\u2028c' holds a line break"),
+        ("b,y\x85z,3", "item id 'y\\x85z' holds a line break"),
     ])
     def test_non_integer_value_rejected(self, tmp_path, raw, message):
         """raw is line 2's value, or the whole line when it holds a comma."""
@@ -338,6 +356,19 @@ class TestOrdinalMatrix:
         mat = make_matrix([[1, 0, 2], [0, 2, 3]], n_classes=3)
         assert mat.class_counts.tolist() == [1, 2, 1]
         assert mat.class_counts.sum() == mat.nnz
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_blocks())
+    # no entries; the last user, repeated and out of order, and an empty user
+    @example((np.zeros((3, 4), dtype=np.int64), [2, 0, 2]))
+    @example((np.array([[0, 2, 0], [0, 0, 0], [1, 0, 2]]), [2, 1, 0, 2]))
+    def test_dense_rows_match_dense_matrix(self, case):
+        dense, users = case
+        mat = make_matrix(dense, n_classes=2)
+        got = mat.dense_rows(users)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, mat.to_dense()[np.asarray(users, dtype=np.int64)])
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -99,7 +99,7 @@ class TestNdcg:
     def test_negative_list_length_rejected(self):
         train, _ = matrices_for_ranking()
         with pytest.raises(ConfigError, match="list length must be >= 1, got -2"):
-            top_m_items(np.zeros((3, 6)), np.arange(3), train.csr(), -2)
+            top_m_items(np.zeros((3, 6)), np.arange(3), train, -2)
 
     def test_batch_evaluator_matches_single(self):
         rng = np.random.default_rng(4)
@@ -150,7 +150,7 @@ class TestRankingKernel:
         state.W.set(case["w"], np.ones_like(case["w"]))
         state.H.set(case["h"], np.ones_like(case["h"]))
         scores = predict_scores(state)
-        exclude = train.csr() if case["exclude"] else None
+        exclude = train if case["exclude"] else None
         want = top_m_bruteforce(
             scores, case["train"] if case["exclude"] else None, m)
 
