@@ -59,7 +59,10 @@ def _at_least(cfg, key, low):
 
 
 def cmd_quantize(cfg):
-    triplets = load_triplets(cfg["input"], delimiter=cfg["delimiter"] or None,
+    if cfg["delimiter"] == "":  # not "split on whitespace", as None is
+        raise ConfigError("--delimiter: expected one or more characters, "
+                          "got ''")
+    triplets = load_triplets(cfg["input"], delimiter=cfg["delimiter"],
                              skip_header=cfg["header"])
     if cfg["boundaries"] is not None:
         scheme = QuantizationScheme(_parse_int_list(cfg, "boundaries"))

@@ -8,6 +8,7 @@ construction and safe for shared read access.
 import functools
 import itertools
 import os
+import re
 import struct
 
 import numpy as np
@@ -206,11 +207,19 @@ def load_triplets(path, delimiter=None, skip_header=False):
     and must be UTF-8; each rejection is a ParseError naming path and line,
     the first in file order when there are several.
 
-    The file is read once, in runs of whole lines.  The clean lines of a
-    run (see _split_clean_lines) are split in bulk; only the other lines
-    go through _parse_line, so that every line is accepted or rejected as
-    _parse_line alone would.
+    The file is read once, in runs of whole lines, and each run is walked
+    in file order.  A clean line is user, separator, item, separator,
+    value, an optional "\r" and the newline.  The separator is one space or
+    tab, or the delimiter when one is given; each id is non-empty and holds
+    no whitespace, no delimiter and no byte that is not UTF-8; the value is
+    1 to 18 ASCII digits, the first not 0.  On such a line _parse_line's
+    decode, strip and split change nothing and it accepts the value, so
+    each stretch of clean lines is split in one pass.  Every other line
+    goes through _parse_line, so that every line is accepted or rejected
+    as _parse_line alone would.  No line is clean when the delimiter is
+    longer than one character, "\n", "\r" or an ASCII digit.
     """
+    clean = _clean_line(delimiter)
     users, items = {}, {}  # id -> index, in first-appearance order
     empty = np.zeros(0, dtype=np.int64)
     parts, error = [(empty,) * 4], None  # (lines, rows, cols, values)
@@ -221,7 +230,7 @@ def load_triplets(path, delimiter=None, skip_header=False):
             first_line = 2
         for first_line, data in _line_runs(fh, first_line):
             lines, uids, iids, values, error = _parse_lines(
-                data, delimiter, path, first_line)
+                data, clean, delimiter, path, first_line)
             parts.append((lines, _index(users, uids), _index(items, iids),
                           values))
             if error is not None:
@@ -260,112 +269,74 @@ def _line_runs(fh, first_line):
         yield first_line, rest
 
 
-def _parse_lines(data, delimiter, path, first_line):
+# the characters that str.isspace, str.strip and str.split take for
+# whitespace: re's \s, spelled out, because a class that holds \s matches
+# ~45% slower than one made of characters and ranges only
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a"
+               "\u2028\u2029\u202f\u205f\u3000")
+
+
+def _clean_line(delimiter):
+    """Regex that matches the longest stretch of clean lines (see
+    load_triplets) at a position in a run decoded with surrogateescape,
+    which turns each byte that is not UTF-8 into a lone surrogate; ids
+    exclude those.  A value of at most 18 digits is below 2^63.  The empty
+    pattern when no line is clean: a digit delimiter could sit inside the
+    value, one that is part of a line end would split it, and no UTF-8
+    line holds a lone surrogate.
+    """
+    if delimiter is None:
+        sep, excluded = "[ \t]", ""
+    elif len(delimiter) == 1 and not (delimiter in "\n\r"
+                                      or "0" <= delimiter <= "9"
+                                      or "\ud800" <= delimiter <= "\udfff"):
+        sep = excluded = re.escape(delimiter)
+    else:
+        return re.compile("")
+    field = f"[^{_WHITESPACE}{excluded}\ud800-\udfff]+"
+    return re.compile(f"(?:{field}{sep}{field}{sep}[1-9][0-9]{{0,17}}\r?\n)*")
+
+
+def _parse_lines(data, clean, delimiter, path, first_line):
     """(line numbers, user ids, item ids, values, error) of data, whole
-    lines whose first is line first_line.  error is the ParseError of the
-    first line that fails, or None; the entries stop before that line."""
-    starts, ends, clean, users, items, values = _split_clean_lines(
-        data, delimiter)
-    lines = np.flatnonzero(clean)
-    other = np.flatnonzero(~clean)
-    parsed, error = [], None
-    for j, start, end in zip(other.tolist(), starts[other].tolist(),
-                             ends[other].tolist()):
+    lines whose first is line first_line, in file order.  clean is
+    _clean_line(delimiter).  error is the ParseError of the first line
+    that fails, or None; the entries stop before that line."""
+    text = data.decode(errors="surrogateescape")
+    users, items, values, blank = [], [], [], []
+    pos, line, error = 0, first_line, None
+    while pos < len(text):
+        end = clean.match(text, pos).end()
+        if end > pos:  # split the stretch of clean lines in one pass
+            stretch = text[pos:end]
+            fields = (stretch.split() if delimiter is None
+                      else stretch.replace("\n", delimiter).split(delimiter))
+            n = len(fields) // 3
+            users += fields[0:3 * n:3]
+            items += fields[1:3 * n:3]
+            values += fields[2:3 * n:3]  # with the "\r" of a CRLF line
+            pos, line = end, line + n
+            continue
+        end = text.find("\n", pos) + 1 or len(text)
         try:
             # the line's bytes, its newline included, as iterating over the
             # file yields them: a decode error names the same position
-            triplet = _parse_line(data[start:end + 1], delimiter)
+            triplet = _parse_line(
+                text[pos:end].encode("utf-8", "surrogateescape"), delimiter)
         except ValueError as exc:
-            error = ParseError(path, first_line + j, exc)
-            n = np.searchsorted(lines, j)
-            lines, users, items, values = (lines[:n], users[:n], items[:n],
-                                           values[:n])
+            error = ParseError(path, line, exc)
             break
-        if triplet is not None:
-            parsed.append((j, *triplet))
-    if parsed:
-        more_lines, more_users, more_items, more_values = zip(*parsed)
-        lines = np.concatenate((lines, more_lines))
-        order = np.argsort(lines)
-        lines = lines[order]
-        users = np.array(users + list(more_users), dtype=object)[order].tolist()
-        items = np.array(items + list(more_items), dtype=object)[order].tolist()
-        values = np.concatenate(
-            (values, np.asarray(more_values, dtype=np.int64)))[order]
-    return lines + first_line, users, items, values, error
-
-
-# byte classes for _split_clean_lines: printable ASCII other than space,
-# which str.strip and str.split leave alone, and the newline that ends a
-# line are "plain"; a delimiter byte is a separator; the rest are "other"
-_PLAIN, _SEPARATOR, _OTHER = 0, 1, 2
-# every value of at most 18 decimal digits is below 2^63
-_MAX_FAST_DIGITS = 18
-
-
-def _split_clean_lines(data, delimiter):
-    """(starts, ends, clean, users, items, values) of the lines of data.
-
-    Line j spans data[starts[j]:ends[j]], its newline excluded; clean[j]
-    marks a line with exactly two separator bytes (the delimiter, or space
-    or tab when it is None), no "other" byte, three non-empty fields and a
-    value of 1 to 18 ASCII digits that is not zero, perhaps followed by a
-    "\r" before the newline.  On such a line _parse_line's decode, strip
-    and split change nothing, so the clean lines are split in one pass:
-    users, items and values hold their fields in file order.  (A "\r" left
-    at the end of a value field is never read.)
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newline_at = np.flatnonzero(buf == 10)
-    starts = np.concatenate(([0], newline_at + 1))
-    ends = np.append(newline_at, buf.size)
-    if starts[-1] == buf.size:  # no line follows the last newline
-        starts, ends = starts[:-1], ends[:-1]
-    if delimiter is None:
-        separators = b" \t"
-    elif len(delimiter) == 1 and delimiter.isascii() and delimiter != "\n":
-        separators = delimiter.encode()
-    else:  # only _parse_line splits on longer or non-ASCII delimiters
-        separators = b""
-    kind = np.full(256, _OTHER, dtype=np.uint8)
-    kind[0x21:0x7f] = kind[10] = _PLAIN
-    kind[list(separators)] = _SEPARATOR
-    kind = kind[buf]
-    # a "\r" right before a newline ends the line with it: str.strip
-    # drops it, so it does not make the line unclean
-    before = newline_at[newline_at > 0] - 1
-    cr_at = before[buf[before] == 13]
-    kind[cr_at] = _PLAIN
-    sep_at = np.flatnonzero(kind == _SEPARATOR)
-    first_sep = np.searchsorted(sep_at, starts)
-    clean = np.diff(np.append(first_sep, sep_at.size)) == 2
-    other_at = np.flatnonzero(kind == _OTHER)
-    clean[np.searchsorted(starts, other_at, side="right") - 1] = False
-    candidates = np.flatnonzero(clean)
-    sep1 = sep_at[first_sep[candidates]]
-    sep2 = sep_at[first_sep[candidates] + 1]
-    end = ends[candidates]
-    end = end - (buf[end - 1] == 13)  # value ends before that "\r"
-    width = end - sep2 - 1
-    ok = ((sep1 > starts[candidates]) & (sep2 > sep1 + 1) & (width >= 1)
-          & (width <= _MAX_FAST_DIGITS))
-    values = np.zeros(candidates.size, dtype=np.int64)
-    for k in range(int(width[ok].max(initial=0))):  # k-th digit from the right
-        digit = buf[np.maximum(end - 1 - k, 0)].astype(np.int64) - ord("0")
-        in_value = k < width
-        ok &= ~in_value | ((digit >= 0) & (digit <= 9))
-        values += np.where(in_value & ok, digit * 10**k, 0)
-    ok &= values > 0
-    clean[candidates[~ok]] = False
-    n = int(ok.sum())
-    if n < starts.size:
-        lengths = np.diff(np.append(starts, buf.size))
-        data = buf[np.repeat(clean, lengths)].tobytes()
-    text = data.decode("ascii")
-    fields = (text.split() if delimiter is None
-              else text.replace("\n", delimiter).split(delimiter))
-    return (starts, ends, clean, fields[0:3 * n:3], fields[1:3 * n:3],
-            values[ok])
+        if triplet is None:
+            blank.append(line - first_line)
+        else:
+            users.append(triplet[0])
+            items.append(triplet[1])
+            values.append(str(triplet[2]))
+        pos, line = end, line + 1
+    # digits and "\r": the separator " " skips any whitespace
+    values = np.fromstring(" ".join(values), dtype=np.int64, sep=" ")
+    lines = np.delete(np.arange(first_line, line), blank)
+    return lines, users, items, values, error
 
 
 def _index(position, ids):

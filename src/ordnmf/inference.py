@@ -76,8 +76,11 @@ class GammaVariationalMatrix:
     def set(self, shape, rate):
         shape = np.asarray(shape, dtype=float)
         rate = np.asarray(rate, dtype=float)
-        if np.any(shape <= 0) or np.any(rate <= 0):
-            raise NumericalError("gamma variational parameters must be positive")
+        # NaN fails every comparison, so test for what is allowed
+        for a in (shape, rate):
+            if not np.all(np.isfinite(a) & (a > 0)):
+                raise NumericalError(
+                    "gamma variational parameters must be finite and positive")
         self.shape = shape
         self.rate = rate
         self.mean = shape / rate
@@ -204,8 +207,16 @@ def entry_dot(A, B, rows, cols):
 
 
 def entry_intensities(state, data):
-    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means)."""
-    return entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
+    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means).
+    NumericalError naming the first entry where it is not finite and
+    positive, as when G underflows under a small prior shape."""
+    lam = entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
+    bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(f"intensity {lam[j]} at (u={data.rows[j]}, "
+                             f"i={data.cols[j]}) is not finite and positive")
+    return lam
 
 
 def _csr(data, values):
@@ -279,10 +290,6 @@ def local_update(state, data, lam_big, point_mass=False):
     n proportionally to Lambda_uik.  Returns the per-(u,k) and per-(i,k)
     allocation totals.
     """
-    if not np.all(np.isfinite(lam_big)):
-        j = int(np.flatnonzero(~np.isfinite(lam_big))[0])
-        raise NumericalError(
-            f"non-finite intensity at (u={data.rows[j]}, i={data.cols[j]})")
     if point_mass:
         e_n = np.ones_like(lam_big)
     else:

@@ -163,8 +163,9 @@ class ThresholdSequence:
         with cdf(v) >= u is the count of v < V with cdf(v) < u, taken one v
         at a time: extra memory is O(len(lam)) whatever V is."""
         lam = np.asarray(lam, dtype=float)
-        if np.any(lam <= 0):
-            raise ValueError("sample_class requires lambda > 0")
+        # lambda = 0 is class 0 for sure (cdf = 1 > u); NaN fails the test
+        if not np.all(lam >= 0):
+            raise ValueError("sample_class requires lambda >= 0")
         u = rng.random(size=lam.shape)
         classes = np.zeros(lam.shape, dtype=np.int64)
         for theta_v in self.theta:

@@ -314,11 +314,13 @@ class TestErrorHandling:
          "--boundaries: expected comma-separated integers, got ''"),
         (["quantize", "--boundaries", ","],
          "--boundaries: expected comma-separated integers, got ','"),
+        (["quantize", "--delimiter", ""],
+         "--delimiter: expected one or more characters, got ''"),
     ], ids=["train-restarts-0", "ppc-budget-0", "predict-users-a",
             "predict-users-7", "predict-users-negative",
             "evaluate-ndcg-thresholds-a", "evaluate-ndcg-thresholds-empty",
             "predict-users-empty", "quantize-boundaries-empty",
-            "quantize-boundaries-comma"])
+            "quantize-boundaries-comma", "quantize-delimiter-empty"])
     def test_bad_counts_and_lists_rejected(self, tmp_path, capsys,
                                            ranking_files, triplet_file, argv,
                                            message):
@@ -331,7 +333,8 @@ class TestErrorHandling:
                               "--train", ranking_files["train"],
                               "--test", ranking_files["test"]]}[argv[0]]
         out = tmp_path / "out.txt"
-        assert run(*argv, *files, "--output", out) == 1
+        # argv's flag comes last, so it is the one parsed
+        assert run(argv[0], *files, *argv[1:], "--output", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -493,6 +496,34 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             "error: --bepof and --pf are mutually exclusive\n")
         assert not model.exists()
+
+    def test_underflowing_intensity_stops_train(self, tmp_path, capsys):
+        # under prior shapes of 1e-3 the initial geometric means
+        # exp(digamma(shape)) / rate underflow to 0, and so does Lambda
+        mat = tmp_path / "train.ordmat"
+        users, items = np.divmod(np.arange(90), 3)
+        classes = (users + items) % 3 + 1
+        OrdinalMatrix(30, 3, 3, users, items, classes).save(mat)
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", mat, "--output", model, "--k", 2,
+                   "--alpha-w", 1e-3, "--alpha-h", 1e-3) == 1
+        assert capsys.readouterr().err == (
+            "error: intensity 0.0 at (u=0, i=0) is not finite and positive\n")
+        assert list(tmp_path.iterdir()) == [mat]
+
+    def test_ppc_draws_of_zero_intensity(self, tmp_path, ranking_files):
+        # gamma draws at shape 1e-3 are 0.0 about half the time, so some
+        # cells get lambda = 0, which is class 0 for sure
+        train = OrdinalMatrix.load(ranking_files["train"])
+        state = random_state_like(train, 2, np.random.default_rng(0))
+        for factor in (state.W, state.H):
+            factor.set(np.full_like(factor.shape, 1e-3), factor.rate)
+        model = tmp_path / "tiny.npz"
+        save_state(model, state)
+        out = tmp_path / "ppc.txt"
+        assert run("ppc", "--model", model, "--train", ranking_files["train"],
+                   "--output", out, "--budget", 1000) == 0
+        assert "# simulated non-zero: " in out.read_text()
 
 
 class TestConfigPrecedence:

@@ -1,5 +1,7 @@
 """Ingestion, quantization, splitting, and the binary format."""
 
+import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -26,18 +28,31 @@ FIELD = (st.lists(st.sampled_from(FIELD_PIECES), max_size=4).map(b"".join)
              lambda n: str(n).encode())
          | st.floats().map(lambda x: repr(x).encode()))
 # fields of lines the bulk reader splits itself: a few ids, so that pairs
-# repeat, and values of up to 20 digits, so that some exceed its 18; an
-# empty id and some values need the per-line parse
-CLEAN_ID = (st.sampled_from([b"a", b"b", b"u1", b""])
-            | st.text("ab1_-.+", min_size=1, max_size=3).map(str.encode))
+# repeat, some of them not ASCII, and values of up to 20 digits, so that
+# some exceed its 18; an empty id and some values need the per-line parse
+CLEAN_ID = (st.sampled_from([b"a", b"b", b"u1", b"", "\u00e9".encode()])
+            | st.text("ab1_-.+\u00e9\u20ac", min_size=1, max_size=3).map(
+                str.encode))
 CLEAN_VALUE = (st.integers(1, 10**20).map(lambda n: str(n).encode())
-               | st.sampled_from([b"0", b"00", b"007", b"999999999999999999",
+               | st.sampled_from([b"0", b"00", b"007", b"10",
+                                  b"999999999999999999",
                                   b"1000000000000000000",
                                   b"9223372036854775808"]))
 # bytes that make a clean line need the per-line parse: whitespace that
 # str.strip drops, a no-break space, a delimiter, a sign, a decimal point
 STRAY_BYTES = [b"\r", b" ", b"\t", b"\x0b", b"\x1c", b"\xc2\xa0", b",", b"+",
                b"."]
+# one delimiter for each branch of the clean-line rule: whitespace, one
+# ASCII or non-ASCII character, and ones that make no line clean (a digit,
+# two characters, either half of a line end)
+DELIMITERS = [None, ",", "\t", ";", "\u00a7", "1", "::", "\r", "\n"]
+
+
+def separators(delimiter):
+    """Strategy for the bytes between fields under delimiter."""
+    if delimiter is None:
+        return st.sampled_from([b" ", b"\t"])
+    return st.just(delimiter.encode())
 
 
 def make_matrix(dense, n_classes=None):
@@ -151,11 +166,10 @@ class TestLoadTriplets:
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
-    @given(st.data(), st.sampled_from([None, ","]))
+    @given(st.data(), st.sampled_from(DELIMITERS))
     def test_random_lines_load_or_name_path_and_line(self, tmp_path, data,
                                                      delimiter):
-        sep = data.draw(st.sampled_from([b" ", b"\t"]) if delimiter is None
-                        else st.just(b","))
+        sep = data.draw(separators(delimiter))
         fields = st.lists(FIELD, min_size=3, max_size=3) | st.lists(FIELD)
         lines = data.draw(st.lists(fields.map(sep.join) | st.binary(),
                                    max_size=4))
@@ -179,17 +193,16 @@ class TestLoadTriplets:
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
-    @given(st.data(), st.sampled_from([None, ","]), st.booleans(),
+    @given(st.data(), st.sampled_from(DELIMITERS), st.booleans(),
            st.sampled_from([1 << 18, 7]))
     def test_matches_line_by_line_oracle(self, tmp_path, data, delimiter,
                                          skip_header, run_bytes):
         """Clean lines, clean lines with a stray byte, the fuzz lines, CRLF
         and blank lines, an optional final newline; 7-byte reads put line
         breaks across runs."""
-        sep = data.draw(st.sampled_from([b" ", b"\t"]) if delimiter is None
-                        else st.just(b","))
+        sep = data.draw(separators(delimiter))
         clean = st.tuples(CLEAN_ID, CLEAN_ID, CLEAN_VALUE).map(sep.join)
-        stray = st.tuples(clean, st.sampled_from(STRAY_BYTES),
+        stray = st.tuples(clean, st.sampled_from(STRAY_BYTES + [sep]),
                           st.integers(0, 12)).map(
             lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
         fuzz = ((st.lists(FIELD, min_size=3, max_size=3) | st.lists(FIELD))
@@ -211,15 +224,15 @@ class TestLoadTriplets:
             got = self.outcome(load_triplets, p, **kwargs)
         assert got == self.outcome(load_triplets_by_line, p, **kwargs)
 
-    @pytest.mark.parametrize("delimiter", [None, ","])
+    @pytest.mark.parametrize("delimiter", DELIMITERS)
     def test_stray_byte_anywhere_matches_oracle(self, tmp_path, delimiter):
         """A clean line with each stray byte at each position, or with one
         field empty."""
-        sep = b"," if delimiter else b" "
+        sep = (delimiter or " ").encode()
         fields = [b"ab", b"xy", b"12"]
         line = sep.join(fields)
         variants = [line[:at] + stray + line[at:]
-                    for stray in STRAY_BYTES + [b"\n", b"0"]
+                    for stray in STRAY_BYTES + [sep, b"\n", b"0"]
                     for at in range(len(line) + 1)]
         variants += [sep.join(fields[:k] + [b""] + fields[k + 1:])
                      for k in range(3)]
@@ -244,6 +257,9 @@ class TestLoadTriplets:
                                            "(\u00e9, x)"),
         (b"a,x,000000000000000000003\nb,y,0\n", "line 2: non-positive "
                                                  "value 0"),
+        # blank lines hold no entry, but count
+        (b"a,x,3\n\nb,y,1\n \r\na,x,4\n", "line 5: duplicate entry for "
+                                          "(a, x)"),
     ])
     def test_first_fault_in_file_order(self, tmp_path, text, message):
         p = tmp_path / "t.csv"
@@ -273,6 +289,24 @@ class TestLoadTriplets:
         t = load_triplets(p, delimiter=",")
         assert calls == [b"u19,i500,3.0\n"]
         assert t.counts[500] == 3 and t.rows[500] == 19
+        calls.clear()
+        # ids that are not ASCII, and a tab for the delimiter
+        p.write_text("\u00fc1,\u20ac2,3\n\u00fc1,\u00e9,40\r\n",
+                     encoding="utf-8")
+        t = load_triplets(p, delimiter=",")
+        assert t.user_ids == ["\u00fc1"]
+        assert t.item_ids == ["\u20ac2", "\u00e9"]
+        assert t.counts.tolist() == [3, 40]
+        p.write_text("a\tx\t3\nb\ty\t4\n")
+        for delimiter in ("\t", None):
+            t = load_triplets(p, delimiter=delimiter)
+            assert t.item_ids == ["x", "y"] and t.counts.tolist() == [3, 4]
+        assert calls == []
+
+    def test_whitespace_class_is_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(f"[{data_module._WHITESPACE}]", every) == [
+            c for c in every if c.isspace()]
 
     def test_duplicate_in_large_clean_file_names_line(self, tmp_path):
         # several runs of reading, so the line count carries across them

@@ -491,7 +491,8 @@ class TestPredictAndSerialize:
                                       "truncated", "missing-key", "bad-theta",
                                       "w-rate-shape", "h-rate-shape",
                                       "k-mismatch", "beta-w-length",
-                                      "beta-h-length"])
+                                      "beta-h-length", "nan-w-shape",
+                                      "inf-h-rate"])
     def test_load_state_rejects_other_files(self, tmp_path, kind):
         path = tmp_path / f"model.{kind}"
         if kind in ("text", "empty"):
@@ -520,6 +521,10 @@ class TestPredictAndSerialize:
                                        "w_rate": np.ones((2, 3))},
                         "beta-w-length": {"beta_w": np.ones(3)},
                         "beta-h-length": {"beta_h": np.ones(1)},
+                        "nan-w-shape": {"w_shape": np.array([[np.nan, 1.0],
+                                                             [1.0, 1.0]])},
+                        "inf-h-rate": {"h_rate": np.array([[np.inf, 1.0],
+                                                           [1.0, 1.0]])},
                     }[kind])
                 with open(path, "wb") as fh:
                     np.savez(fh, **fields)

@@ -192,8 +192,16 @@ class TestSampleClass:
 
     def test_tiny_lambda_gives_zero(self):
         thr = random_thresholds(3, np.random.default_rng(13))
-        draws = thr.sample_class(np.full(1000, 1e-12), np.random.default_rng(0))
-        assert np.all(draws == 0)
+        for lam in (1e-12, 0.0):
+            draws = thr.sample_class(np.full(1000, lam),
+                                     np.random.default_rng(0))
+            assert np.all(draws == 0)
+
+    @pytest.mark.parametrize("lam", [-1e-12, np.nan])
+    def test_negative_or_nan_lambda_rejected(self, lam):
+        thr = random_thresholds(3, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="requires lambda >= 0"):
+            thr.sample_class(np.array([1.0, lam]), np.random.default_rng(0))
 
     def test_matches_cdf_table_draw_for_draw(self):
         thr = random_thresholds(10, np.random.default_rng(15))
