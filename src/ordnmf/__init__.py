@@ -3,9 +3,7 @@
 from .baselines import binarize
 from .data import (
     OrdinalMatrix,
-    QuantizationScheme,
     load_triplets,
-    matrix_from_classes,
     quantize_counts,
     train_test_split,
 )

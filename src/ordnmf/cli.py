@@ -14,9 +14,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import binarize
-from .data import (OrdinalMatrix, QuantizationScheme, load_triplets,
-                   matrix_from_classes, quantize_counts, train_test_split,
-                   write_index_map)
+from .data import (OrdinalMatrix, load_triplets, quantize_counts,
+                   train_test_split, write_index_map)
 from .errors import ConfigError, OrdnmfError
 from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
                          ppc_report_text, ranking_report_text, score_blocks,
@@ -64,12 +63,8 @@ def cmd_quantize(cfg):
                           "got ''")
     triplets = load_triplets(cfg["input"], delimiter=cfg["delimiter"],
                              skip_header=cfg["header"])
-    if cfg["boundaries"] is not None:
-        scheme = QuantizationScheme(_parse_int_list(cfg, "boundaries"))
-        matrix = quantize_counts(triplets, scheme)
-    else:
-        n_classes = int(triplets.counts.max()) if triplets.counts.size else 1
-        matrix = matrix_from_classes(triplets, n_classes)
+    matrix = quantize_counts(triplets, None if cfg["boundaries"] is None
+                             else _parse_int_list(cfg, "boundaries"))
     matrix.save(cfg["output"])
     write_index_map(cfg["output"] + ".users", triplets.user_ids)
     write_index_map(cfg["output"] + ".items", triplets.item_ids)
@@ -102,6 +97,12 @@ def cmd_train(cfg):
     matrix = OrdinalMatrix.load(cfg["input"])
     if cfg["binarize_at"] is not None:
         matrix = binarize(matrix, cfg["binarize_at"])
+    # init_state draws each rows x K factor at once, and numpy caps an
+    # array at 2^63 - 1 bytes
+    rows = max(matrix.n_users, matrix.n_items)
+    if rows * cfg["k"] * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"n_components {cfg['k']} is too large: a {rows} x "
+                          f"{cfg['k']} float64 factor exceeds numpy's size limit")
     best = None
     for r in range(restarts):
         seed = cfg["seed"] + r
@@ -283,11 +284,15 @@ def main(argv=None):
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func", "subcommand")}
     try:
-        return args.func(cfg)
+        # an overflow leaves inf in what the command computes or writes
+        with np.errstate(over="raise"):
+            return args.func(cfg)
     except (OrdnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: {args.subcommand}: out of memory ({exc})", file=sys.stderr)
+    except FloatingPointError as exc:
+        print(f"error: {args.subcommand}: {exc}", file=sys.stderr)
     return 1
 
 

@@ -104,16 +104,14 @@ class OrdinalMatrix:
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that
         other holds too; None when they share none.  Same shape assumed."""
-        theirs = _cell_keys(other.rows, other.cols, self.n_items)
-        if theirs.size == 0:
+        # neither holds a duplicate, so the first repeat among other's
+        # entries followed by ours is our first entry that other holds
+        dup = _first_duplicate(np.concatenate((other.rows, self.rows)),
+                               np.concatenate((other.cols, self.cols)),
+                               self.n_items)
+        if dup is None:
             return None
-        mine = _cell_keys(self.rows, self.cols, self.n_items)
-        # both ascend in CSR order
-        at = np.minimum(np.searchsorted(theirs, mine), theirs.size - 1)
-        hit = np.flatnonzero(theirs[at] == mine)
-        if hit.size == 0:
-            return None
-        return int(self.rows[hit[0]]), int(self.cols[hit[0]])
+        return int(self.rows[dup - other.nnz]), int(self.cols[dup - other.nnz])
 
     def to_dense(self):
         """Dense class matrix with explicit zeros (small instances only)."""
@@ -153,35 +151,6 @@ class OrdinalMatrix:
             return cls(n_users, n_items, n_classes, rows, cols, vals)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-
-
-class QuantizationScheme:
-    """Strictly increasing positive integer boundaries q_1 < ... < q_V.
-
-    A count c maps to the smallest v with c <= q_v; counts above q_V fall
-    into the open top class V+1, so the scheme defines V+1 non-zero classes.
-    """
-
-    def __init__(self, boundaries):
-        boundaries = np.asarray(boundaries, dtype=np.int64)
-        if boundaries.ndim != 1 or boundaries.size == 0:
-            raise ConfigError("boundaries must be a non-empty 1-d sequence")
-        if boundaries[0] <= 0 or np.any(np.diff(boundaries) <= 0):
-            raise ConfigError("boundaries must be positive and strictly increasing")
-        self.boundaries = boundaries
-        self.boundaries.setflags(write=False)
-
-    @property
-    def n_classes(self):
-        # boundaries define len(boundaries) closed buckets plus the open top
-        return self.boundaries.size + 1
-
-    def class_of(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        if np.any(counts <= 0):
-            raise DataError("counts must be >= 1")
-        v = np.searchsorted(self.boundaries, counts, side="left") + 1
-        return int(v) if v.ndim == 0 else v
 
 
 class RawTriplets:
@@ -396,17 +365,33 @@ def _parse_line(line, delimiter):
     return uid, iid, value
 
 
-def quantize_counts(triplets, scheme):
-    """Map raw counts to ordinal classes under the quantization scheme."""
-    vals = scheme.class_of(triplets.counts)
-    return OrdinalMatrix(triplets.n_users, triplets.n_items, scheme.n_classes,
-                         triplets.rows, triplets.cols, vals)
+def quantize_counts(triplets, boundaries=None):
+    """OrdinalMatrix of the triplets' counts; the one place where counts
+    become classes and V is decided.
 
-
-def matrix_from_classes(triplets, n_classes):
-    """Treat the raw values as already-ordinal classes in 1..n_classes."""
+    With boundaries, strictly increasing positive integers q_1 < ... < q_n,
+    a count c gets the smallest v with c <= q_v, and counts above q_n the
+    open top class n + 1, so V = n + 1.  Without, the counts are the
+    classes and V is the largest of them (1 when there are none).
+    """
+    counts = triplets.counts
+    if np.any(counts <= 0):
+        raise DataError("counts must be >= 1")
+    if boundaries is None:
+        vals, n_classes = counts, int(counts.max()) if counts.size else 1
+    else:
+        try:
+            boundaries = np.asarray(boundaries, dtype=np.int64)
+        except OverflowError:
+            raise ConfigError("boundaries must lie in the int64 range") from None
+        if boundaries.ndim != 1 or boundaries.size == 0:
+            raise ConfigError("boundaries must be a non-empty 1-d sequence")
+        if boundaries[0] <= 0 or np.any(np.diff(boundaries) <= 0):
+            raise ConfigError("boundaries must be positive and strictly increasing")
+        vals = np.searchsorted(boundaries, counts, side="left") + 1
+        n_classes = boundaries.size + 1
     return OrdinalMatrix(triplets.n_users, triplets.n_items, n_classes,
-                         triplets.rows, triplets.cols, triplets.counts)
+                         triplets.rows, triplets.cols, vals)
 
 
 def write_index_map(path, ids):

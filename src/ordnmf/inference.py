@@ -384,7 +384,7 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
             + state.H.prior_minus_entropy())
     if not np.isfinite(elbo):
         raise NumericalError("non-finite ELBO")
-    return elbo
+    return float(elbo)  # fit's tol * |ELBO| then overflows without a warning
 
 
 def fit(data, config):

@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ordnmf
 from ordnmf.baselines import binarize
@@ -73,6 +76,46 @@ def ranking_files(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# option values for the sweep: extreme, negative, non-finite and malformed
+INTS = [-10**20, -1, 0, 1, 2, 2**63, 10**20]
+FLOATS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-320, 1e-3, 0.3, 1e308]
+INT_LISTS = ["", ",", "0", "-1", "3,1", "1,1", "a", "99999999999999999999"]
+# counts of restarts and sampled cells, kept small so that each run is short
+SMALL = [-1, 0, 1, 2]
+
+
+def some_of(**pools):
+    """Strategy for a dict holding any subset of the options, each drawn
+    from its pool of values."""
+    return st.fixed_dictionaries({}, optional={
+        name: st.sampled_from(pool) for name, pool in pools.items()})
+
+
+def train_options():
+    # extreme --max-iter only stops at once under tol = inf, and extreme
+    # --tol only within 3 iterations; every --k in INTS is at most 2 or
+    # beyond any array, so none allocates gigabytes
+    stopping = (st.fixed_dictionaries({"max_iter": st.sampled_from(INTS),
+                                       "tol": st.just(math.inf)})
+                | st.fixed_dictionaries({"tol": st.sampled_from(FLOATS),
+                                         "max_iter": st.just(3)}))
+    rest = some_of(k=INTS, alpha_w=FLOATS, alpha_h=FLOATS, seed=INTS,
+                   restarts=SMALL, bepof=[True], pf=[True], binarize_at=INTS)
+    return st.tuples(stopping, rest).map(lambda pair: {**pair[0], **pair[1]})
+
+
+SWEEP_OPTIONS = {
+    "quantize": some_of(boundaries=INT_LISTS,
+                        delimiter=[",", "", "\t", "ab"], header=[True]),
+    "split": some_of(test_fraction=FLOATS, seed=INTS),
+    "train": train_options(),
+    "evaluate": some_of(ndcg_thresholds=INT_LISTS, list_length=INTS),
+    "ppc": some_of(seed=INTS, budget=SMALL),
+    # True is a bare flag, or for predict --train the train file
+    "predict": some_of(train=[True], users=INT_LISTS, list_length=INTS),
+}
 
 
 class TestPipeline:
@@ -316,11 +359,17 @@ class TestErrorHandling:
          "--boundaries: expected comma-separated integers, got ','"),
         (["quantize", "--delimiter", ""],
          "--delimiter: expected one or more characters, got ''"),
+        (["quantize", "--boundaries", "99999999999999999999"],
+         "boundaries must lie in the int64 range"),
+        (["quantize", "--boundaries", "-99999999999999999999"],
+         "boundaries must lie in the int64 range"),
     ], ids=["train-restarts-0", "ppc-budget-0", "predict-users-a",
             "predict-users-7", "predict-users-negative",
             "evaluate-ndcg-thresholds-a", "evaluate-ndcg-thresholds-empty",
             "predict-users-empty", "quantize-boundaries-empty",
-            "quantize-boundaries-comma", "quantize-delimiter-empty"])
+            "quantize-boundaries-comma", "quantize-delimiter-empty",
+            "quantize-boundaries-above-int64",
+            "quantize-boundaries-below-int64"])
     def test_bad_counts_and_lists_rejected(self, tmp_path, capsys,
                                            ranking_files, triplet_file, argv,
                                            message):
@@ -442,6 +491,19 @@ class TestErrorHandling:
         assert err.endswith(")\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("k", [2**60, 10**20], ids=["2^60", "10^20"])
+    def test_k_beyond_largest_array_rejected(self, tmp_path, capsys,
+                                             ranking_files, k):
+        # a 5 x K float64 factor needs more than 2^63 - 1 bytes; a K below
+        # that which does not fit in memory takes the out-of-memory path
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", ranking_files["train"],
+                   "--output", model, "--k", k) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_components {k} is too large: a 5 x {k} float64 "
+            f"factor exceeds numpy's size limit\n")
+        assert sorted(tmp_path.iterdir()) == sorted(ranking_files.values())
+
     @pytest.mark.parametrize("argv, message", [
         (["split", "--seed", -1], "--seed must be >= 0, got -1"),
         (["train", "--seed", -1], "--seed must be >= 0, got -1"),
@@ -451,8 +513,11 @@ class TestErrorHandling:
          "alpha_w must be finite and positive, got nan"),
         (["train", "--alpha-h", "inf"],
          "alpha_h must be finite and positive, got inf"),
+        # the initial shapes alpha * (1 + 0.01 u) overflow
+        (["train", "--alpha-w", "1e308"],
+         "train: overflow encountered in multiply"),
     ], ids=["split-seed", "train-seed", "ppc-seed", "train-tol-nan",
-            "train-alpha-w-nan", "train-alpha-h-inf"])
+            "train-alpha-w-nan", "train-alpha-h-inf", "train-alpha-w-1e308"])
     def test_negative_seed_and_non_finite_options_rejected(
             self, tmp_path, capsys, ranking_files, argv, message):
         out = tmp_path / "out"
@@ -486,6 +551,15 @@ class TestErrorHandling:
             f"error: {test}: entry (user={shared[0]}, item={shared[1]}) is "
             f"also in the train matrix\n")
         assert not out.exists()
+
+    def test_huge_tol_stops_after_one_iteration(self, tmp_path, capsys,
+                                                ranking_files):
+        # tol * |ELBO| overflows to inf, which stops the fit as tol = inf does
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", ranking_files["train"], "--output",
+                   model, "--k", 2, "--tol", 1e308) == 0
+        out, err = capsys.readouterr()
+        assert (err, out.count("iterations=1 converged=True")) == ("", 1)
 
     def test_pf_and_bepof_together_rejected(self, tmp_path, capsys,
                                             ranking_files):
@@ -524,6 +598,53 @@ class TestErrorHandling:
         assert run("ppc", "--model", model, "--train", ranking_files["train"],
                    "--output", out, "--budget", 1000) == 0
         assert "# simulated non-zero: " in out.read_text()
+
+
+class TestOptionSweep:
+    """Every subcommand's options, drawn from extreme values, on a tiny
+    matrix: each run succeeds or fails with one error line."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(sorted(SWEEP_OPTIONS)).flatmap(
+        lambda command: st.tuples(st.just(command), SWEEP_OPTIONS[command])))
+    # tracebacks that random draws find in some runs only
+    @example(case=("quantize", {"boundaries": "99999999999999999999"}))
+    @example(case=("train", {"k": 10**20, "max_iter": 1, "tol": math.inf}))
+    def test_options_exit_cleanly(self, tmp_path, capsys, ranking_files,
+                                  case):
+        command, options = case
+        counts = tmp_path / "counts.txt"  # split on whitespace or on tabs
+        counts.write_text("u0\ti0\t3\nu0\ti1\t1\nu1\ti1\t7\n")
+        out = tmp_path / "out"
+        files = {"quantize": ["--input", counts, "--output", out],
+                 "split": ["--input", ranking_files["train"],
+                           "--train-output", out,
+                           "--test-output", tmp_path / "test.ordmat"],
+                 "train": ["--input", ranking_files["train"],
+                           "--output", out],
+                 "evaluate": ["--model", ranking_files["model"],
+                              "--train", ranking_files["train"],
+                              "--test", ranking_files["test"],
+                              "--output", out],
+                 "ppc": ["--model", ranking_files["model"],
+                         "--train", ranking_files["train"], "--output", out],
+                 "predict": ["--model", ranking_files["model"],
+                             "--output", out]}[command]
+        argv = [command, *files]
+        for name, value in options.items():
+            flag = "--" + name.replace("_", "-")
+            if value is True:
+                argv += ([flag, ranking_files["train"]] if name == "train"
+                         else [flag])
+            else:  # "--flag=value", so that "-inf" is read as a value
+                argv.append(f"{flag}={value}")
+        code = run(*argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:  # "." matches no line break, so this is one line
+            assert code == 1 and re.fullmatch("error: .*\n", err)
 
 
 class TestConfigPrecedence:

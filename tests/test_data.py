@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ordnmf import data as data_module
-from ordnmf.data import (OrdinalMatrix, QuantizationScheme, load_triplets,
+from ordnmf.data import (OrdinalMatrix, RawTriplets, load_triplets,
                          quantize_counts, train_test_split, write_index_map)
 from ordnmf.errors import ConfigError, DataError, OrdnmfError, ParseError
 
@@ -72,6 +72,26 @@ def row_blocks(draw):
         [0, 0, 0, 1, 2])))
     users = draw(st.lists(st.integers(0, U - 1), max_size=2 * U + 1))
     return dense, users
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two small class matrices of one shape, either disjoint or drawn
+    independently, so that they often share entries."""
+    U, I = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    cells = hnp.arrays(np.int64, (U, I), elements=st.sampled_from([0, 0, 1, 2]))
+    mine, theirs = draw(cells), draw(cells)
+    if draw(st.booleans()):
+        theirs[mine > 0] = 0
+    return make_matrix(mine, n_classes=2), make_matrix(theirs, n_classes=2)
+
+
+def first_shared_bruteforce(mine, theirs):
+    """(user, item) of mine's first entry in CSR order whose cell theirs
+    holds; None when there is none."""
+    cells = set(zip(theirs.rows.tolist(), theirs.cols.tolist()))
+    return next((cell for cell in zip(mine.rows.tolist(), mine.cols.tolist())
+                 if cell in cells), None)
 
 
 class TestLoadTriplets:
@@ -321,43 +341,66 @@ class TestLoadTriplets:
             f"{p}: line 87655: duplicate entry for (user12345, item237)")
 
 
-class TestQuantization:
-    scheme = QuantizationScheme(PLAYCOUNT_BOUNDARIES)
+def counts_triplets(counts):
+    """RawTriplets holding each count in a user of its own, item 0."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.size
+    return RawTriplets(n, 1, np.arange(n), np.zeros(n, dtype=np.int64),
+                       counts, [f"u{u}" for u in range(n)], ["i0"])
 
+
+def classes_of(counts, boundaries=PLAYCOUNT_BOUNDARIES):
+    """Class of each count, in order: each count is its own user."""
+    return quantize_counts(counts_triplets(counts), boundaries).vals.tolist()
+
+
+class TestQuantization:
     def test_count_35_maps_to_class_6(self):
-        assert self.scheme.class_of(35) == 6
+        assert classes_of([35]) == [6]
 
     def test_first_boundary(self):
-        assert self.scheme.class_of(1) == 1
+        assert classes_of([1]) == [1]
 
     def test_open_top_class(self):
         # 9 boundaries plus the open top bucket give 10 non-zero classes
-        assert self.scheme.n_classes == 10
-        assert self.scheme.class_of(501) == 10
+        mat = quantize_counts(counts_triplets([501]), PLAYCOUNT_BOUNDARIES)
+        assert mat.n_classes == 10
+        assert mat.vals.tolist() == [10]
 
     def test_invalid_schemes(self):
-        with pytest.raises(ConfigError):
-            QuantizationScheme([1, 1, 2])
-        with pytest.raises(ConfigError):
-            QuantizationScheme([0, 2])
-        with pytest.raises(DataError):
-            self.scheme.class_of(0)
+        for bounds, message in (
+                ([1, 1, 2], "positive and strictly increasing"),
+                ([0, 2], "positive and strictly increasing"),
+                ([], "non-empty 1-d sequence"),
+                ([[1, 2]], "non-empty 1-d sequence"),
+                ([2**63], "int64 range"), ([-10**20], "int64 range")):
+            with pytest.raises(ConfigError, match=message):
+                quantize_counts(counts_triplets([3]), bounds)
+        for bounds in (PLAYCOUNT_BOUNDARIES, None):
+            with pytest.raises(DataError, match="counts must be >= 1"):
+                quantize_counts(counts_triplets([3, 0]), bounds)
 
     def test_monotone_over_random_schemes(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             bounds = np.unique(rng.integers(1, 1000, size=rng.integers(1, 12)))
-            scheme = QuantizationScheme(bounds)
             counts = np.sort(rng.integers(1, 2000, size=100))
-            classes = scheme.class_of(counts)
-            assert np.all(np.diff(classes) >= 0)
+            assert np.all(np.diff(classes_of(counts, bounds)) >= 0)
 
     def test_quantize_counts_builds_matrix(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("a,x,35\na,y,1\nb,x,501\n")
-        mat = quantize_counts(load_triplets(p, delimiter=","), self.scheme)
+        mat = quantize_counts(load_triplets(p, delimiter=","),
+                              PLAYCOUNT_BOUNDARIES)
         assert mat.n_classes == 10
         assert sorted(mat.vals.tolist()) == [1, 6, 10]
+
+    def test_values_are_classes_without_boundaries(self):
+        # V is the largest value; an empty file still has one class
+        mat = quantize_counts(counts_triplets([3, 1, 7, 3]))
+        assert (mat.n_classes, mat.vals.tolist()) == (7, [3, 1, 7, 3])
+        empty = quantize_counts(counts_triplets([]))
+        assert (empty.n_classes, empty.nnz) == (1, 0)
 
 
 class TestOrdinalMatrix:
@@ -403,6 +446,33 @@ class TestOrdinalMatrix:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(
             got, mat.to_dense()[np.asarray(users, dtype=np.int64)])
+
+    @pytest.mark.parametrize("mine, theirs, shared", [
+        ([[1, 2], [0, 1]], [[0, 0], [0, 0]], None),  # nothing in theirs
+        ([[1, 2], [0, 1]], [[2, 0], [1, 0]], (0, 0)),  # at our first entry
+        ([[1, 2], [0, 1]], [[0, 0], [2, 1]], (1, 1)),  # at our last entry
+        ([[0, 2, 1], [1, 1, 2]], [[2, 0, 1], [1, 2, 2]], (0, 2)),  # several
+    ], ids=["none-in-other", "first", "last", "several"])
+    def test_first_shared_entry_cases(self, mine, theirs, shared):
+        mine, theirs = make_matrix(mine, 2), make_matrix(theirs, 2)
+        assert mine.first_shared_entry(theirs) == shared
+        assert first_shared_bruteforce(mine, theirs) == shared
+
+    def test_first_shared_entry_far_corner(self):
+        # cell keys near 2^64 must neither wrap nor collide
+        n = (1 << 32) - 1
+        mine = OrdinalMatrix(n, n, 2, [0, n - 1, n - 1], [n - 1, 0, n - 1],
+                             [1, 2, 1])
+        theirs = OrdinalMatrix(n, n, 2, [n - 1, n - 2], [n - 1, n - 1], [2, 2])
+        assert mine.first_shared_entry(theirs) == (n - 1, n - 1)
+        assert theirs.first_shared_entry(mine) == (n - 1, n - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_pairs())
+    def test_first_shared_entry_matches_bruteforce(self, pair):
+        mine, theirs = pair
+        assert mine.first_shared_entry(theirs) == first_shared_bruteforce(
+            mine, theirs)
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
