@@ -30,7 +30,8 @@ class PPCReport:
 
 def score_blocks(state, users):
     """Yield (users, predict_scores rows) for consecutive blocks of users,
-    inference.BLOCK_CELLS score cells at most (one row at least)."""
+    inference.BLOCK_CELLS score cells at most (one row at least), so
+    ranking's dense score memory (~16 MB) does not grow with U x I."""
     users = np.asarray(users, dtype=np.int64)
     step = max(1, inference.BLOCK_CELLS // state.n_items)
     for start in range(0, users.size, step):
@@ -124,14 +125,14 @@ def log_lik_nonzeros(test, state):
     """Sum over held-out entries of log p(y | y > 0, fitted factors).
 
     Uses the posterior-mean intensity and subtracts the log probability of
-    being non-zero; never positive.
+    being non-zero; never positive.  NumericalError naming the first entry
+    whose intensity is not finite and positive (inference.require_positive).
     """
     if test.nnz == 0:
         raise DataError("test matrix is empty")
     thr = state.thresholds
-    lam = entry_dot(state.W.mean, state.H.mean, test.rows, test.cols)
-    if np.any(lam <= 0):
-        raise NumericalError("zero predicted intensity in held-out likelihood")
+    lam = inference.require_positive(
+        entry_dot(state.W.mean, state.H.mean, test.rows, test.cols), test)
     log_p = thr.log_pmf(test.vals, lam)
     log_nonzero = log1mexp(lam * thr.theta[0])
     return float((log_p - log_nonzero).sum())

@@ -16,7 +16,8 @@ S_l, sparse-times-dense products over 0/1 class-indicator matrices whose rows
 are the shorter side of the data (items when I < U, users otherwise).  The
 ELBO is exact for this variational family and must be non-decreasing; a
 decrease beyond roundoff raises NumericalError since it indicates an update
-bug.
+bug.  So does a positive ELBO (as under a huge prior shape): it bounds the
+log-probability of discrete data.
 
 SciPy (sparse products, digamma, gammaln) is imported inside the functions
 of the fit that use it, so that neither importing the package nor loading
@@ -37,9 +38,13 @@ _STATE_VERSION = 1
 # Decrement given to a class absent from the train data.
 DELTA_FLOOR = 1e-10
 VARIANTS = ("ordinal", "bepof", "pf")
-# Cells per dense float64 temporary (~16 MB): bounds the per-entry gathers
-# of entry_dot and the score blocks of evaluation.score_blocks.
+# Cells per dense float64 score block of evaluation.score_blocks (~16 MB),
+# so ranking's memory does not grow with U x I.
 BLOCK_CELLS = 1 << 21
+# Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
+# fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
+# rather than from L3 or DRAM, and each call allocates them once.
+GATHER_CELLS = 1 << 15
 
 
 def ztp_mean(x):
@@ -194,23 +199,43 @@ class LocalStats:
 def entry_dot(A, B, rows, cols):
     """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T.
 
-    Gathers BLOCK_CELLS cells of A and B at a time, so extra memory does
-    not grow with len(rows) * K; each entry's sum is the same as in one
-    call over all entries.
+    Gathers the factor rows of GATHER_CELLS cells at a time into two
+    buffers allocated once per call, so extra memory does not grow with
+    len(rows) * K; each entry's sum is the same einsum over the same K
+    values as in one call over all entries (for K <= 8192: above numpy's
+    iterator buffer size, einsum's sums depend on how many rows it gets).
+    IndexError on a row or column index outside A or B, negative included.
     """
+    for idx, M, name in ((rows, A, "row"), (cols, B, "column")):
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(M)):
+            bad = idx[(idx < 0) | (idx >= len(M))][0]
+            raise IndexError(f"{name} index {bad} outside 0..{len(M) - 1}")
     out = np.empty(len(rows), dtype=np.result_type(A, B))
-    step = max(1, BLOCK_CELLS // A.shape[1])
+    step = max(1, GATHER_CELLS // A.shape[1])
+    a = np.empty((min(step, out.size), A.shape[1]), dtype=A.dtype)
+    b = np.empty((len(a), B.shape[1]), dtype=B.dtype)
     for start in range(0, out.size, step):
         block = slice(start, start + step)
-        out[block] = np.einsum("jk,jk->j", A[rows[block]], B[cols[block]])
+        m = len(out[block])
+        # in range (checked above); mode="raise" would buffer the output
+        np.take(A, rows[block], axis=0, out=a[:m], mode="clip")
+        np.take(B, cols[block], axis=0, out=b[:m], mode="clip")
+        np.einsum("jk,jk->j", a[:m], b[:m], out=out[block])
     return out
 
 
 def entry_intensities(state, data):
-    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means).
-    NumericalError naming the first entry where it is not finite and
-    positive, as when G underflows under a small prior shape."""
-    lam = entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols)
+    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means),
+    checked by require_positive, which fails when G underflows under a
+    small prior shape."""
+    return require_positive(
+        entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
+        data)
+
+
+def require_positive(lam, data):
+    """lam, one intensity per entry of data; NumericalError naming the
+    first entry (user, item) where it is not finite and positive."""
     bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
     if bad.size:
         j = bad[0]
@@ -410,6 +435,12 @@ def fit(data, config):
         update_rate_hyperparams(state)
         elbo = compute_elbo(state, data, lam_big, lam_by_class, point_mass)
         trace.append(elbo)
+        # also covers a positive initial ELBO: iteration 1's is no lower,
+        # or the decrease check below raises
+        if elbo > 0:
+            raise NumericalError(
+                f"ELBO {elbo:.3g} at iteration {len(trace)} is positive, but "
+                "it bounds the log-probability of discrete data")
         if elbo < prev - 1e-8 * abs(prev):
             raise NumericalError(
                 f"ELBO decreased at iteration {len(trace)}: {prev} -> {elbo}")

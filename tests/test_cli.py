@@ -516,8 +516,13 @@ class TestErrorHandling:
         # the initial shapes alpha * (1 + 0.01 u) overflow
         (["train", "--alpha-w", "1e308"],
          "train: overflow encountered in multiply"),
+        # finite shapes, but the ELBO, a log-probability bound, is positive
+        (["train", "--alpha-w", "1e50"],
+         "ELBO 2.16e+36 at iteration 1 is positive, but it bounds the "
+         "log-probability of discrete data"),
     ], ids=["split-seed", "train-seed", "ppc-seed", "train-tol-nan",
-            "train-alpha-w-nan", "train-alpha-h-inf", "train-alpha-w-1e308"])
+            "train-alpha-w-nan", "train-alpha-h-inf", "train-alpha-w-1e308",
+            "train-alpha-w-1e50"])
     def test_negative_seed_and_non_finite_options_rejected(
             self, tmp_path, capsys, ranking_files, argv, message):
         out = tmp_path / "out"

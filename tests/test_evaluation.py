@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from ordnmf import inference
 from ordnmf.data import OrdinalMatrix
-from ordnmf.errors import ConfigError
+from ordnmf.errors import ConfigError, NumericalError
 from ordnmf.evaluation import (evaluate_ranking, log_lik_nonzeros, ndcg_at_m,
                                ppc_histogram, ppc_report_text,
                                ranking_report_text, score_blocks, top_m_items)
@@ -193,6 +193,17 @@ class TestLogLikNonzeros:
         got = log_lik_nonzeros(test, state)
         assert got == pytest.approx(expected, rel=1e-12)
         assert abs(got - (-1.31326)) < 1e-5
+
+    def test_zero_intensity_names_the_entry(self):
+        test = OrdinalMatrix(3, 2, 2, [0, 1, 2], [1, 0, 1], [1, 2, 1])
+        state = random_state_like(test, 2, np.random.default_rng(10))
+        # E[w] = 1e-200 / 1e200 underflows to 0 for user 1 only
+        shape, rate = state.W.shape.copy(), state.W.rate.copy()
+        shape[1], rate[1] = 1e-200, 1e200
+        state.W.set(shape, rate)
+        with pytest.raises(NumericalError, match=(
+                r"^intensity 0.0 at \(u=1, i=0\) is not finite and positive$")):
+            log_lik_nonzeros(test, state)
 
     def test_never_positive(self):
         rng = np.random.default_rng(8)

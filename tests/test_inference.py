@@ -1,6 +1,7 @@
 """Coordinate-ascent updates against dense references, plus loop behavior."""
 
 import copy
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from ordnmf import inference
 from ordnmf.baselines import binarize
 from ordnmf.data import OrdinalMatrix
-from ordnmf.errors import ConfigError, DataError
+from ordnmf.errors import ConfigError, DataError, NumericalError
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix,
                               class_indicators, class_sums, compute_elbo,
                               entry_intensities, fit, init_state, load_state,
@@ -349,6 +350,21 @@ class TestFitLoop:
         res = fit(data, FitConfig(n_components=2, tol=np.inf, max_iter=50))
         assert res.iterations == 1 and res.converged
 
+    @pytest.mark.parametrize("alpha_w, elbo", [(1e50, "2.16e+36"),
+                                               (1e300, "2.45e+287")])
+    def test_positive_elbo_stops_fit(self, alpha_w, elbo):
+        # the ELBO bounds the log-probability of discrete data, so it is
+        # never positive; a huge prior shape drives it far above 0
+        data = OrdinalMatrix(2, 5, 3, [0, 0, 0, 0, 1], [0, 1, 2, 3, 0],
+                             [1, 2, 3, 1, 2])
+        cfg = FitConfig(n_components=2, alpha_w=alpha_w)
+        with pytest.raises(NumericalError, match="^" + re.escape(
+                f"ELBO {elbo} at iteration 1 is positive, but it bounds")):
+            fit(data, cfg)
+        # a large but sane shape still fits
+        res = fit(data, replace(cfg, alpha_w=1e10))
+        assert res.converged and np.all(res.elbo_trace < 0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(20)
         data = random_matrix(8, 6, 3, rng)
@@ -423,24 +439,60 @@ def test_fit_forms_one_entry_product_per_iteration(monkeypatch):
 
 
 class TestEntryDot:
-    @pytest.mark.parametrize("nnz, K", [(0, 4), (3, 4), (12, 4), (13, 4),
-                                        (5, 20)],
-                             ids=["empty", "below-one-block", "exact-multiple",
-                                  "ragged-last-block", "k-above-block"])
-    def test_blocks_match_one_shot_einsum(self, monkeypatch, nnz, K):
-        # 16 cells per block: 4 entries at K = 4, one entry at K = 20
-        monkeypatch.setattr(inference, "BLOCK_CELLS", 16)
+    @pytest.mark.parametrize("gather_cells, nnz, K", [
+        (16, 0, 4), (16, 3, 4), (16, 12, 4), (16, 13, 4), (16, 5, 20),
+        (None, 5000, 1), (None, 20000, 20), (None, 3000, 100), (None, 0, 20)],
+        ids=["empty", "below-one-block", "exact-multiple", "ragged-last-block",
+             "k-above-block", "default-k1", "default-k20", "default-k100",
+             "default-empty"])
+    def test_blocks_match_one_shot_einsum(self, monkeypatch, gather_cells,
+                                          nnz, K):
+        # 16 cells per block: 4 entries at K = 4, one entry at K = 20; the
+        # default constant gives several full blocks and a ragged last one
+        if gather_cells is not None:
+            monkeypatch.setattr(inference, "GATHER_CELLS", gather_cells)
         rng = np.random.default_rng(nnz + K)
-        A, B = rng.gamma(0.3, size=(9, K)), rng.gamma(0.3, size=(11, K))
-        rows, cols = rng.integers(0, 9, nnz), rng.integers(0, 11, nnz)
+        A, B = rng.gamma(0.3, size=(50, K)), rng.gamma(0.3, size=(40, K))
+        rows, cols = rng.integers(0, 50, nnz), rng.integers(0, 40, nnz)
         got = inference.entry_dot(A, B, rows, cols)
         want = np.einsum("jk,jk->j", A[rows], B[cols])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_k_above_gather_cells_one_entry_per_block(self):
+        K = inference.GATHER_CELLS + 3
+        rng = np.random.default_rng(26)
+        A, B = rng.gamma(0.3, size=(5, K)), rng.gamma(0.3, size=(4, K))
+        rows, cols = np.array([0, 4, 2]), np.array([3, 3, 0])
+        got = inference.entry_dot(A, B, rows, cols)
+        for j in range(3):
+            one = np.einsum("jk,jk->j", A[rows[j:j + 1]], B[cols[j:j + 1]])
+            assert got[j:j + 1].tobytes() == one.tobytes()
+        # above numpy's 8192-element iterator buffer, einsum's own sums
+        # depend on how many rows it is given, so a one-shot einsum over
+        # all three entries may differ in the last bits
+        np.testing.assert_allclose(
+            got, np.einsum("jk,jk->j", A[rows], B[cols]), rtol=1e-13)
+
+    @pytest.mark.parametrize("side, bad, message", [
+        ("rows", -1, "row index -1 outside 0..8"),
+        ("rows", 9, "row index 9 outside 0..8"),
+        ("cols", -11, "column index -11 outside 0..10"),
+        ("cols", 11, "column index 11 outside 0..10")],
+        ids=["row-negative", "row-past-end", "col-negative", "col-past-end"])
+    def test_index_out_of_range_raises(self, side, bad, message):
+        # gathers clamp indices, so the range is checked first; a negative
+        # index would otherwise wrap round to the end of the factor
+        rng = np.random.default_rng(25)
+        A, B = rng.random((9, 3)), rng.random((11, 3))
+        idx = {"rows": np.array([0, 8, 2]), "cols": np.array([10, 0, 3])}
+        idx[side][1] = bad
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            inference.entry_dot(A, B, idx["rows"], idx["cols"])
+
     def test_extra_memory_bounded_by_blocks(self, monkeypatch):
         block_cells, K = 1 << 12, 8
-        monkeypatch.setattr(inference, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(inference, "GATHER_CELLS", block_cells)
         nnz = 64 * block_cells // K  # nnz * K spans 64 blocks
         rng = np.random.default_rng(5)
         A, B = rng.random((300, K)), rng.random((200, K))
