@@ -86,9 +86,9 @@ class OrdinalMatrix:
         """Number of stored entries per class 1..V (length V)."""
         return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
 
-    def dense_rows(self, users):
-        """Dense len(users) x n_items int64 block of classes, zeros explicit:
-        to_dense()[users] for users in 0..n_users-1, in any order."""
+    def block_entries(self, users):
+        """(row, at): the users' entries (any order, repeats allowed) by
+        block row row[k] and CSR position at[k], in block then CSR order."""
         users = np.asarray(users, dtype=np.int64)
         starts = self.indptr[users]
         lengths = self.indptr[users + 1] - starts
@@ -96,10 +96,7 @@ class OrdinalMatrix:
         before = np.cumsum(lengths) - lengths
         at = (np.repeat(starts - before, lengths)
               + np.arange(int(lengths.sum())))
-        row = np.repeat(np.arange(users.size), lengths)
-        out = np.zeros((users.size, self.n_items), dtype=np.int64)
-        out[row, self.cols[at]] = self.vals[at]
-        return out
+        return np.repeat(np.arange(users.size), lengths), at
 
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that

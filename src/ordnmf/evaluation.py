@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
+from .data import _cell_keys
 from .errors import ConfigError, DataError, NumericalError
 from .inference import entry_dot, predict_scores
 from .model import log1mexp
@@ -54,19 +55,22 @@ def top_m_items(scores, users, train, list_length):
     m = min(int(list_length), n_items)
     lengths = np.full(n_rows, m)
     if train is not None:
-        in_train = train.dense_rows(users) > 0
-        scores[in_train] = -np.inf
-        lengths = np.minimum(m, n_items - in_train.sum(axis=1))
-    # every item above the m-th largest score, then the lowest-index items
-    # tied with it until the row holds m
-    cut = np.partition(scores, n_items - m, axis=1)[:, n_items - m, None]
-    chosen = scores > cut
-    tied = scores == cut
+        row, at = train.block_entries(users)
+        scores[row, train.cols[at]] = -np.inf
+        lengths = np.minimum(m, n_items - np.bincount(row, minlength=n_rows))
+    items = np.argpartition(scores, n_items - m, axis=1)[:, n_items - m:]
+    cut = np.take_along_axis(scores, items[:, :1], axis=1)  # m-th largest
+    # where over m items reach the cut, the partition chose among its ties:
+    # take the items above it, then the lowest-index tied ones up to m
+    straddle = np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > m)
+    block, cut = scores[straddle], cut[straddle]
+    chosen = block > cut
+    tied = block == cut
     need = m - chosen.sum(axis=1, keepdims=True)
     chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
-    items = np.nonzero(chosen)[1].reshape(n_rows, m)
+    items[straddle] = np.nonzero(chosen)[1].reshape(straddle.size, m)
     top = np.take_along_axis(scores, items, axis=1)
-    order = np.argsort(-top, axis=1, kind="stable")
+    order = np.lexsort((items, -top), axis=1)
     return np.take_along_axis(items, order, axis=1), lengths
 
 
@@ -76,18 +80,27 @@ def _ndcg_reports(blocks, train, test, thresholds, list_length):
     for s in thresholds:
         if not 1 <= s <= test.n_classes:
             raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
+    # test's ascending cell keys, then one above all, of class 0, for misses
+    keys = np.append(_cell_keys(test.rows, test.cols, test.n_items),
+                     np.iinfo(np.uint64).max)
+    classes = np.append(test.vals, 0)
+    # test entries of class >= thresholds[j] before each CSR position
+    below = [np.concatenate(([0], np.cumsum(test.vals >= s)))
+             for s in thresholds]
     total = np.zeros(len(thresholds))
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
     for users, scores in blocks:
         items, lengths = top_m_items(scores, users, train, list_length)
         m = items.shape[1]
-        classes = test.dense_rows(users)
-        ranked = np.take_along_axis(classes, items, axis=1)
+        listed = _cell_keys(users[:, None], items, test.n_items)
+        at = np.searchsorted(keys, listed)
+        ranked = np.where(keys[at] == listed, classes[at], 0)
         ranked[np.arange(m) >= lengths[:, None]] = 0
+        start, stop = test.indptr[users], test.indptr[users + 1]
         discounts = 1.0 / np.log2(np.arange(2, m + 2))
         ideal = np.cumsum(discounts)
         for j, s in enumerate(thresholds):
-            n_rel = (classes >= s).sum(axis=1)
+            n_rel = below[j][stop] - below[j][start]
             dcg = (ranked >= s) @ discounts  # 0 where n_rel is 0
             total[j] += (dcg / ideal[np.clip(n_rel, 1, m) - 1]).sum()
             n_eval[j] += np.count_nonzero(n_rel)

@@ -496,6 +496,10 @@ def load_state(path):
                                        z["alpha_h"], z["beta_h"])
             if H.n_components != W.n_components:
                 raise ValueError("factors disagree in K")
+            (U, K), I = W.shape.shape, H.shape.shape[0]
+            if min(U, I, K) == 0:
+                raise DataError(f"{path}: model has {U} users, {I} items "
+                                f"and K = {K}; each must be at least 1")
             state = VariationalState(W=W, H=H,
                                      thresholds=ThresholdSequence(z["theta"]))
             metadata = json.loads(bytes(z["metadata"]).decode())

@@ -407,6 +407,29 @@ class TestErrorHandling:
             f"error: {triplet_file}: not a valid ordnmf model file\n")
         assert not out.exists()
 
+    # entry_dot's blocks hold GATHER_CELLS // K entries, score blocks
+    # BLOCK_CELLS // I users, and ppc draws items from 0..I-1
+    @pytest.mark.parametrize("shape", [(2, 5, 0), (2, 0, 2), (0, 5, 2)],
+                             ids=["k0", "no-items", "no-users"])
+    def test_empty_model_rejected(self, tmp_path, capsys, ranking_files,
+                                  shape):
+        n_users, n_items, k = shape
+        model = tmp_path / "empty.npz"
+        save_state(model, random_state_like(
+            OrdinalMatrix(n_users, n_items, 3, [], [], []), k,
+            np.random.default_rng(0)))
+        out = tmp_path / "out.txt"
+        for command in (["evaluate", "--train", ranking_files["train"],
+                         "--test", ranking_files["test"]],
+                        ["ppc", "--train", ranking_files["train"],
+                         "--budget", 100],
+                        ["predict"]):
+            assert run(*command, "--model", model, "--output", out) == 1
+            assert capsys.readouterr().err == (
+                f"error: {model}: model has {n_users} users, {n_items} items "
+                f"and K = {k}; each must be at least 1\n")
+            assert not out.exists()
+
     def test_predict_train_dimension_mismatch(self, tmp_path, capsys,
                                                ranking_files):
         other = tmp_path / "other.ordmat"

@@ -439,13 +439,21 @@ class TestOrdinalMatrix:
     # no entries; the last user, repeated and out of order, and an empty user
     @example((np.zeros((3, 4), dtype=np.int64), [2, 0, 2]))
     @example((np.array([[0, 2, 0], [0, 0, 0], [1, 0, 2]]), [2, 1, 0, 2]))
-    def test_dense_rows_match_dense_matrix(self, case):
+    def test_block_entries_match_dense_matrix(self, case):
         dense, users = case
         mat = make_matrix(dense, n_classes=2)
-        got = mat.dense_rows(users)
-        assert got.dtype == np.int64
+        row, at = mat.block_entries(users)
+        assert row.dtype == at.dtype == np.int64
+        # each block row's entries, in CSR order, and no other entry
+        assert np.all(np.diff(row) >= 0)
+        assert np.all(np.diff(at)[np.diff(row) == 0] > 0)
+        np.testing.assert_array_equal(mat.rows[at],
+                                      np.asarray(users, dtype=np.int64)[row])
+        got = np.zeros((len(users), mat.n_items), dtype=np.int64)
+        got[row, mat.cols[at]] = mat.vals[at]
         np.testing.assert_array_equal(
             got, mat.to_dense()[np.asarray(users, dtype=np.int64)])
+        assert row.size == np.count_nonzero(got)
 
     @pytest.mark.parametrize("mine, theirs, shared", [
         ([[1, 2], [0, 1]], [[0, 0], [0, 0]], None),  # nothing in theirs

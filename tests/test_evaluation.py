@@ -1,5 +1,6 @@
 """Ranking metric, held-out likelihood, and predictive-check reports."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,6 +102,14 @@ class TestNdcg:
         with pytest.raises(ConfigError, match="list length must be >= 1, got -2"):
             top_m_items(np.zeros((3, 6)), np.arange(3), train, -2)
 
+    @pytest.mark.parametrize("item", [3, 0], ids=["candidate", "train-item"])
+    def test_nan_score_rejected(self, item):
+        train, _ = matrices_for_ranking()  # user 0 trains on item 0 only
+        scores = np.zeros((3, 6))
+        scores[0, item] = np.nan
+        with pytest.raises(NumericalError, match="^NaN ranking score$"):
+            top_m_items(scores, np.arange(3), train, 2)
+
     def test_batch_evaluator_matches_single(self):
         rng = np.random.default_rng(4)
         data = random_matrix(12, 10, 3, rng, density=0.4)
@@ -172,6 +181,63 @@ class TestRankingKernel:
                 assert r.n_users_evaluated == n_users
                 assert r.mean_ndcg == pytest.approx(ndcg, rel=1e-12,
                                                     nan_ok=True)
+
+    def test_large_rows_match_full_sort(self):
+        rng = np.random.default_rng(11)
+        I, m = 2000, 100
+        scores = rng.random((5, I))
+        # ~20 and ~200 items per level, so ties straddle the m-th score
+        scores[0] = np.round(scores[0], 2)
+        scores[1] = np.round(scores[1], 1)
+        train_dense = np.zeros((5, I), dtype=np.int64)
+        # row 3 keeps m // 2 candidates, so its m-th score is -inf
+        train_dense[3, rng.permutation(I)[:I - m // 2]] = 1
+        train_dense[4, rng.random(I) < 0.3] = 2
+        scores[4] = np.round(scores[4], 2)
+        candidates = np.where(train_dense > 0, -np.inf, scores)
+        cut = np.sort(candidates, axis=1)[:, I - m, None]
+        assert ((candidates >= cut).sum(axis=1) > m).tolist() == [
+            True, True, False, True, True]
+        assert np.isneginf(cut[3]) and not np.isneginf(cut[[0, 1, 2, 4]]).any()
+        train = _matrix(train_dense, 2)
+        for exclude, dense in ((train, train_dense), (None, None)):
+            items, lengths = top_m_items(scores.copy(), np.arange(5), exclude, m)
+            got = [row[:n] for row, n in zip(items.tolist(), lengths)]
+            assert got == top_m_bruteforce(scores, dense, m)
+
+
+class TestRankingMemory:
+    # evaluate_ranking's traced peak, in score blocks of BLOCK_CELLS float64
+    # cells: ~2.3 measured (the block being ranked and the one scored after
+    # it, the argpartition index block, bool masks); 4.4 with a dense int64
+    # class block each for train and test
+    MAX_BLOCKS = 3.0
+
+    @staticmethod
+    def sparse(n_users, n_items, nnz, rng):
+        cells = rng.choice(n_users * n_items, nnz, replace=False)
+        return OrdinalMatrix(n_users, n_items, 3, cells // n_items,
+                             cells % n_items, rng.integers(1, 4, nnz))
+
+    def peak_blocks(self, n_users, n_items):
+        rng = np.random.default_rng(12)
+        train = self.sparse(n_users, n_items, 500, rng)
+        test = self.sparse(n_users, n_items, 500, rng)
+        state = random_state_like(train, 2, rng)
+        tracemalloc.start()
+        try:
+            evaluate_ranking(state, train, test, [1, 2, 3], list_length=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (inference.BLOCK_CELLS * 8)
+
+    def test_peak_bounded_by_block_cells(self):
+        with mock.patch.object(inference, "BLOCK_CELLS", 1 << 16):
+            self.peak_blocks(4, 300)  # imports and first-call caches
+            # U x I from 2 to 32 blocks at a fixed number of entries
+            for n_users, n_items in ((64, 2048), (256, 8192), (1024, 2048)):
+                assert self.peak_blocks(n_users, n_items) < self.MAX_BLOCKS
 
 
 class TestLogLikNonzeros:
