@@ -69,8 +69,9 @@ def top_m_items(scores, users, train, list_length):
     need = m - chosen.sum(axis=1, keepdims=True)
     chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
     items[straddle] = np.nonzero(chosen)[1].reshape(straddle.size, m)
+    items.sort(axis=1)  # then a stable sort by score keeps items ascending
     top = np.take_along_axis(scores, items, axis=1)
-    order = np.lexsort((items, -top), axis=1)
+    order = np.argsort(-top, axis=1, kind="stable")
     return np.take_along_axis(items, order, axis=1), lengths
 
 

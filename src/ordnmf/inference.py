@@ -19,12 +19,13 @@ decrease beyond roundoff raises NumericalError since it indicates an update
 bug.  So does a positive ELBO (as under a huge prior shape): it bounds the
 log-probability of discrete data.
 
-SciPy (sparse products, digamma, gammaln) is imported inside the functions
-of the fit that use it, so that neither importing the package nor loading
-a fitted model for evaluate, predict or ppc loads it.
+The dense (U+I) x K work is done in place where it can be: a factor takes
+one digamma per set and writes its new mean, digamma and geometric mean
+over the old ones.  SciPy (sparse products, digamma, gammaln) is imported
+inside the functions of the fit that use it, so that neither importing the
+package nor loading a fitted model for evaluate, predict or ppc loads it.
 """
 
-import functools
 import json
 import zipfile
 from dataclasses import dataclass
@@ -41,9 +42,10 @@ VARIANTS = ("ordinal", "bepof", "pf")
 # Cells per dense float64 score block of evaluation.score_blocks (~16 MB),
 # so ranking's memory does not grow with U x I.
 BLOCK_CELLS = 1 << 21
-# Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
-# fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
-# rather than from L3 or DRAM, and each call allocates them once.
+# Cells per gather buffer of entry_dot, and per scratch block of
+# GammaVariationalMatrix.prior_minus_entropy (256 KB of float64): two such
+# buffers fit together in a 2 MB L2 cache, so the arithmetic on them reads
+# L2 rather than L3 or DRAM, and each call allocates them once.
 GATHER_CELLS = 1 << 15
 
 
@@ -53,9 +55,11 @@ def ztp_mean(x):
     Always >= 1; tends to 1 as x -> 0 and to x as x -> infinity.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if x.size and x.min() <= 0:
         raise ValueError("ztp_mean requires x > 0")
-    out = x / -np.expm1(-x)
+    out = np.negative(x, out=np.empty_like(x))
+    np.negative(np.expm1(out, out=out), out=out)
+    np.divide(x, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -65,12 +69,15 @@ class GammaVariationalMatrix:
 
     Caches the per-entry mean E = shape/rate and the column sums of E,
     which the opposite side's updates consume, and, on first use after
-    each set, the geometric mean G = exp(digamma(shape))/rate (so log G =
-    E[log .]).  ValueError unless shape and rate are equal 2-d shapes and
-    beta has one entry per row.
+    each set, psi = digamma(shape) and the geometric mean G = exp(psi)/rate
+    (so log G = E[log .]).  set writes the new E, psi and G into the arrays
+    that held the old ones, so it keeps the constructor's shapes.
+    ValueError unless shape and rate are equal 2-d shapes and beta has one
+    entry per row.
     """
 
     def __init__(self, shape, rate, alpha, beta):
+        self.mean = self._digamma = self._geo_mean = None
         self.set(shape, rate)
         self.alpha = float(alpha)
         self.beta = np.asarray(beta, dtype=float)
@@ -81,23 +88,31 @@ class GammaVariationalMatrix:
     def set(self, shape, rate):
         shape = np.asarray(shape, dtype=float)
         rate = np.asarray(rate, dtype=float)
-        # NaN fails every comparison, so test for what is allowed
         for a in (shape, rate):
-            if not np.all(np.isfinite(a) & (a > 0)):
+            # min and max propagate NaN, which fails every comparison
+            if a.size and not (a.min() > 0 and a.max() < np.inf):
                 raise NumericalError(
                     "gamma variational parameters must be finite and positive")
+        self.mean = np.divide(shape, rate, out=self.mean)
         self.shape = shape
         self.rate = rate
-        self.mean = shape / rate
         self.mean_colsum = self.mean.sum(axis=0)
-        self.__dict__.pop("geo_mean", None)
+        self._stale = True  # psi and G
 
-    @functools.cached_property
-    def geo_mean(self):
-        # not at module level: importing scipy costs ~0.27 s of CPU (2-core
-        # x86 box), and only the fit calls it
-        from scipy import special
-        return np.exp(special.digamma(self.shape)) / self.rate
+    def _lazy(self):
+        """(psi, G), computed on first use after set."""
+        if self._stale:
+            # not at module level: importing scipy costs ~0.27 s of CPU
+            # (2-core x86 box), and only the fit calls it
+            from scipy import special
+            self._digamma = special.digamma(self.shape, out=self._digamma)
+            self._geo_mean = np.exp(self._digamma, out=self._geo_mean)
+            self._geo_mean /= self.rate
+            self._stale = False
+        return self._digamma, self._geo_mean
+
+    digamma = property(lambda self: self._lazy()[0])
+    geo_mean = property(lambda self: self._lazy()[1])
 
     @property
     def n_rows(self):
@@ -108,13 +123,30 @@ class GammaVariationalMatrix:
         return self.shape.shape[1]
 
     def prior_minus_entropy(self):
-        """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form."""
-        from scipy import special  # see geo_mean
-        a, b, a_t = self.alpha, self.beta[:, None], self.shape
-        e_log = special.digamma(a_t) - np.log(self.rate)
-        term = (a * np.log(b) - special.gammaln(a)
-                + (a - a_t) * e_log - b * self.mean
-                - a_t * np.log(self.rate) + special.gammaln(a_t) + a_t)
+        """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form:
+        a log b - gammaln(a) + (a - a_t)(psi - log rate) - b E - a_t log rate
+        + gammaln(a_t) + a_t (a, b the prior, a_t the posterior shape), one
+        elementwise operation at a time in that order, over blocks of rows
+        of GATHER_CELLS cells in two scratch arrays that stay in cache."""
+        from scipy import special  # see _lazy
+        a, b = self.alpha, self.beta[:, None]
+        a_t, psi = self.shape, self.digamma
+        term = np.empty_like(a_t)
+        step = max(1, GATHER_CELLS // self.n_components)
+        log_rate, scratch = np.empty((2, min(step, len(a_t)), a_t.shape[1]))
+        for start in range(0, len(a_t), step):
+            rows = slice(start, start + step)
+            m = len(term[rows])
+            lr, sc = log_rate[:m], scratch[:m]
+            t = np.subtract(psi[rows], np.log(self.rate[rows], out=lr),
+                            out=term[rows])
+            t *= np.subtract(a, a_t[rows], out=sc)
+            t += a * np.log(b[rows]) - special.gammaln(a)
+            t -= np.multiply(b[rows], self.mean[rows], out=sc)
+            lr *= a_t[rows]
+            t -= lr
+            t += special.gammaln(a_t[rows], out=sc)
+            t += a_t[rows]
         return float(term.sum())
 
 
@@ -236,9 +268,9 @@ def entry_intensities(state, data):
 def require_positive(lam, data):
     """lam, one intensity per entry of data; NumericalError naming the
     first entry (user, item) where it is not finite and positive."""
-    bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
-    if bad.size:
-        j = bad[0]
+    # min and max propagate NaN, which fails every comparison
+    if lam.size and not (lam.min() > 0 and lam.max() < np.inf):
+        j = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))[0]
         raise NumericalError(f"intensity {lam[j]} at (u={data.rows[j]}, "
                              f"i={data.cols[j]}) is not finite and positive")
     return lam
@@ -315,16 +347,16 @@ def local_update(state, data, lam_big, point_mass=False):
     n proportionally to Lambda_uik.  Returns the per-(u,k) and per-(i,k)
     allocation totals.
     """
-    if point_mass:
-        e_n = np.ones_like(lam_big)
-    else:
-        delta_y = state.thresholds.delta[data.vals - 1]
-        e_n = ztp_mean(lam_big * delta_y)
+    x = state.thresholds.delta[data.vals - 1]
+    x *= lam_big  # Lambda * delta_y
+    e_n = np.ones_like(lam_big) if point_mass else ztp_mean(x)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
     GW, GH = state.W.geo_mean, state.H.geo_mean
-    ratio = _csr(data, e_n / lam_big)
-    cw = GW * (ratio @ GH)
-    ch = GH * (ratio.T @ GW)
+    ratio = _csr(data, np.divide(e_n, lam_big, out=x))
+    cw = ratio @ GH
+    cw *= GW
+    ch = ratio.T @ GW
+    ch *= GH
     return LocalStats(e_n=e_n, cw=cw, ch=ch)
 
 
@@ -333,14 +365,18 @@ def update_factors(state, data, stats):
     exposure(y) * E[other factor].  Users first, so item rates see the new
     user means.  Exposure is theta_0 at y = 0, so a rate is a dense theta_0
     * colsum term plus a sparse term from one CSR of exposure(y) - theta_0
-    over the non-zeros (its transpose for the items)."""
+    over the non-zeros (its transpose for the items).  Both are built in
+    place, as alpha + counts in stats' totals (which become the shapes) and
+    as (beta_r + theta_0 * colsum) + product."""
     theta0 = state.thresholds.theta[0]
-    weights = _csr(data, state.thresholds.exposure(data.vals) - theta0)
+    exposure = state.thresholds.exposure(data.vals)
+    weights = _csr(data, np.subtract(exposure, theta0, out=exposure))
     for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
                                      (state.H, stats.ch, weights.T, state.W)):
-        rate = (side.beta[:, None] + theta0 * other.mean_colsum[None, :]
-                + mat @ other.mean)
-        side.set(side.alpha + counts, rate)
+        rate = side.beta[:, None] + theta0 * other.mean_colsum
+        rate += mat @ other.mean
+        counts += side.alpha
+        side.set(counts, rate)
 
 
 def total_expected_lambda(state):
@@ -396,11 +432,13 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     cross-entropy minus entropy.
     """
     thr = state.thresholds
-    x = lam_big * thr.delta[data.vals - 1]
+    x = thr.delta[data.vals - 1]
+    x *= lam_big
     if point_mass:
-        nonlinear = np.log(x)
+        nonlinear = np.log(x, out=x)
     else:
-        nonlinear = x + log1mexp(x)
+        nonlinear = log1mexp(x)
+        nonlinear += x
     exposures = thr.exposure(np.arange(1, thr.n_classes + 1))
     nz_part = float(nonlinear.sum() - lam_by_class @ exposures)
     zero_part = -thr.theta[0] * (total_expected_lambda(state)

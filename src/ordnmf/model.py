@@ -17,15 +17,19 @@ def log1mexp(x):
     """Stable log(1 - exp(-x)) for x > 0.
 
     Uses log(-expm1(-x)) below log 2 and log1p(-exp(-x)) above, which
-    avoids cancellation at both ends of the range.
+    avoids cancellation at both ends of the range.  Both are computed over
+    all of x and then merged: gathering each one's entries costs more when
+    small and large x interleave.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if x.size and x.min() <= 0:
         raise ValueError("log1mexp requires x > 0")
-    small = x <= _LOG2
-    out = np.empty_like(x)
-    out[small] = np.log(-np.expm1(-x[small]))
-    out[~small] = np.log1p(-np.exp(-x[~small]))
+    out = np.negative(x, out=np.empty_like(x))
+    above = np.exp(out, out=np.empty_like(x))
+    np.log(np.negative(np.expm1(out, out=out), out=out), out=out)
+    with np.errstate(divide="ignore"):  # log1p(-1) at tiny x, not kept
+        np.log1p(np.negative(above, out=above), out=above)
+    np.copyto(out, above, where=x > _LOG2)
     return out if out.ndim else float(out)
 
 
@@ -160,14 +164,18 @@ class ThresholdSequence:
         """Draw classes by inverting the c.d.f. on one uniform u per entry.
 
         The c.d.f. increases in v and is 1 at v = V > u, so the smallest v
-        with cdf(v) >= u is the count of v < V with cdf(v) < u, taken one v
-        at a time: extra memory is O(len(lam)) whatever V is."""
+        with cdf(v) >= u is the count of v < V with cdf(v) < u, that is
+        with theta_v > -log(u) / lambda: one binary search in the
+        increasing theta[::-1] per entry, and extra memory O(len(lam))
+        whatever V is."""
         lam = np.asarray(lam, dtype=float)
-        # lambda = 0 is class 0 for sure (cdf = 1 > u); NaN fails the test
+        # NaN fails the test
         if not np.all(lam >= 0):
             raise ValueError("sample_class requires lambda >= 0")
         u = rng.random(size=lam.shape)
-        classes = np.zeros(lam.shape, dtype=np.int64)
-        for theta_v in self.theta:
-            classes += np.exp(-lam * theta_v) < u
+        # lambda = 0 or u = 0 give +inf: class 0 for sure (cdf = 1 > u)
+        with np.errstate(divide="ignore"):
+            cut = -np.log(u) / lam
+        classes = self.n_classes - np.searchsorted(self.theta[::-1], cut,
+                                                   side="right")
         return int(classes) if classes.ndim == 0 else classes

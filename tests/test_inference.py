@@ -58,6 +58,63 @@ class TestZtpMean:
             ztp_mean(0.0)
 
 
+class TestGammaVariationalMatrix:
+    @pytest.mark.parametrize("which", ["shape", "rate"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.0],
+                             ids=["nan", "inf", "zero", "negative-zero"])
+    def test_set_rejects_non_finite_or_non_positive(self, which, bad):
+        # away from index 0, and alone in an otherwise valid array: the
+        # check is two reductions, and NaN must fail them
+        rng = np.random.default_rng(40)
+        factor = GammaVariationalMatrix(rng.uniform(0.5, 2, (4, 3)),
+                                        rng.uniform(0.5, 2, (4, 3)), 0.3,
+                                        np.ones(4))
+        arrays = {"shape": factor.shape.copy(), "rate": factor.rate.copy()}
+        arrays[which][2, 1] = bad
+        with pytest.raises(NumericalError, match="^gamma variational "
+                           "parameters must be finite and positive$"):
+            factor.set(arrays["shape"], arrays["rate"])
+
+    def test_set_rewrites_cached_arrays_in_place(self):
+        from scipy import special
+
+        rng = np.random.default_rng(41)
+        shape, rate = rng.uniform(0.5, 2, (2, 5, 3))
+        factor = GammaVariationalMatrix(shape, rate, 0.3, np.ones(5))
+        held = factor.mean, factor.digamma, factor.geo_mean
+        new_shape, new_rate = rng.uniform(0.5, 2, (2, 5, 3))
+        factor.set(new_shape, new_rate)
+        assert factor.mean is held[0]
+        assert factor.mean.tobytes() == (new_shape / new_rate).tobytes()
+        # psi and G follow the new shape and rate, in the old arrays
+        psi = special.digamma(new_shape)
+        assert factor.digamma is held[1]
+        assert factor.digamma.tobytes() == psi.tobytes()
+        assert factor.geo_mean is held[2]
+        assert factor.geo_mean.tobytes() == (np.exp(psi) / new_rate).tobytes()
+
+    @pytest.mark.parametrize("gather_cells", [None, 3, 12],
+                             ids=["one-block", "row-blocks", "ragged-last"])
+    def test_prior_minus_entropy_matches_one_shot_expression(
+            self, monkeypatch, gather_cells):
+        # 11 rows of K = 3: one block, 11 blocks of one row, or 3 blocks of
+        # 4 rows and one of 3; each gives the bits of the one-shot form
+        from scipy import special
+
+        if gather_cells is not None:
+            monkeypatch.setattr(inference, "GATHER_CELLS", gather_cells)
+        rng = np.random.default_rng(42)
+        shape, rate = rng.uniform(0.05, 5, (2, 11, 3))
+        beta = rng.uniform(0.5, 2, 11)
+        factor = GammaVariationalMatrix(shape, rate, 0.7, beta)
+        a, b = 0.7, beta[:, None]
+        e_log = special.digamma(shape) - np.log(rate)
+        want = (a * np.log(b) - special.gammaln(a) + (a - shape) * e_log
+                - b * (shape / rate) - shape * np.log(rate)
+                + special.gammaln(shape) + shape).sum()
+        assert factor.prior_minus_entropy() == float(want)
+
+
 class TestInitState:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -640,6 +697,70 @@ def test_per_iteration_cost_scales_with_nnz():
     t_base = time_iteration(base)
     t_wide = time_iteration(wide)
     assert t_wide < 1.3 * t_base + 2e-3
+
+
+@pytest.mark.parametrize("first, second", [(0.0, np.nan), (np.nan, 0.0),
+                                           (np.inf, -1.0)],
+                         ids=["zero-nan", "nan-zero", "inf-negative"])
+def test_require_positive_names_first_bad_entry(first, second):
+    # min/max say that some entry is bad; the error still names the first
+    data = OrdinalMatrix(3, 4, 2, [0, 1, 2, 2], [3, 0, 1, 2], [1, 2, 1, 2])
+    lam = np.array([1.0, first, second, 2.0])
+    with pytest.raises(NumericalError, match=re.escape(
+            f"intensity {first} at (u=1, i=0) is not finite and positive")):
+        inference.require_positive(lam, data)
+    ok = np.array([1.0, 5e-324, 2.0, 1e308])
+    assert inference.require_positive(ok, data) is ok
+
+
+class TestScalability:
+    """The abstract's "preserves the scalability of PF", as memory: the
+    tracemalloc peak of a fit is within A * nnz * 8 + B * (U + I) * K * 8
+    bytes, so it holds no nnz x K and no U x I array.  Measured: peak ~=
+    5.3 nnz * 8 + 7.2 (U + I) K * 8 (fits of 2 iterations, K = 100, nnz
+    10k to 110k, U + I 350 to 2800), so A = 8 and B = 12 leave ~1.5x."""
+
+    A, B, K = 8, 12, 100
+
+    @staticmethod
+    def _matrix(n_users, n_items, nnz, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(n_users * n_items, size=nnz, replace=False)
+        return OrdinalMatrix(n_users, n_items, 5, cells // n_items,
+                             cells % n_items, rng.integers(1, 6, nnz))
+
+    def _peak(self, data):
+        import scipy.sparse  # noqa: F401  imports are not the fit's memory
+        import scipy.special  # noqa: F401
+
+        cfg = FitConfig(n_components=self.K, max_iter=2, tol=1e-300)
+        fit(self._matrix(6, 5, 20, 0), replace(cfg, n_components=2))
+        tracemalloc.start()
+        try:
+            fit(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (self.A * data.nnz * 8
+                 + self.B * (data.n_users + data.n_items) * self.K * 8)
+        assert peak < bound
+        return peak
+
+    def test_peak_linear_in_nnz_and_rows(self):
+        # one nnz x K float64 array (64 MB) would exceed the bound (~12 MB)
+        # five times over
+        data = self._matrix(400, 300, 80_000, 43)
+        assert data.nnz * self.K * 8 > 5 * (
+            self.A * data.nnz * 8
+            + self.B * (data.n_users + data.n_items) * self.K * 8)
+        self._peak(data)
+
+    def test_peak_flat_in_cells(self):
+        # U x I grows 50x at the same nnz and U + I; one dense U x I
+        # float64 array (8 MB) would add ~60% to the first peak
+        skewed = self._peak(self._matrix(1990, 10, 10_000, 44))
+        square = self._peak(self._matrix(1000, 1000, 10_000, 44))
+        assert square < 1.1 * skewed
 
 
 def _triplets(dense):

@@ -218,6 +218,15 @@ class TestSampleClass:
             assert type(v) is int
             assert v == sample_class_table(thr, x, uniforms.random(size=()))
 
+    def test_large_v_matches_cdf_table(self):
+        # one binary search per cell, not one pass per class
+        thr = ThresholdSequence(np.geomspace(50.0, 1e-3, 20_000))
+        lam = np.random.default_rng(22).gamma(0.5, 2.0, size=100) + 1e-9
+        got = thr.sample_class(lam, np.random.default_rng(23))
+        u = np.random.default_rng(23).random(size=lam.shape)
+        np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
+        assert len(np.unique(got)) > 10
+
     def test_extra_memory_linear_in_cells(self):
         # a (n, V+1) float64 table alone would take 88 bytes per cell here
         thr = random_thresholds(10, np.random.default_rng(19))
