@@ -42,10 +42,9 @@ VARIANTS = ("ordinal", "bepof", "pf")
 # Cells per dense float64 score block of evaluation.score_blocks (~16 MB),
 # so ranking's memory does not grow with U x I.
 BLOCK_CELLS = 1 << 21
-# Cells per gather buffer of entry_dot, and per scratch block of
-# GammaVariationalMatrix.prior_minus_entropy (256 KB of float64): two such
-# buffers fit together in a 2 MB L2 cache, so the arithmetic on them reads
-# L2 rather than L3 or DRAM, and each call allocates them once.
+# Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
+# fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
+# rather than from L3 or DRAM, and each call allocates them once.
 GATHER_CELLS = 1 << 15
 
 
@@ -126,27 +125,20 @@ class GammaVariationalMatrix:
         """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form:
         a log b - gammaln(a) + (a - a_t)(psi - log rate) - b E - a_t log rate
         + gammaln(a_t) + a_t (a, b the prior, a_t the posterior shape), one
-        elementwise operation at a time in that order, over blocks of rows
-        of GATHER_CELLS cells in two scratch arrays that stay in cache."""
+        elementwise operation at a time in that order, in two scratch
+        arrays besides the term."""
         from scipy import special  # see _lazy
-        a, b = self.alpha, self.beta[:, None]
-        a_t, psi = self.shape, self.digamma
-        term = np.empty_like(a_t)
-        step = max(1, GATHER_CELLS // self.n_components)
-        log_rate, scratch = np.empty((2, min(step, len(a_t)), a_t.shape[1]))
-        for start in range(0, len(a_t), step):
-            rows = slice(start, start + step)
-            m = len(term[rows])
-            lr, sc = log_rate[:m], scratch[:m]
-            t = np.subtract(psi[rows], np.log(self.rate[rows], out=lr),
-                            out=term[rows])
-            t *= np.subtract(a, a_t[rows], out=sc)
-            t += a * np.log(b[rows]) - special.gammaln(a)
-            t -= np.multiply(b[rows], self.mean[rows], out=sc)
-            lr *= a_t[rows]
-            t -= lr
-            t += special.gammaln(a_t[rows], out=sc)
-            t += a_t[rows]
+        a, b, a_t = self.alpha, self.beta[:, None], self.shape
+        log_rate = np.log(self.rate)
+        term = np.subtract(self.digamma, log_rate)
+        scratch = np.subtract(a, a_t)
+        term *= scratch
+        term += a * np.log(b) - special.gammaln(a)
+        term -= np.multiply(b, self.mean, out=scratch)
+        log_rate *= a_t
+        term -= log_rate
+        term += special.gammaln(a_t, out=scratch)
+        term += a_t
         return float(term.sum())
 
 
@@ -221,7 +213,9 @@ class FitResult:
 
 @dataclass
 class LocalStats:
-    """Per-entry and aggregated statistics from one local sweep."""
+    """Per-entry and aggregated statistics from one local sweep.
+    update_factors adds alpha to cw and ch in place and takes them over as
+    the factors' new shapes."""
 
     e_n: np.ndarray            # E[n_ui] per non-zero entry
     cw: np.ndarray             # sum_i E[c_uik], shape (U, K)
@@ -279,7 +273,7 @@ def require_positive(lam, data):
 def _csr(data, values):
     """scipy CSR matrix over data's sparsity pattern holding values, one
     per stored entry in CSR order."""
-    from scipy import sparse  # see GammaVariationalMatrix.geo_mean
+    from scipy import sparse  # see GammaVariationalMatrix._lazy
     return sparse.csr_matrix((values, data.cols, data.indptr),
                              shape=(data.n_users, data.n_items))
 
@@ -365,9 +359,7 @@ def update_factors(state, data, stats):
     exposure(y) * E[other factor].  Users first, so item rates see the new
     user means.  Exposure is theta_0 at y = 0, so a rate is a dense theta_0
     * colsum term plus a sparse term from one CSR of exposure(y) - theta_0
-    over the non-zeros (its transpose for the items).  Both are built in
-    place, as alpha + counts in stats' totals (which become the shapes) and
-    as (beta_r + theta_0 * colsum) + product."""
+    over the non-zeros (its transpose for the items)."""
     theta0 = state.thresholds.theta[0]
     exposure = state.thresholds.exposure(data.vals)
     weights = _csr(data, np.subtract(exposure, theta0, out=exposure))

@@ -173,8 +173,9 @@ class ThresholdSequence:
         if not np.all(lam >= 0):
             raise ValueError("sample_class requires lambda >= 0")
         u = rng.random(size=lam.shape)
-        # lambda = 0 or u = 0 give +inf: class 0 for sure (cdf = 1 > u)
-        with np.errstate(divide="ignore"):
+        # lambda = 0 or u = 0 give +inf, and so may a subnormal lambda by
+        # overflow: class 0 for sure (cdf = 1 > u)
+        with np.errstate(divide="ignore", over="ignore"):
             cut = -np.log(u) / lam
         classes = self.n_classes - np.searchsorted(self.theta[::-1], cut,
                                                    side="right")

@@ -93,16 +93,10 @@ class TestGammaVariationalMatrix:
         assert factor.geo_mean is held[2]
         assert factor.geo_mean.tobytes() == (np.exp(psi) / new_rate).tobytes()
 
-    @pytest.mark.parametrize("gather_cells", [None, 3, 12],
-                             ids=["one-block", "row-blocks", "ragged-last"])
-    def test_prior_minus_entropy_matches_one_shot_expression(
-            self, monkeypatch, gather_cells):
-        # 11 rows of K = 3: one block, 11 blocks of one row, or 3 blocks of
-        # 4 rows and one of 3; each gives the bits of the one-shot form
+    def test_prior_minus_entropy_matches_one_shot_expression(self):
+        # the in-place form gives the bits of the one-shot expression
         from scipy import special
 
-        if gather_cells is not None:
-            monkeypatch.setattr(inference, "GATHER_CELLS", gather_cells)
         rng = np.random.default_rng(42)
         shape, rate = rng.uniform(0.05, 5, (2, 11, 3))
         beta = rng.uniform(0.5, 2, 11)

@@ -197,6 +197,19 @@ class TestSampleClass:
                                      np.random.default_rng(0))
             assert np.all(draws == 0)
 
+    def test_subnormal_lambda_gives_zero_without_overflow(self):
+        # -log(u) / lambda overflows to +inf here; the CLI raises on
+        # overflow, so the sampler must not
+        thr = random_thresholds(3, np.random.default_rng(13))
+        lam = np.array([1e-310, 5e-324, 1e-300])
+        with np.errstate(over="raise"):
+            got = thr.sample_class(lam, np.random.default_rng(14))
+            for x in lam:
+                assert thr.sample_class(x, np.random.default_rng(14)) == 0
+        u = np.random.default_rng(14).random(size=lam.shape)
+        np.testing.assert_array_equal(got, [0, 0, 0])
+        np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
+
     @pytest.mark.parametrize("lam", [-1e-12, np.nan])
     def test_negative_or_nan_lambda_rejected(self, lam):
         thr = random_thresholds(3, np.random.default_rng(13))
