@@ -110,12 +110,6 @@ class OrdinalMatrix:
             return None
         return int(self.rows[dup - other.nnz]), int(self.cols[dup - other.nnz])
 
-    def to_dense(self):
-        """Dense class matrix with explicit zeros (small instances only)."""
-        out = np.zeros((self.n_users, self.n_items), dtype=np.int64)
-        out[self.rows, self.cols] = self.vals
-        return out
-
     def save(self, path):
         """Write the versioned little-endian binary format."""
         with open(path, "wb") as fh:

@@ -111,15 +111,6 @@ def _ndcg_reports(blocks, train, test, thresholds, list_length):
             for s, t, n in zip(thresholds, total, n_eval)]
 
 
-def ndcg_at_m(scores, train, test, threshold, list_length):
-    """NDCG report of a dense users x items score matrix; see evaluate_ranking."""
-    scores = np.array(scores, dtype=float)
-    if scores.shape != (train.n_users, train.n_items):
-        raise DataError("scores must cover every (user, item) pair")
-    return _ndcg_reports([(np.arange(train.n_users), scores)], train, test,
-                         [threshold], list_length)[0]
-
-
 def evaluate_ranking(state, train, test, thresholds, list_length=100):
     """NDCG@list_length reports at several relevance thresholds.
 

@@ -34,14 +34,13 @@ def log1mexp(x):
 
 
 class ThresholdSequence:
-    """Decreasing positive sequence theta_0 > ... > theta_{V-1} > 0.
+    """Decreasing finite positive sequence theta_0 > ... > theta_{V-1} > 0.
 
     theta is the canonical representation (theta_V = 0 and theta_{-1} = +inf
     are implicit).  Derived views:
 
     * delta: positive decrements, delta_v = theta_{v-1} - theta_v for
       v in {1..V}, so theta_v = sum(delta[v+1:]).
-    * b: raw increasing thresholds b_v = 1 / theta_v, v in {0..V-1}.
     * exposure(v): theta_0 for v = 0, theta_{v-1} for v >= 1; the
       coefficient multiplying lambda in the augmented joint likelihood.
 
@@ -49,11 +48,11 @@ class ThresholdSequence:
     """
 
     def __init__(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = np.array(theta, dtype=float)  # a copy: frozen below
         if theta.ndim != 1 or theta.size < 1:
             raise ValueError("theta must be a non-empty 1-d sequence")
-        if not np.all(theta > 0):
-            raise ValueError("theta must be strictly positive")
+        if not np.all((theta > 0) & np.isfinite(theta)):
+            raise ValueError("theta must be finite and strictly positive")
         if np.any(np.diff(theta) >= 0):
             raise ValueError("theta must be strictly decreasing")
         self.theta = theta
@@ -77,53 +76,15 @@ class ThresholdSequence:
         theta = np.cumsum(delta[::-1])[::-1]
         return cls(theta)
 
-    @property
-    def b(self):
-        """Raw increasing thresholds b_v = 1 / theta_v, v in {0..V-1}."""
-        return 1.0 / self.theta
-
     def exposure(self, v):
         """theta_0 if v == 0 else theta_{v-1} (vectorized over v)."""
         return self._exposure[v]
-
-    def __repr__(self):
-        return f"ThresholdSequence(theta={self.theta!r})"
-
-    def quantize(self, x):
-        """Class v with b_{v-1} <= x < b_v (b_{-1} = 0, b_V = +inf)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("quantize requires x >= 0")
-        v = np.searchsorted(self.b, x, side="right")
-        return int(v) if v.ndim == 0 else v
 
     def _check_class(self, v):
         v = np.asarray(v)
         if np.any(v < 0) or np.any(v > self.n_classes):
             raise ValueError(f"class out of range 0..{self.n_classes}")
         return v
-
-    def cdf(self, v, lam):
-        """P[y <= v | lambda] = exp(-lambda * theta_v); equals 1 at v = V."""
-        v = self._check_class(v)
-        lam = np.asarray(lam, dtype=float)
-        out = np.exp(-lam * self._theta_ext[v])
-        return float(out) if out.ndim == 0 else out
-
-    def pmf(self, v, lam):
-        """P[y = v | lambda], the difference of adjacent c.d.f. values."""
-        v = self._check_class(v)
-        lam = np.asarray(lam, dtype=float)
-        upper = np.exp(-lam * self._theta_ext[v])
-        lower = np.where(v == 0, 0.0, np.exp(-lam * self._exposure[v]))
-        out = upper - lower
-        return float(out) if out.ndim == 0 else out
-
-    def pmf_all(self, lam):
-        """Vector of pmf(v, lam) for v = 0..V; sums to 1."""
-        lam = float(lam)
-        cdf = np.exp(-lam * self._theta_ext)
-        return np.diff(cdf, prepend=0.0)
 
     def log_pmf(self, v, lam):
         """log P[y = v | lambda].
@@ -147,18 +108,6 @@ class ThresholdSequence:
             ll = lam_arr[nz]
             out[nz] = -ll * self._theta_ext[vv] + log1mexp(ll * self.delta[vv - 1])
         return float(out[0]) if scalar else out
-
-    def expected_class(self, lam):
-        """E[y | lambda] = V - sum_v exp(-lambda * theta_v), in [0, V].
-
-        Strictly increasing in lambda; returns exactly 0 at lambda = 0.
-        """
-        lam = np.asarray(lam, dtype=float)
-        if np.any(lam < 0):
-            raise ValueError("expected_class requires lambda >= 0")
-        out = self.n_classes - np.exp(-np.multiply.outer(lam, self.theta)).sum(axis=-1)
-        out = np.where(lam == 0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
 
     def sample_class(self, lam, rng):
         """Draw classes by inverting the c.d.f. on one uniform u per entry.

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here enumerates all (u, i, k) cells with plain loops and makes no
-use of the sparse update paths it validates.  Slow on purpose; only for tiny
-instances.
+The observation model is written from its class c.d.f. alone.  The
+inference references enumerate all (u, i, k) cells with plain loops and make
+no use of the sparse update paths they validate.  Slow on purpose; only for
+tiny instances.
 """
 
 import struct
@@ -17,6 +18,55 @@ from ordnmf.model import ThresholdSequence
 
 def exposure(thr, v):
     return thr.theta[0] if v == 0 else thr.theta[v - 1]
+
+
+# The reference observation model, from thr.theta and the class c.d.f.
+# P[y <= v | lambda] = exp(-lambda * theta_v) alone (theta_V = 0).
+
+def cdf(thr, v, lam):
+    """P[y <= v | lambda] for classes v in 0..V (vectorized); 1 at v = V."""
+    v = np.asarray(v)
+    if np.any(v < 0) or np.any(v > thr.theta.size):
+        raise ValueError(f"class out of range 0..{thr.theta.size}")
+    theta = np.append(thr.theta, 0.0)
+    return np.exp(-np.asarray(lam, dtype=float) * theta[v])[()]
+
+
+def pmf(thr, v, lam):
+    """P[y = v | lambda] = cdf(v) - cdf(v - 1), with cdf(-1) = 0."""
+    v = np.asarray(v)
+    below = np.where(v == 0, 0.0, cdf(thr, np.maximum(v - 1, 0), lam))
+    return (cdf(thr, v, lam) - below)[()]
+
+
+def pmf_all(thr, lam):
+    """The vector pmf(v, lam), v = 0..V, of one scalar lambda."""
+    return np.diff(cdf(thr, np.arange(thr.theta.size + 1), float(lam)),
+                   prepend=0.0)
+
+
+def quantize(thr, x):
+    """The generative definition of a class: lambda * eps quantized against
+    the raw thresholds b_v = 1 / theta_v, class v when b_{v-1} <= x < b_v
+    (b_{-1} = 0, b_V = +inf)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("quantize requires x >= 0")
+    return np.searchsorted(1.0 / thr.theta, x, side="right")[()]
+
+
+def expected_class(thr, lam):
+    """E[y | lambda] = sum_{v < V} P[y > v] = V - sum_v exp(-lambda theta_v)."""
+    lam = np.asarray(lam, dtype=float)
+    return (thr.theta.size
+            - np.exp(-np.multiply.outer(lam, thr.theta)).sum(axis=-1))[()]
+
+
+def dense(matrix):
+    """Dense class matrix of an OrdinalMatrix, explicit zeros included."""
+    out = np.zeros((matrix.n_users, matrix.n_items), dtype=np.int64)
+    out[matrix.rows, matrix.cols] = matrix.vals
+    return out
 
 
 def ztp_mean_series(x, n_max=500):
@@ -37,7 +87,7 @@ def dense_iteration(state, data, pf_approximation=False,
     state, then user factors, then item factors (whose rates see the fresh
     user means), then thresholds, then rate hyperparameters.
     """
-    y = data.to_dense()
+    y = dense(data)
     U, I = y.shape
     K = state.n_components
     thr = state.thresholds
@@ -121,7 +171,7 @@ def elbo_bruteforce(state, data, n_max=500, pf_approximation=False):
     in the allocation entropy and is dropped from both.  Gamma factor terms
     use quadrature for E[log x] and the library-free entropy formula.
     """
-    y = data.to_dense()
+    y = dense(data)
     U, I = y.shape
     thr = state.thresholds
     GW, GH = state.W.geo_mean, state.H.geo_mean

@@ -28,7 +28,8 @@ from ordnmf.inference import (FitConfig, class_indicators, class_sums,
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
-from oracles import (bepof_iteration, dense_iteration, elbo_bruteforce,
+from oracles import (bepof_iteration, cdf, dense, dense_iteration,
+                     elbo_bruteforce, expected_class, pmf, pmf_all, quantize,
                      random_matrix, random_state_like, threshold_objective,
                      ztp_mean_series)
 
@@ -134,7 +135,7 @@ def test_criterion_4_reductions():
         ref = bepof_iteration(
             state.W.shape.copy(), state.W.rate.copy(),
             state.H.shape.copy(), state.H.rate.copy(),
-            data.to_dense(), cfg.alpha_w, cfg.alpha_h,
+            dense(data), cfg.alpha_w, cfg.alpha_h,
             state.W.beta, state.H.beta,
             point_mass_counts=variant == "pf")
         _library_iteration(state, data, point_mass=variant == "pf",
@@ -147,28 +148,44 @@ def test_criterion_4_reductions():
 
 @_report(5, "class-probability core suite")
 def test_criterion_5_model_core():
+    # the reference model (oracles.cdf, pmf, quantize) against its
+    # generative definition, then the library's log_pmf and sample_class
+    # against the reference
     rng = np.random.default_rng(21)
+    sampler = np.random.default_rng(22)
+    grid = np.linspace(0.01, 20, 200)
     for _ in range(3):
         delta = rng.uniform(0.05, 1.0, size=4)
         thr = ThresholdSequence.from_delta(delta)
         lam = float(rng.uniform(0.1, 4.0))
+        classes = np.arange(thr.n_classes + 1)
 
-        probs = thr.pmf_all(lam)
+        probs = pmf_all(thr, lam)
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
-        grid = np.linspace(0.01, 20, 200)
         for v in range(thr.n_classes):
-            cdf = thr.cdf(v, grid)
-            assert np.all(np.diff(cdf) <= 0)  # decreasing in lambda
-            assert np.all(cdf <= thr.cdf(v + 1, grid) + 1e-15)
+            c = cdf(thr, v, grid)
+            assert np.all(np.diff(c) <= 0)  # decreasing in lambda
+            assert np.all(c <= cdf(thr, v + 1, grid) + 1e-15)
 
         # Monte-Carlo check of pmf against the multiplicative-noise
         # generative definition: quantize lambda/gamma(1) draws.
         n = 1_000_000
         eps = 1.0 / rng.gamma(1.0, size=n)
-        counts = np.bincount(thr.quantize(lam * eps),
+        counts = np.bincount(quantize(thr, lam * eps),
                              minlength=thr.n_classes + 1)
         freq = counts / n
         sigma = np.sqrt(probs * (1 - probs) / n)
+        assert np.all(np.abs(freq - probs) <= 4.0 * sigma + 1e-12)
+
+        # log_pmf, used by the held-out likelihood, over every class
+        np.testing.assert_allclose(
+            thr.log_pmf(classes[:, None], grid),
+            np.log(pmf(thr, classes[:, None], grid)), rtol=1e-10, atol=1e-10)
+
+        # sample_class, used by ppc and generate_dataset
+        draws = thr.sample_class(np.full(n, lam), sampler)
+        assert draws.min() >= 0 and draws.max() <= thr.n_classes
+        freq = np.bincount(draws, minlength=thr.n_classes + 1) / n
         assert np.all(np.abs(freq - probs) <= 4.0 * sigma + 1e-12)
 
     for x in (1e-6, 0.05, 0.7, 3.0, 12.0):
@@ -188,7 +205,7 @@ def test_criterion_6_threshold_stationarity():
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert not floored
 
-        y = data.to_dense()
+        y = dense(data)
         e_n = np.zeros(y.shape)
         e_n[y > 0] = stats.e_n
         e_lam = state.W.mean @ state.H.mean.T
@@ -219,10 +236,10 @@ def test_criterion_7_generative_recovery(recovery_setup):
     rng = np.random.default_rng(7)
     eps = 1.0 / rng.gamma(1.0, size=10_000)
     for lam in (0.05, 0.2, 0.8, 3.0):
-        samples = thr.quantize(lam * eps)
+        samples = quantize(thr, lam * eps)
         mc = samples.mean()
         se = samples.std(ddof=1) / np.sqrt(samples.size)
-        fitted = norm.expected_class(np.array([lam]))[0]
+        fitted = expected_class(norm, np.array([lam]))[0]
         assert abs(fitted - mc) <= 4.0 * se, \
             f"lambda={lam}: |{fitted:.5f} - {mc:.5f}| > 4*{se:.5f}"
 
@@ -230,7 +247,7 @@ def test_criterion_7_generative_recovery(recovery_setup):
     # class frequencies of the generating model, per class, within the
     # sampling error of the predictive draw.
     lam_true = (truth.W @ truth.H.T).ravel()
-    freq_true = np.array([thr.pmf(v, lam_true).mean()
+    freq_true = np.array([pmf(thr, v, lam_true).mean()
                           for v in range(thr.n_classes + 1)])
     budget = 100_000
     report = ppc_histogram(state, recovery_setup["data"],

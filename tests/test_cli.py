@@ -1,5 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -22,8 +24,8 @@ from ordnmf.inference import load_state, predict_scores, save_state
 
 from oracles import damaged_ordmat, random_state_like
 
-PROTOCOL_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
-                   / "reproduce_protocol.sh")
+REPO = Path(__file__).resolve().parents[1]
+PROTOCOL_SCRIPT = REPO / "scripts" / "reproduce_protocol.sh"
 # runs the stages of a JSON list of argv lists, then train's argv, through
 # ordnmf.cli.main; the last line it prints is a JSON record of the exit
 # codes and of the scipy modules loaded before and after train
@@ -281,6 +283,18 @@ class TestPipeline:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+    def test_benchmark_trace_layers_import(self):
+        # the traced benchmark run wraps the functions of ordnmf.<m> for
+        # each m in tracing.LAYERS, and stops if one of them is gone
+        tree = ast.parse((REPO / "benchmarks" / "tracing.py").read_text())
+        layers = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in node.targets)]
+        assert len(layers) == 1 and layers[0]
+        for name in layers[0]:
+            importlib.import_module(f"ordnmf.{name}")
 
 
 class TestErrorHandling:

@@ -452,7 +452,7 @@ class TestOrdinalMatrix:
         got = np.zeros((len(users), mat.n_items), dtype=np.int64)
         got[row, mat.cols[at]] = mat.vals[at]
         np.testing.assert_array_equal(
-            got, mat.to_dense()[np.asarray(users, dtype=np.int64)])
+            got, np.asarray(dense)[np.asarray(users, dtype=np.int64)])
         assert row.size == np.count_nonzero(got)
 
     @pytest.mark.parametrize("mine, theirs, shared", [

@@ -12,15 +12,25 @@ from hypothesis.extra import numpy as hnp
 from ordnmf import inference
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, NumericalError
-from ordnmf.evaluation import (evaluate_ranking, log_lik_nonzeros, ndcg_at_m,
-                               ppc_histogram, ppc_report_text,
-                               ranking_report_text, score_blocks, top_m_items)
+from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
+                               log_lik_nonzeros, ppc_histogram,
+                               ppc_report_text, ranking_report_text,
+                               score_blocks, top_m_items)
 from ordnmf.inference import FitConfig, fit, predict_scores
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
-from oracles import (ndcg_bruteforce, random_matrix, random_state_like,
-                     top_m_bruteforce)
+from oracles import (ndcg_bruteforce, pmf_all, random_matrix,
+                     random_state_like, top_m_bruteforce)
+
+
+def ndcg_at_m(scores, train, test, threshold, list_length):
+    """NDCG report of a dense users x items score matrix (copied, since
+    ranking writes -inf over train items), by evaluate_ranking's kernel."""
+    scores = np.array(scores, dtype=float)
+    assert scores.shape == (train.n_users, train.n_items)
+    return _ndcg_reports([(np.arange(train.n_users), scores)], train, test,
+                         [threshold], list_length)[0]
 
 
 def matrices_for_ranking():
@@ -284,7 +294,7 @@ class TestLogLikNonzeros:
             V = int(rng.integers(2, 7))
             thr = ThresholdSequence.from_delta(rng.uniform(0.1, 1.0, V))
             lam = rng.uniform(0.05, 8.0)
-            p = thr.pmf_all(lam)
+            p = pmf_all(thr, lam)
             cond = p[1:] / (1 - p[0])
             assert abs(cond.sum() - 1.0) < 1e-12
 

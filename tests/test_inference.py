@@ -21,8 +21,8 @@ from ordnmf.inference import (FitConfig, GammaVariationalMatrix,
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
-from oracles import (dense_iteration, random_matrix, random_state_like,
-                     threshold_objective, ztp_mean_series)
+from oracles import (dense, dense_iteration, expected_class, random_matrix,
+                     random_state_like, threshold_objective, ztp_mean_series)
 
 
 def run_iteration(state, data):
@@ -194,7 +194,7 @@ class TestLocalUpdate:
         data = random_matrix(2, 2, 2, rng, density=0.9)
         state = random_state_like(data, 2, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        y = data.to_dense()
+        y = dense(data)
         GW, GH = state.W.geo_mean, state.H.geo_mean
         cw_ref = np.zeros_like(stats.cw)
         for u in range(2):
@@ -299,7 +299,7 @@ class TestThresholdUpdate:
         stats = local_update(state, data, entry_intensities(state, data))
         lam_by_class = class_sums(state, class_indicators(data))
         thr, _ = update_thresholds(state, data, stats, lam_by_class)
-        y = data.to_dense()
+        y = dense(data)
         e_n = np.zeros(y.shape)
         e_n[data.rows, data.cols] = stats.e_n
         e_lam = state.W.mean @ state.H.mean.T
@@ -573,7 +573,7 @@ class TestPredictAndSerialize:
         data = random_matrix(3, 8, 3, rng)
         state = random_state_like(data, 2, rng)
         scores = predict_scores(state, [0])[0]
-        expected = state.thresholds.expected_class(scores)
+        expected = expected_class(state.thresholds, scores)
         assert np.argsort(scores).tolist() == np.argsort(expected).tolist()
 
     def test_exact_product(self):
@@ -595,7 +595,7 @@ class TestPredictAndSerialize:
                                       "w-rate-shape", "h-rate-shape",
                                       "k-mismatch", "beta-w-length",
                                       "beta-h-length", "nan-w-shape",
-                                      "inf-h-rate"])
+                                      "inf-h-rate", "inf-theta"])
     def test_load_state_rejects_other_files(self, tmp_path, kind):
         path = tmp_path / f"model.{kind}"
         if kind in ("text", "empty"):
@@ -628,6 +628,7 @@ class TestPredictAndSerialize:
                                                              [1.0, 1.0]])},
                         "inf-h-rate": {"h_rate": np.array([[np.inf, 1.0],
                                                            [1.0, 1.0]])},
+                        "inf-theta": {"theta": np.array([np.inf])},
                     }[kind])
                 with open(path, "wb") as fh:
                     np.savez(fh, **fields)
@@ -765,5 +766,5 @@ def _triplets(dense):
 
 def _denominator(state, data, l):
     e_lam = state.W.mean @ state.H.mean.T
-    y = data.to_dense()
+    y = dense(data)
     return e_lam[y <= l].sum()

@@ -7,7 +7,8 @@ import pytest
 
 from ordnmf.model import ThresholdSequence, log1mexp
 
-from oracles import sample_class_table
+from oracles import (cdf, expected_class, pmf, pmf_all, quantize,
+                     sample_class_table)
 
 
 def random_thresholds(n_classes, rng):
@@ -20,8 +21,20 @@ class TestThresholdSequence:
             ThresholdSequence([1.0, 1.5])  # increasing
         with pytest.raises(ValueError):
             ThresholdSequence([1.0, -0.5])
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdSequence([np.inf, 1.0])
         with pytest.raises(ValueError):
             ThresholdSequence.from_delta([0.5, 0.0])
+
+    def test_argument_stays_writeable(self):
+        theta = np.array([1.0, 0.5])
+        thr = ThresholdSequence(theta)
+        assert theta.flags.writeable
+        theta[0] = 2.0
+        assert thr.theta[0] == 1.0
+        for frozen in (thr.theta, thr.delta):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 3.0
 
     def test_delta_reconstruction_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -32,7 +45,7 @@ class TestThresholdSequence:
 
     def test_b_increasing(self):
         thr = random_thresholds(6, np.random.default_rng(1))
-        assert np.all(np.diff(thr.b) > 0)
+        assert np.all(np.diff(1.0 / thr.theta) > 0)
 
     def test_exposure_lookup(self):
         thr = ThresholdSequence([2.0, 1.0, 0.4])
@@ -48,50 +61,50 @@ class TestQuantize:
     thr = ThresholdSequence([1.0, 0.5, 0.2])
 
     def test_below_first(self):
-        assert self.thr.quantize(0.5) == 0
-        assert self.thr.quantize(0.0) == 0
+        assert quantize(self.thr, 0.5) == 0
+        assert quantize(self.thr, 0.0) == 0
 
     def test_left_closed(self):
         # x exactly on a threshold belongs to the upper class
-        assert self.thr.quantize(2.0) == 2
+        assert quantize(self.thr, 2.0) == 2
 
     def test_above_last(self):
-        assert self.thr.quantize(7.0) == 3
+        assert quantize(self.thr, 7.0) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            self.thr.quantize(-1.0)
+            quantize(self.thr, -1.0)
 
 
 class TestCdf:
     def test_top_class_is_one(self):
         thr = random_thresholds(4, np.random.default_rng(2))
         for lam in (0.01, 1.0, 50.0):
-            assert thr.cdf(4, lam) == 1.0
+            assert cdf(thr, 4, lam) == 1.0
 
     def test_small_lambda_limit(self):
         thr = random_thresholds(4, np.random.default_rng(3))
         for v in range(5):
-            assert thr.cdf(v, 1e-14) == pytest.approx(1.0, abs=1e-12)
+            assert cdf(thr, v, 1e-14) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_value(self):
         thr = ThresholdSequence([1.0])
-        assert thr.cdf(0, np.log(2.0)) == pytest.approx(0.5, rel=1e-14)
+        assert cdf(thr, 0, np.log(2.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_monotone_in_class_and_lambda(self):
         rng = np.random.default_rng(4)
         thr = random_thresholds(5, rng)
         for lam in rng.uniform(0.01, 5.0, size=10):
-            vals = [thr.cdf(v, lam) for v in range(6)]
+            vals = [cdf(thr, v, lam) for v in range(6)]
             assert np.all(np.diff(vals) >= 0)
         lams = np.linspace(0.01, 5, 40)
         for v in range(5):
-            assert np.all(np.diff([thr.cdf(v, l) for l in lams]) < 0)
+            assert np.all(np.diff([cdf(thr, v, l) for l in lams]) < 0)
 
     def test_range_check(self):
         thr = random_thresholds(3, np.random.default_rng(5))
         with pytest.raises(ValueError):
-            thr.cdf(4, 1.0)
+            cdf(thr, 4, 1.0)
 
 
 class TestPmf:
@@ -100,24 +113,24 @@ class TestPmf:
         for _ in range(30):
             thr = random_thresholds(int(rng.integers(1, 8)), rng)
             lam = rng.uniform(1e-3, 20.0)
-            assert abs(thr.pmf_all(lam).sum() - 1.0) < 1e-12
+            assert abs(pmf_all(thr, lam).sum() - 1.0) < 1e-12
 
     def test_binary_special_case(self):
         thr = ThresholdSequence([1.0])
         for lam in (0.1, 1.0, 3.0):
-            assert thr.pmf(1, lam) == pytest.approx(-np.expm1(-lam), rel=1e-14)
+            assert pmf(thr, 1, lam) == pytest.approx(-np.expm1(-lam), rel=1e-14)
 
     def test_analytic_middle_class(self):
         thr = ThresholdSequence([2.0, 1.0])
         expected = np.exp(-1.0) - np.exp(-2.0)
-        assert thr.pmf(1, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert pmf(thr, 1, 1.0) == pytest.approx(expected, rel=1e-14)
         assert abs(expected - 0.23254) < 1e-5
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(7)
         thr = random_thresholds(5, rng)
         for lam in rng.uniform(1e-4, 30, size=20):
-            p = thr.pmf_all(lam)
+            p = pmf_all(thr, lam)
             assert np.all(p >= 0) and np.all(p <= 1)
 
 
@@ -129,7 +142,7 @@ class TestLogPmf:
             lam = rng.uniform(0.05, 10.0)
             for v in range(thr.n_classes + 1):
                 np.testing.assert_allclose(np.exp(thr.log_pmf(v, lam)),
-                                           thr.pmf(v, lam), rtol=1e-12)
+                                           pmf(thr, v, lam), rtol=1e-12)
 
     def test_class_zero_exact(self):
         thr = ThresholdSequence([0.7, 0.3])
@@ -164,20 +177,20 @@ class TestLogPmf:
 class TestExpectedClass:
     def test_zero_at_zero(self):
         thr = random_thresholds(4, np.random.default_rng(9))
-        assert thr.expected_class(0.0) == 0.0
+        assert expected_class(thr, 0.0) == 0.0
 
     def test_limit_at_infinity(self):
         thr = random_thresholds(4, np.random.default_rng(10))
-        assert thr.expected_class(1e9) == pytest.approx(4.0, abs=1e-9)
+        assert expected_class(thr, 1e9) == pytest.approx(4.0, abs=1e-9)
 
     def test_analytic_value(self):
         thr = ThresholdSequence([1.0])
-        assert thr.expected_class(1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
+        assert expected_class(thr, 1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
 
     def test_strictly_increasing_on_grid(self):
         thr = random_thresholds(5, np.random.default_rng(11))
         grid = np.linspace(0.0, 20.0, 200)
-        vals = thr.expected_class(grid)
+        vals = expected_class(thr, grid)
         assert np.all(np.diff(vals) > 0)
         assert np.all(vals >= 0) and np.all(vals <= 5)
 
@@ -260,7 +273,7 @@ class TestSampleClass:
         n = 1_000_000
         draws = thr.sample_class(np.full(n, lam), rng)
         freq = np.bincount(draws, minlength=5) / n
-        p = thr.pmf_all(lam)
+        p = pmf_all(thr, lam)
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freq - p) < 4 * se + 1e-12)
 
