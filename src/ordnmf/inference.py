@@ -10,14 +10,14 @@ never enumerated, so every update touches only the stored entries.
 
 One iteration runs: local (n, c) statistics -> factors (users, then items)
 -> entry intensities (reused by the next local step) -> thresholds -> rate
-hyperparameters -> ELBO.  Lambda_ui (geometric means) is the one per-entry
-product of an iteration.  E[lambda_ui] enters only through its per-class sums
-S_l, sparse-times-dense products over 0/1 class-indicator matrices whose rows
-are the shorter side of the data (items when I < U, users otherwise).  The
-ELBO is exact for this variational family and must be non-decreasing; a
-decrease beyond roundoff raises NumericalError since it indicates an update
-bug.  So does a positive ELBO (as under a huge prior shape): it bounds the
-log-probability of discrete data.
+hyperparameters -> ELBO.  It forms two per-entry products with entry_dot:
+Lambda_ui from the geometric means and E[lambda_ui] from the means.
+E[lambda] enters only through its per-class sums S_l, one bincount of it by
+class, so no step loops over the V classes.  The ELBO is exact for this
+variational family and must be non-decreasing; a decrease beyond roundoff
+raises NumericalError since it indicates an update bug.  So does a positive
+ELBO (as under a huge prior shape): it bounds the log-probability of discrete
+data.
 
 The dense (U+I) x K work is done in place where it can be: a factor takes
 one digamma per set and writes its new mean, digamma and geometric mean
@@ -253,20 +253,24 @@ def entry_dot(A, B, rows, cols):
 def entry_intensities(state, data):
     """Lambda at data's non-zeros: sum_k G_w G_h (geometric means),
     checked by require_positive, which fails when G underflows under a
-    small prior shape."""
+    small prior shape.  It also fails on a subnormal Lambda, since
+    local_update's E[n] / Lambda would overflow."""
     return require_positive(
         entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
-        data)
+        data, floor=np.finfo(float).tiny)
 
 
-def require_positive(lam, data):
+def require_positive(lam, data, floor=np.finfo(float).smallest_subnormal):
     """lam, one intensity per entry of data; NumericalError naming the
-    first entry (user, item) where it is not finite and positive."""
+    first entry (user, item) where it is not finite and at least floor
+    (by default the least positive float, which any positive lam is)."""
     # min and max propagate NaN, which fails every comparison
-    if lam.size and not (lam.min() > 0 and lam.max() < np.inf):
-        j = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))[0]
+    if lam.size and not (lam.min() >= floor and lam.max() < np.inf):
+        j = np.flatnonzero(~((lam >= floor) & (lam < np.inf)))[0]
+        what = ("not finite and positive" if not 0 < lam[j] < np.inf
+                else f"below {floor:.4g}")
         raise NumericalError(f"intensity {lam[j]} at (u={data.rows[j]}, "
-                             f"i={data.cols[j]}) is not finite and positive")
+                             f"i={data.cols[j]}) is {what}")
     return lam
 
 
@@ -278,25 +282,12 @@ def _csr(data, values):
                              shape=(data.n_users, data.n_items))
 
 
-def class_indicators(data):
-    """(rows_are_items, [Y_1 .. Y_V]): one 0/1 CSR matrix per class l, with
-    a 1 at each entry y_ui = l.  Rows are items when I < U and users
-    otherwise, so class_sums' temporaries are (shorter side) x K."""
-    by_item = data.n_items < data.n_users
-    mats = []
-    for cls in range(1, data.n_classes + 1):
-        Y = _csr(data, (data.vals == cls).astype(float))
-        Y.eliminate_zeros()
-        mats.append(Y.T.tocsr() if by_item else Y)
-    return by_item, mats
-
-
-def class_sums(state, indicators):
+def class_sums(state, data):
     """S_l = sum over entries with y = l of E[lambda_ui], for l = 1..V:
-    vdot(E[A], Y_l E[B]), A the factor on the indicators' row side."""
-    by_item, mats = indicators
-    A, B = (state.H, state.W) if by_item else (state.W, state.H)
-    return np.array([np.vdot(A.mean, Y @ B.mean) for Y in mats])
+    one bincount by class of E[lambda] at data's non-zeros."""
+    e_lam = entry_dot(state.W.mean, state.H.mean, data.rows, data.cols)
+    return np.bincount(data.vals, weights=e_lam,
+                       minlength=data.n_classes + 1)[1:]
 
 
 def init_thresholds(data):
@@ -431,8 +422,7 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     else:
         nonlinear = log1mexp(x)
         nonlinear += x
-    exposures = thr.exposure(np.arange(1, thr.n_classes + 1))
-    nz_part = float(nonlinear.sum() - lam_by_class @ exposures)
+    nz_part = float(nonlinear.sum() - lam_by_class @ thr.theta)
     zero_part = -thr.theta[0] * (total_expected_lambda(state)
                                  - float(lam_by_class.sum()))
     elbo = (nz_part + zero_part + state.W.prior_minus_entropy()
@@ -447,9 +437,8 @@ def fit(data, config):
     falls below config.tol or max_iter is reached."""
     state = init_state(config, data)
     point_mass = config.variant == "pf"
-    indicators = class_indicators(data)
     lam_big = entry_intensities(state, data)
-    prev = compute_elbo(state, data, lam_big, class_sums(state, indicators),
+    prev = compute_elbo(state, data, lam_big, class_sums(state, data),
                         point_mass)
     trace = []
     converged = False
@@ -458,7 +447,7 @@ def fit(data, config):
         update_factors(state, data, stats)
         # threshold and rate updates leave W and H, hence these, unchanged
         lam_big = entry_intensities(state, data)
-        lam_by_class = class_sums(state, indicators)
+        lam_by_class = class_sums(state, data)
         if config.variant == "ordinal":
             state.thresholds, _ = update_thresholds(state, data, stats,
                                                     lam_by_class)

@@ -61,8 +61,11 @@ class ThresholdSequence:
         # theta with the implicit theta_V = 0 appended; index by class v
         self._theta_ext = np.append(theta, 0.0)
         self._theta_ext.setflags(write=False)
-        self.delta = -np.diff(self._theta_ext)
-        self.delta.setflags(write=False)
+        # decrements with delta_0 = theta_{-1} - theta_0 = +inf prepended;
+        # index by class v
+        self._delta_ext = -np.diff(np.append(np.inf, self._theta_ext))
+        self._delta_ext.setflags(write=False)
+        self.delta = self._delta_ext[1:]
         # exposure[v] multiplies lambda for an observed class v
         self._exposure = np.concatenate(([theta[0]], theta))
         self._exposure.setflags(write=False)
@@ -97,17 +100,10 @@ class ThresholdSequence:
         lam = np.asarray(lam, dtype=float)
         if np.any(lam <= 0):
             raise ValueError("log_pmf requires lambda > 0")
-        scalar = v.ndim == 0 and lam.ndim == 0
-        v_arr, lam_arr = np.broadcast_arrays(np.atleast_1d(v), np.atleast_1d(lam))
-        out = np.empty(v_arr.shape, dtype=float)
-        zero = v_arr == 0
-        out[zero] = -lam_arr[zero] * self.theta[0]
-        nz = ~zero
-        if np.any(nz):
-            vv = v_arr[nz]
-            ll = lam_arr[nz]
-            out[nz] = -ll * self._theta_ext[vv] + log1mexp(ll * self.delta[vv - 1])
-        return float(out[0]) if scalar else out
+        # at v = 0, lambda * delta_0 = +inf and log1mexp(+inf) = 0
+        out = log1mexp(lam * self._delta_ext[v])
+        out -= lam * self._theta_ext[v]
+        return out if np.ndim(out) else float(out)
 
     def sample_class(self, lam, rng):
         """Draw classes by inverting the c.d.f. on one uniform u per entry.

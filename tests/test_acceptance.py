@@ -20,11 +20,10 @@ import pytest
 from ordnmf.baselines import binarize
 from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
-from ordnmf.inference import (FitConfig, class_indicators, class_sums,
-                              compute_elbo, entry_intensities, fit,
-                              local_update, update_factors,
-                              update_rate_hyperparams, update_thresholds,
-                              ztp_mean)
+from ordnmf.inference import (FitConfig, class_sums, compute_elbo,
+                              entry_intensities, fit, local_update,
+                              update_factors, update_rate_hyperparams,
+                              update_thresholds, ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -55,7 +54,7 @@ def _library_iteration(state, data, point_mass=False,
     stats = local_update(state, data, lam_big, point_mass)
     update_factors(state, data, stats)
     if learn_thresholds:
-        sums = class_sums(state, class_indicators(data))
+        sums = class_sums(state, data)
         state.thresholds, _ = update_thresholds(state, data, stats, sums)
     if update_rates:
         update_rate_hyperparams(state)
@@ -82,7 +81,7 @@ def test_criterion_1_elbo_bruteforce():
     state = random_state_like(data, 2, rng)
     t0 = time.perf_counter()
     fast = compute_elbo(state, data, entry_intensities(state, data),
-                        class_sums(state, class_indicators(data)))
+                        class_sums(state, data))
     slow = elbo_bruteforce(state, data, n_max=500)
     elapsed = time.perf_counter() - t0
     np.testing.assert_allclose(fast, slow, rtol=1e-8)
@@ -201,7 +200,7 @@ def test_criterion_6_threshold_stationarity():
         state = random_state_like(data, 3, rng)
         stats = local_update(state, data, entry_intensities(state, data))
         update_factors(state, data, stats)
-        lam_by_class = class_sums(state, class_indicators(data))
+        lam_by_class = class_sums(state, data)
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert not floored
 

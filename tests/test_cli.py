@@ -21,6 +21,7 @@ from ordnmf.baselines import binarize
 from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
 from ordnmf.inference import load_state, predict_scores, save_state
+from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import damaged_ordmat, random_state_like
 
@@ -625,6 +626,22 @@ class TestErrorHandling:
                    "--alpha-w", 1e-3, "--alpha-h", 1e-3) == 1
         assert capsys.readouterr().err == (
             "error: intensity 0.0 at (u=0, i=0) is not finite and positive\n")
+        assert list(tmp_path.iterdir()) == [mat]
+
+    def test_subnormal_intensity_stops_train(self, tmp_path, capsys):
+        # at alpha_w = 1.35e-3 some Lambda become subnormal but stay
+        # positive; local_update's E[n] / Lambda would overflow
+        data, _ = generate_dataset(30, 20, 3, default_thresholds(3),
+                                   np.random.default_rng(0), scale=0.3)
+        mat = tmp_path / "train.ordmat"
+        data.save(mat)
+        model = tmp_path / "model.npz"
+        assert run("train", "--input", mat, "--output", model, "--k", 3,
+                   "--alpha-w", 0.00135, "--max-iter", 20, "--seed", 0) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: intensity (\S+) at \(u=0, i=3\) is "
+                             r"below 2\.225e-308\n", err)
+        assert found and 0 < float(found[1]) < np.finfo(float).tiny
         assert list(tmp_path.iterdir()) == [mat]
 
     def test_ppc_draws_of_zero_intensity(self, tmp_path, ranking_files):

@@ -12,12 +12,13 @@ from ordnmf import inference
 from ordnmf.baselines import binarize
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, NumericalError
-from ordnmf.inference import (FitConfig, GammaVariationalMatrix,
-                              class_indicators, class_sums, compute_elbo,
-                              entry_intensities, fit, init_state, load_state,
-                              local_update, predict_scores, save_state,
-                              update_factors, update_rate_hyperparams,
-                              update_thresholds, ztp_mean)
+from ordnmf.evaluation import ppc_histogram
+from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
+                              compute_elbo, entry_intensities, fit,
+                              init_state, load_state, local_update,
+                              predict_scores, save_state, update_factors,
+                              update_rate_hyperparams, update_thresholds,
+                              ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -30,7 +31,7 @@ def run_iteration(state, data):
     lam_big = entry_intensities(state, data)
     stats = local_update(state, data, lam_big)
     update_factors(state, data, stats)
-    lam_by_class = class_sums(state, class_indicators(data))
+    lam_by_class = class_sums(state, data)
     state.thresholds, _ = update_thresholds(state, data, stats, lam_by_class)
     update_rate_hyperparams(state)
     return stats
@@ -274,7 +275,7 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(12)
         state = random_state_like(data, 2, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        lam_by_class = class_sums(state, class_indicators(data))
+        lam_by_class = class_sums(state, data)
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         e_lam = float(state.W.mean[0] @ state.H.mean[0])
         assert thr.theta[0] == pytest.approx(stats.e_n[0] / e_lam, rel=1e-12)
@@ -285,7 +286,7 @@ class TestThresholdUpdate:
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        lam_by_class = class_sums(state, class_indicators(data))
+        lam_by_class = class_sums(state, data)
         thr, _ = update_thresholds(state, data, stats, lam_by_class)
         for l in range(1, 4):
             num = stats.e_n[data.vals == l].sum()
@@ -297,7 +298,7 @@ class TestThresholdUpdate:
         data = random_matrix(6, 5, 3, rng)
         state = random_state_like(data, 2, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        lam_by_class = class_sums(state, class_indicators(data))
+        lam_by_class = class_sums(state, data)
         thr, _ = update_thresholds(state, data, stats, lam_by_class)
         y = dense(data)
         e_n = np.zeros(y.shape)
@@ -316,7 +317,7 @@ class TestThresholdUpdate:
         rng = np.random.default_rng(15)
         state = random_state_like(data, 2, rng)
         stats = local_update(state, data, entry_intensities(state, data))
-        lam_by_class = class_sums(state, class_indicators(data))
+        lam_by_class = class_sums(state, data)
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert floored == [2]
         assert thr.delta[1] == pytest.approx(1e-10)
@@ -336,9 +337,7 @@ class TestClassSums:
             data = OrdinalMatrix(U, I, V, data.rows[keep], data.cols[keep],
                                  data.vals[keep])
         state = random_state_like(data, 3, rng)
-        indicators = class_indicators(data)
-        assert indicators[0] == (I < U)
-        got = class_sums(state, indicators)
+        got = class_sums(state, data)
         e_lam = np.einsum("jk,jk->j", state.W.mean[data.rows],
                           state.H.mean[data.cols])
         want = np.bincount(data.vals, weights=e_lam, minlength=V + 1)[1:]
@@ -474,7 +473,7 @@ def test_elbo_trace_pinned(corner):
                                rtol=1e-12, atol=0)
 
 
-def test_fit_forms_one_entry_product_per_iteration(monkeypatch):
+def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
     calls = []
     real = inference.entry_dot
 
@@ -486,7 +485,8 @@ def test_fit_forms_one_entry_product_per_iteration(monkeypatch):
     data, cfg = _pinned_fit_inputs("ordinal")
     res = fit(data, cfg)
     assert res.iterations == 6
-    assert len(calls) == res.iterations + 1
+    # Lambda and the class sums' E[lambda], once more before the loop
+    assert len(calls) == 2 * (res.iterations + 1)
 
 
 class TestEntryDot:
@@ -756,6 +756,57 @@ class TestScalability:
         skewed = self._peak(self._matrix(1990, 10, 10_000, 44))
         square = self._peak(self._matrix(1000, 1000, 10_000, 44))
         assert square < 1.1 * skewed
+
+
+class TestClassScaling:
+    """A fit's work grows with the occupied classes, not with V: the same
+    entries, labelled with V = 3 and relabelled 1, 2, 3 -> 1, V/2, V at
+    V = 2000, make the same calls, and the larger V adds at most
+    C * V * 8 bytes to the tracemalloc peak of a 2-iteration fit and a
+    ppc_histogram (length-V arrays: thresholds, class sums, histograms,
+    the list of floored classes).  Measured: ~14 V * 8, so C = 32 leaves
+    ~2x; one 0/1 CSR per class added ~126 V * 8 and 2000 _csr calls."""
+
+    C, V = 32, 2000
+
+    @staticmethod
+    def _run(data, monkeypatch):
+        calls = {}
+
+        def spy(patch, owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            patch.setattr(owner, name, counted)
+
+        cfg = FitConfig(n_components=3, max_iter=2, tol=1e-300)
+        with monkeypatch.context() as patch:
+            spy(patch, inference, "_csr")
+            spy(patch, inference, "entry_dot")
+            spy(patch, ThresholdSequence, "sample_class")
+            tracemalloc.start()
+            try:
+                state = fit(data, cfg).state
+                ppc_histogram(state, data, np.random.default_rng(0),
+                              n_cells=1000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return calls, peak
+
+    def test_calls_and_peak_flat_in_v(self, monkeypatch):
+        small = random_matrix(30, 20, 3, np.random.default_rng(45))
+        relabel = np.array([0, 1, self.V // 2, self.V])
+        large = OrdinalMatrix(30, 20, self.V, small.rows, small.cols,
+                              relabel[small.vals])
+        self._run(small, monkeypatch)  # imports are not the fit's memory
+        calls_small, peak_small = self._run(small, monkeypatch)
+        calls_large, peak_large = self._run(large, monkeypatch)
+        assert calls_small["sample_class"] == 1
+        assert calls_large == calls_small
+        assert peak_large - peak_small <= self.C * self.V * 8
 
 
 def _triplets(dense):
