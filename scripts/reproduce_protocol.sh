@@ -8,8 +8,8 @@
 # several relevance thresholds together with the non-zero test log-likelihood
 # and a posterior predictive class histogram.
 #
-# This is compute-heavy at realistic scales (hours for millions of non-zeros);
-# it is opt-in and not part of the test suite.
+# This is compute-heavy at realistic scales (hours for millions of non-zeros).
+# The test suite runs it once on a 60 x 40 file with RESTARTS=1 and K = 3.
 #
 # Usage:
 #   scripts/reproduce_protocol.sh INPUT.csv OUTDIR [K]

@@ -10,6 +10,9 @@ from .errors import ConfigError, DataError, NumericalError
 from .inference import entry_dot, predict_scores
 from .model import log1mexp
 
+# Cells per dense float64 score block of score_blocks (~16 MB)
+BLOCK_CELLS = 1 << 21
+
 
 @dataclass
 class RankingMetricsReport:
@@ -31,10 +34,10 @@ class PPCReport:
 
 def score_blocks(state, users):
     """Yield (users, predict_scores rows) for consecutive blocks of users,
-    inference.BLOCK_CELLS score cells at most (one row at least), so
+    BLOCK_CELLS score cells at most (one row at least), so
     ranking's dense score memory (~16 MB) does not grow with U x I."""
     users = np.asarray(users, dtype=np.int64)
-    step = max(1, inference.BLOCK_CELLS // state.n_items)
+    step = max(1, BLOCK_CELLS // state.n_items)
     for start in range(0, users.size, step):
         block = users[start:start + step]
         yield block, predict_scores(state, block)
@@ -131,7 +134,7 @@ def log_lik_nonzeros(test, state):
 
     Uses the posterior-mean intensity and subtracts the log probability of
     being non-zero; never positive.  NumericalError naming the first entry
-    whose intensity is not finite and positive (inference.require_positive).
+    whose intensity is not finite and normal (inference.require_positive).
     """
     if test.nnz == 0:
         raise DataError("test matrix is empty")

@@ -8,16 +8,17 @@ Each non-zero entry is augmented with a zero-truncated Poisson count n_ui
 that count over components; zero entries contribute n = 0, c = 0 and are
 never enumerated, so every update touches only the stored entries.
 
-One iteration runs: local (n, c) statistics -> factors (users, then items)
--> entry intensities (reused by the next local step) -> thresholds -> rate
-hyperparameters -> ELBO.  It forms two per-entry products with entry_dot:
-Lambda_ui from the geometric means and E[lambda_ui] from the means.
-E[lambda] enters only through its per-class sums S_l, one bincount of it by
-class, so no step loops over the V classes.  The ELBO is exact for this
-variational family and must be non-decreasing; a decrease beyond roundoff
-raises NumericalError since it indicates an update bug.  So does a positive
-ELBO (as under a huge prior shape): it bounds the log-probability of discrete
-data.
+iterate runs the one CAVI iteration of every variant: local (n, c)
+statistics -> factors (users, then items) -> entry intensities (reused by
+the next local step) -> thresholds (ordinal only) -> rate hyperparameters
+-> ELBO; fit calls it until convergence.  It forms two per-entry products
+with entry_dot: Lambda_ui from the geometric means and E[lambda_ui] from
+the means.  E[lambda] enters only through its per-class sums S_l, one
+bincount of it by class, so no step loops over the V classes.  The ELBO is
+exact for this variational family and must be non-decreasing; a decrease
+beyond roundoff raises NumericalError since it indicates an update bug.  So
+does a positive ELBO (as under a huge prior shape): it bounds the
+log-probability of discrete data.
 
 The dense (U+I) x K work is done in place where it can be: a factor takes
 one digamma per set and writes its new mean, digamma and geometric mean
@@ -39,9 +40,6 @@ _STATE_VERSION = 1
 # Decrement given to a class absent from the train data.
 DELTA_FLOOR = 1e-10
 VARIANTS = ("ordinal", "bepof", "pf")
-# Cells per dense float64 score block of evaluation.score_blocks (~16 MB),
-# so ranking's memory does not grow with U x I.
-BLOCK_CELLS = 1 << 21
 # Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
 # fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
 # rather than from L3 or DRAM, and each call allocates them once.
@@ -253,17 +251,18 @@ def entry_dot(A, B, rows, cols):
 def entry_intensities(state, data):
     """Lambda at data's non-zeros: sum_k G_w G_h (geometric means),
     checked by require_positive, which fails when G underflows under a
-    small prior shape.  It also fails on a subnormal Lambda, since
-    local_update's E[n] / Lambda would overflow."""
+    small prior shape."""
     return require_positive(
         entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
-        data, floor=np.finfo(float).tiny)
+        data)
 
 
-def require_positive(lam, data, floor=np.finfo(float).smallest_subnormal):
+def require_positive(lam, data):
     """lam, one intensity per entry of data; NumericalError naming the
-    first entry (user, item) where it is not finite and at least floor
-    (by default the least positive float, which any positive lam is)."""
+    first entry (user, item) where it is not finite and normal: for a
+    subnormal lam, local_update's E[n] / Lambda would overflow and the
+    held-out likelihood's lam * delta loses its digits or underflows."""
+    floor = np.finfo(float).tiny
     # min and max propagate NaN, which fails every comparison
     if lam.size and not (lam.min() >= floor and lam.max() < np.inf):
         j = np.flatnonzero(~((lam >= floor) & (lam < np.inf)))[0]
@@ -347,12 +346,12 @@ def local_update(state, data, lam_big, point_mass=False):
 
 def update_factors(state, data, stats):
     """shape = alpha + sum E[c]; rate = beta_r + sum over the row's cells of
-    exposure(y) * E[other factor].  Users first, so item rates see the new
-    user means.  Exposure is theta_0 at y = 0, so a rate is a dense theta_0
-    * colsum term plus a sparse term from one CSR of exposure(y) - theta_0
-    over the non-zeros (its transpose for the items)."""
+    theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users first, so item
+    rates see the new user means.  So a rate is a dense theta_0 * colsum
+    term plus a sparse term from one CSR of theta_{y-1} - theta_0 over the
+    non-zeros (its transpose for the items)."""
     theta0 = state.thresholds.theta[0]
-    exposure = state.thresholds.exposure(data.vals)
+    exposure = state.thresholds.theta[data.vals - 1]
     weights = _csr(data, np.subtract(exposure, theta0, out=exposure))
     for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
                                      (state.H, stats.ch, weights.T, state.W)):
@@ -432,27 +431,37 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     return float(elbo)  # fit's tol * |ELBO| then overflows without a warning
 
 
+def iterate(state, data, lam_big, variant):
+    """One CAVI iteration of variant (see FitConfig), in place on state,
+    whose entry intensities are lam_big: local step, users, items,
+    thresholds (ordinal only), rate hyperparameters.  Returns lam_big,
+    overwritten with the new state's entry intensities, and the ELBO."""
+    point_mass = variant == "pf"
+    stats = local_update(state, data, lam_big, point_mass)
+    update_factors(state, data, stats)
+    # threshold and rate updates leave W and H, hence these, unchanged;
+    # in place, so the caller's old Lambda is not kept alive beside it
+    lam_big[:] = entry_intensities(state, data)
+    lam_by_class = class_sums(state, data)
+    if variant == "ordinal":
+        state.thresholds, _ = update_thresholds(state, data, stats,
+                                                lam_by_class)
+    update_rate_hyperparams(state)
+    return lam_big, compute_elbo(state, data, lam_big, lam_by_class,
+                                 point_mass)
+
+
 def fit(data, config):
-    """Run the coordinate-ascent loop until the relative ELBO increment
-    falls below config.tol or max_iter is reached."""
+    """Run iterate until the relative ELBO increment falls below
+    config.tol or max_iter is reached."""
     state = init_state(config, data)
-    point_mass = config.variant == "pf"
     lam_big = entry_intensities(state, data)
     prev = compute_elbo(state, data, lam_big, class_sums(state, data),
-                        point_mass)
+                        config.variant == "pf")
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        stats = local_update(state, data, lam_big, point_mass)
-        update_factors(state, data, stats)
-        # threshold and rate updates leave W and H, hence these, unchanged
-        lam_big = entry_intensities(state, data)
-        lam_by_class = class_sums(state, data)
-        if config.variant == "ordinal":
-            state.thresholds, _ = update_thresholds(state, data, stats,
-                                                    lam_by_class)
-        update_rate_hyperparams(state)
-        elbo = compute_elbo(state, data, lam_big, lam_by_class, point_mass)
+        lam_big, elbo = iterate(state, data, lam_big, config.variant)
         trace.append(elbo)
         # also covers a positive initial ELBO: iteration 1's is no lower,
         # or the decrease check below raises

@@ -41,8 +41,6 @@ class ThresholdSequence:
 
     * delta: positive decrements, delta_v = theta_{v-1} - theta_v for
       v in {1..V}, so theta_v = sum(delta[v+1:]).
-    * exposure(v): theta_0 for v = 0, theta_{v-1} for v >= 1; the
-      coefficient multiplying lambda in the augmented joint likelihood.
 
     Instances are immutable and safe to share across threads.
     """
@@ -66,9 +64,6 @@ class ThresholdSequence:
         self._delta_ext = -np.diff(np.append(np.inf, self._theta_ext))
         self._delta_ext.setflags(write=False)
         self.delta = self._delta_ext[1:]
-        # exposure[v] multiplies lambda for an observed class v
-        self._exposure = np.concatenate(([theta[0]], theta))
-        self._exposure.setflags(write=False)
 
     @classmethod
     def from_delta(cls, delta):
@@ -78,10 +73,6 @@ class ThresholdSequence:
             raise ValueError("delta must be strictly positive")
         theta = np.cumsum(delta[::-1])[::-1]
         return cls(theta)
-
-    def exposure(self, v):
-        """theta_0 if v == 0 else theta_{v-1} (vectorized over v)."""
-        return self._exposure[v]
 
     def _check_class(self, v):
         v = np.asarray(v)

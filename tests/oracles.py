@@ -78,14 +78,15 @@ def ztp_mean_series(x, n_max=500):
 
 
 def dense_iteration(state, data, pf_approximation=False,
-                    learn_thresholds=True, update_rates=True,
-                    delta_floor=1e-10):
+                    learn_thresholds=True):
     """One full coordinate-ascent iteration over the dense class matrix.
 
     Returns (w_shape, w_rate, h_shape, h_rate, theta, beta_w, beta_h)
     following the same phase order as the library: locals from the current
     state, then user factors, then item factors (whose rates see the fresh
-    user means), then thresholds, then rate hyperparameters.
+    user means), then thresholds, then rate hyperparameters.  Variant pf
+    is pf_approximation (E[n] = 1); bepof and pf keep theta
+    (learn_thresholds=False).
     """
     y = dense(data)
     U, I = y.shape
@@ -136,14 +137,11 @@ def dense_iteration(state, data, pf_approximation=False,
         for l in range(1, V + 1):
             num = e_n[y == l].sum()
             den = e_lam[y <= l].sum()
-            delta[l - 1] = num / den if num > 0 else delta_floor
+            delta[l - 1] = num / den if num > 0 else 1e-10  # DELTA_FLOOR
         theta = np.cumsum(delta[::-1])[::-1]
 
-    beta_w = state.W.beta.copy()
-    beta_h = state.H.beta.copy()
-    if update_rates:
-        beta_w = K * state.W.alpha / EW_new.sum(axis=1)
-        beta_h = K * state.H.alpha / EH_new.sum(axis=1)
+    beta_w = K * state.W.alpha / EW_new.sum(axis=1)
+    beta_h = K * state.H.alpha / EH_new.sum(axis=1)
 
     return w_shape, w_rate, h_shape, h_rate, theta, beta_w, beta_h
 

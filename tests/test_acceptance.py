@@ -21,9 +21,8 @@ from ordnmf.baselines import binarize
 from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
 from ordnmf.inference import (FitConfig, class_sums, compute_elbo,
-                              entry_intensities, fit, local_update,
-                              update_factors, update_rate_hyperparams,
-                              update_thresholds, ztp_mean)
+                              entry_intensities, fit, iterate, local_update,
+                              update_factors, update_thresholds, ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -46,19 +45,6 @@ def _report(number, label):
             print(f"criterion {number} [{label}]: PASS")
         return run
     return wrap
-
-
-def _library_iteration(state, data, point_mass=False,
-                       learn_thresholds=True, update_rates=True):
-    lam_big = entry_intensities(state, data)
-    stats = local_update(state, data, lam_big, point_mass)
-    update_factors(state, data, stats)
-    if learn_thresholds:
-        sums = class_sums(state, data)
-        state.thresholds, _ = update_thresholds(state, data, stats, sums)
-    if update_rates:
-        update_rate_hyperparams(state)
-    return stats
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +74,34 @@ def test_criterion_1_elbo_bruteforce():
     assert elapsed < 1.0, f"elbo oracle comparison took {elapsed:.2f}s"
 
 
-@_report(2, "sparse/dense update equivalence")
-def test_criterion_2_sparse_dense():
-    t0 = time.perf_counter()
+def _criterion_2_cases():
+    """(variant, data, state): ordinal on 6 x 5 matrices, seeds 0-19 at
+    V 2-4, K = 3; bepof and pf on V = 1 matrices, seeds 200-209, K = 3."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
         data = random_matrix(6, 5, int(rng.integers(2, 5)), rng)
-        state = random_state_like(data, 3, rng)
-        ref = dense_iteration(copy.deepcopy(state), data)
-        _library_iteration(state, data)
+        yield "ordinal", data, random_state_like(data, 3, rng)
+    for seed in range(200, 210):
+        for variant in ("bepof", "pf"):
+            rng = np.random.default_rng(seed)
+            data = random_matrix(6, 5, 1, rng)
+            yield variant, data, random_state_like(data, 3, rng)
+
+
+@_report(2, "sparse/dense update equivalence")
+def test_criterion_2_sparse_dense():
+    t0 = time.perf_counter()
+    for variant, data, state in _criterion_2_cases():
+        ref = dense_iteration(copy.deepcopy(state), data,
+                              pf_approximation=variant == "pf",
+                              learn_thresholds=variant == "ordinal")
+        iterate(state, data, entry_intensities(state, data), variant)
         for got, want in zip((state.W.shape, state.W.rate, state.H.shape,
                               state.H.rate, state.thresholds.theta,
                               state.W.beta, state.H.beta), ref):
             np.testing.assert_allclose(got, want, rtol=1e-10)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0, f"20-seed equivalence sweep took {elapsed:.2f}s"
+    assert elapsed < 5.0, f"40-case equivalence sweep took {elapsed:.2f}s"
 
 
 @_report(3, "elbo monotone for 200 iterations on 5 datasets")
@@ -137,8 +136,8 @@ def test_criterion_4_reductions():
             dense(data), cfg.alpha_w, cfg.alpha_h,
             state.W.beta, state.H.beta,
             point_mass_counts=variant == "pf")
-        _library_iteration(state, data, point_mass=variant == "pf",
-                           learn_thresholds=False, update_rates=False)
+        # W and H are final before the rate refit, which the oracle omits
+        iterate(state, data, entry_intensities(state, data), variant)
         np.testing.assert_allclose(state.W.shape, ref[0], rtol=1e-12)
         np.testing.assert_allclose(state.W.rate, ref[1], rtol=1e-12)
         np.testing.assert_allclose(state.H.shape, ref[2], rtol=1e-12)

@@ -8,8 +8,7 @@ from ordnmf.errors import ConfigError
 from ordnmf.inference import FitConfig, entry_intensities, fit, local_update
 from ordnmf.model import ThresholdSequence
 
-from oracles import (bepof_iteration, dense, pmf, random_matrix,
-                     random_state_like)
+from oracles import dense, pmf, random_matrix
 
 
 class TestBinarize:
@@ -77,38 +76,3 @@ class TestConfigs:
                              entry_intensities(res.state, data),
                              point_mass=True)
         np.testing.assert_array_equal(stats.e_n, 1.0)
-
-
-class TestReductions:
-    def _one_library_iteration(self, data, cfg, seed=7):
-        from ordnmf.inference import update_factors
-
-        state = random_state_like(data, cfg.n_components,
-                                  np.random.default_rng(seed),
-                                  alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
-        state.thresholds = ThresholdSequence([1.0])
-        stats = local_update(state, data, entry_intensities(state, data),
-                             cfg.variant == "pf")
-        update_factors(state, data, stats)
-        return state
-
-    @pytest.mark.parametrize("point_mass", [False, True])
-    def test_factor_updates_match_standalone_binary_model(self, point_mass):
-        rng = np.random.default_rng(8)
-        data = random_matrix(4, 3, 1, rng, density=0.6)
-        cfg = FitConfig(n_components=2, variant="pf" if point_mass else "bepof")
-
-        ref_state = random_state_like(data, 2, np.random.default_rng(7),
-                                      alpha_w=cfg.alpha_w, alpha_h=cfg.alpha_h)
-        ref = bepof_iteration(
-            ref_state.W.shape.copy(), ref_state.W.rate.copy(),
-            ref_state.H.shape.copy(), ref_state.H.rate.copy(),
-            dense(data), cfg.alpha_w, cfg.alpha_h,
-            ref_state.W.beta, ref_state.H.beta,
-            point_mass_counts=point_mass)
-
-        state = self._one_library_iteration(data, cfg)
-        np.testing.assert_allclose(state.W.shape, ref[0], rtol=1e-12)
-        np.testing.assert_allclose(state.W.rate, ref[1], rtol=1e-12)
-        np.testing.assert_allclose(state.H.shape, ref[2], rtol=1e-12)
-        np.testing.assert_allclose(state.H.rate, ref[3], rtol=1e-12)

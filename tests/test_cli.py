@@ -20,7 +20,9 @@ import ordnmf
 from ordnmf.baselines import binarize
 from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
-from ordnmf.inference import load_state, predict_scores, save_state
+from ordnmf.inference import (GammaVariationalMatrix, VariationalState,
+                              load_state, predict_scores, save_state)
+from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import damaged_ordmat, random_state_like
@@ -284,6 +286,33 @@ class TestPipeline:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+    def test_protocol_script_runs_end_to_end(self, tmp_path):
+        # 60 x 40 Poisson counts, one restart per model and K = 3; the
+        # ordnmf on PATH runs this interpreter on the package under test
+        rng = np.random.default_rng(0)
+        counts = rng.poisson(rng.gamma(0.5, 2.0, (60, 1))
+                             * rng.gamma(0.5, 0.5, (1, 40)))
+        triplets = tmp_path / "counts.csv"
+        triplets.write_text("".join(f"u{u},i{i},{counts[u, i]}\n"
+                                    for u, i in zip(*np.nonzero(counts))))
+        shim = tmp_path / "bin" / "ordnmf"
+        shim.parent.mkdir()
+        shim.write_text(f"#!/bin/sh\nexec {shlex.quote(sys.executable)} "
+                        f'-m ordnmf.cli "$@"\n')
+        shim.chmod(0o755)
+        env = dict(os.environ, RESTARTS="1",
+                   PATH=os.pathsep.join([str(shim.parent), os.environ["PATH"]]),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        child = subprocess.run(
+            ["bash", str(PROTOCOL_SCRIPT), str(triplets), str(out), "3"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        for model in ("ordnmf", "bepof", "pf"):
+            assert "ndcg" in (out / f"{model}.eval.txt").read_text()
+        assert "simulated_freq" in (out / "ordnmf.ppc.txt").read_text()
 
     def test_benchmark_trace_layers_import(self):
         # the traced benchmark run wraps the functions of ordnmf.<m> for
@@ -643,6 +672,28 @@ class TestErrorHandling:
                              r"below 2\.225e-308\n", err)
         assert found and 0 < float(found[1]) < np.finfo(float).tiny
         assert list(tmp_path.iterdir()) == [mat]
+
+    @pytest.mark.parametrize("rate", [4.4e161, 2e161])
+    def test_subnormal_intensity_stops_evaluate(self, tmp_path, capsys,
+                                                rate):
+        # E[w] E[h] = rate**-2, 5e-324 or 2.5e-323: lambda * delta_2
+        # underflows to 0 or keeps one significant digit
+        train, test = tmp_path / "train.ordmat", tmp_path / "test.ordmat"
+        OrdinalMatrix(3, 4, 2, [0], [0], [1]).save(train)
+        OrdinalMatrix(3, 4, 2, [1], [1], [2]).save(test)
+        W, H = (GammaVariationalMatrix(np.ones((n, 1)), np.full((n, 1), rate),
+                                       0.3, np.ones(n)) for n in (3, 4))
+        model = tmp_path / "model.npz"
+        save_state(model, VariationalState(
+            W, H, ThresholdSequence.from_delta([0.5, 0.5])))
+        out = tmp_path / "eval.txt"
+        assert run("evaluate", "--model", model, "--train", train,
+                   "--test", test, "--output", out) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: intensity (\S+) at \(u=1, i=1\) is "
+                             r"below 2\.225e-308\n", err)
+        assert found and float(found[1]) == (1 / rate) ** 2 > 0
+        assert not out.exists()
 
     def test_ppc_draws_of_zero_intensity(self, tmp_path, ranking_files):
         # gamma draws at shape 1e-3 are 0.0 about half the time, so some

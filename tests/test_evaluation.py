@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ordnmf import inference
+from ordnmf import evaluation
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, NumericalError
 from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
@@ -173,7 +173,7 @@ class TestRankingKernel:
         want = top_m_bruteforce(
             scores, case["train"] if case["exclude"] else None, m)
 
-        with mock.patch.object(inference, "BLOCK_CELLS", case["block_cells"]):
+        with mock.patch.object(evaluation, "BLOCK_CELLS", case["block_cells"]):
             got = []
             for users, block in score_blocks(state, np.arange(train.n_users)):
                 items, lengths = top_m_items(block, users, exclude, m)
@@ -240,10 +240,10 @@ class TestRankingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / (inference.BLOCK_CELLS * 8)
+        return peak / (evaluation.BLOCK_CELLS * 8)
 
     def test_peak_bounded_by_block_cells(self):
-        with mock.patch.object(inference, "BLOCK_CELLS", 1 << 16):
+        with mock.patch.object(evaluation, "BLOCK_CELLS", 1 << 16):
             self.peak_blocks(4, 300)  # imports and first-call caches
             # U x I from 2 to 32 blocks at a fixed number of entries
             for n_users, n_items in ((64, 2048), (256, 8192), (1024, 2048)):

@@ -14,9 +14,9 @@ from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, NumericalError
 from ordnmf.evaluation import ppc_histogram
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
-                              compute_elbo, entry_intensities, fit,
-                              init_state, load_state, local_update,
-                              predict_scores, save_state, update_factors,
+                              entry_intensities, fit, init_state, iterate,
+                              load_state, local_update, predict_scores,
+                              save_state, update_factors,
                               update_rate_hyperparams, update_thresholds,
                               ztp_mean)
 from ordnmf.model import ThresholdSequence
@@ -24,17 +24,6 @@ from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (dense, dense_iteration, expected_class, random_matrix,
                      random_state_like, threshold_objective, ztp_mean_series)
-
-
-def run_iteration(state, data):
-    """Apply one library iteration in the canonical phase order."""
-    lam_big = entry_intensities(state, data)
-    stats = local_update(state, data, lam_big)
-    update_factors(state, data, stats)
-    lam_by_class = class_sums(state, data)
-    state.thresholds, _ = update_thresholds(state, data, stats, lam_by_class)
-    update_rate_hyperparams(state)
-    return stats
 
 
 class TestZtpMean:
@@ -218,20 +207,18 @@ class TestFactorUpdates:
         state = random_state_like(data, 2, rng)
         theta0 = state.thresholds.theta[0]
         expect_rate = state.W.beta[1] + theta0 * state.H.mean.sum(axis=0)
-        stats = local_update(state, data, entry_intensities(state, data))
-        update_factors(state, data, stats)
+        iterate(state, data, entry_intensities(state, data), "ordinal")
         np.testing.assert_allclose(state.W.shape[1], state.W.alpha, rtol=1e-12)
         np.testing.assert_allclose(state.W.rate[1], expect_rate, rtol=1e-12)
 
     def test_binary_rate_independent_of_classes(self):
-        # with V = 1 the exposure is theta_0 for every cell
+        # with V = 1 every cell's rate weight is theta_0
         rng = np.random.default_rng(10)
         data = random_matrix(5, 4, 1, rng)
         state = random_state_like(data, 2, rng)
         state.thresholds = ThresholdSequence([1.0])
         expected = state.W.beta[:, None] + state.H.mean.sum(axis=0)[None, :]
-        stats = local_update(state, data, entry_intensities(state, data))
-        update_factors(state, data, stats)
+        iterate(state, data, entry_intensities(state, data), "bepof")
         np.testing.assert_allclose(state.W.rate, expected, rtol=1e-12)
 
     def test_sparse_matches_dense_oracle(self):
@@ -241,7 +228,7 @@ class TestFactorUpdates:
                                  density=0.5)
             state = random_state_like(data, int(rng.integers(1, 4)), rng)
             ref = dense_iteration(copy.deepcopy(state), data)
-            run_iteration(state, data)
+            iterate(state, data, entry_intensities(state, data), "ordinal")
             np.testing.assert_allclose(state.W.shape, ref[0], rtol=1e-10)
             np.testing.assert_allclose(state.W.rate, ref[1], rtol=1e-10)
             np.testing.assert_allclose(state.H.shape, ref[2], rtol=1e-10)
@@ -685,7 +672,7 @@ def test_per_iteration_cost_scales_with_nnz():
         for _ in range(7):
             s = copy.deepcopy(state)
             t0 = time.perf_counter()
-            run_iteration(s, data)
+            iterate(s, data, entry_intensities(s, data), "ordinal")
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -694,17 +681,20 @@ def test_per_iteration_cost_scales_with_nnz():
     assert t_wide < 1.3 * t_base + 2e-3
 
 
-@pytest.mark.parametrize("first, second", [(0.0, np.nan), (np.nan, 0.0),
-                                           (np.inf, -1.0)],
-                         ids=["zero-nan", "nan-zero", "inf-negative"])
-def test_require_positive_names_first_bad_entry(first, second):
+@pytest.mark.parametrize("first, second, what", [
+    (0.0, np.nan, "not finite and positive"),
+    (np.nan, 0.0, "not finite and positive"),
+    (np.inf, -1.0, "not finite and positive"),
+    (5e-324, 0.0, "below 2.225e-308")],
+    ids=["zero-nan", "nan-zero", "inf-negative", "subnormal-zero"])
+def test_require_positive_names_first_bad_entry(first, second, what):
     # min/max say that some entry is bad; the error still names the first
     data = OrdinalMatrix(3, 4, 2, [0, 1, 2, 2], [3, 0, 1, 2], [1, 2, 1, 2])
     lam = np.array([1.0, first, second, 2.0])
     with pytest.raises(NumericalError, match=re.escape(
-            f"intensity {first} at (u=1, i=0) is not finite and positive")):
+            f"intensity {first} at (u=1, i=0) is {what}")):
         inference.require_positive(lam, data)
-    ok = np.array([1.0, 5e-324, 2.0, 1e308])
+    ok = np.array([1.0, np.finfo(float).tiny, 2.0, 1e308])
     assert inference.require_positive(ok, data) is ok
 
 

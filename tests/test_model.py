@@ -47,14 +47,6 @@ class TestThresholdSequence:
         thr = random_thresholds(6, np.random.default_rng(1))
         assert np.all(np.diff(1.0 / thr.theta) > 0)
 
-    def test_exposure_lookup(self):
-        thr = ThresholdSequence([2.0, 1.0, 0.4])
-        assert thr.exposure(0) == thr.exposure(1) == 2.0
-        assert thr.exposure(2) == 1.0
-        assert thr.exposure(3) == 0.4
-        v = np.arange(4)
-        assert np.all(np.diff(thr.exposure(v)) <= 0)
-
 
 class TestQuantize:
     # theta = (1, 1/2, 1/5) gives raw thresholds b = (1, 2, 5)
