@@ -27,7 +27,6 @@ from .inference import (
     VariationalState,
     fit,
     load_state,
-    predict_scores,
     save_state,
 )
 from .model import ThresholdSequence

@@ -18,8 +18,7 @@ from .data import (OrdinalMatrix, load_triplets, quantize_counts,
                    train_test_split, write_index_map)
 from .errors import ConfigError, OrdnmfError
 from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
-                         ppc_report_text, ranking_report_text, score_blocks,
-                         top_m_items)
+                         ppc_report_text, ranking_report_text, top_lists)
 from .inference import FitConfig, fit, load_state, save_state
 
 SCHEMA_VERSION = 1
@@ -196,9 +195,8 @@ def cmd_predict(cfg):
                 raise ConfigError(f"--users: user index {u} outside "
                                   f"0..{state.n_users - 1}")
     lines = ["user\trank\titem\tscore"]
-    for block, scores in score_blocks(state, users):
-        items, lengths = top_m_items(scores, block, train, cfg["list_length"])
-        top = np.take_along_axis(scores, items, axis=1)
+    for block, items, lengths, top in top_lists(state, users, train,
+                                                cfg["list_length"]):
         for u, row, vals, n in zip(block.tolist(), items.tolist(),
                                    top.tolist(), lengths.tolist()):
             for r in range(n):

@@ -101,14 +101,14 @@ class OrdinalMatrix:
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that
         other holds too; None when they share none.  Same shape assumed."""
-        # neither holds a duplicate, so the first repeat among other's
-        # entries followed by ours is our first entry that other holds
-        dup = _first_duplicate(np.concatenate((other.rows, self.rows)),
-                               np.concatenate((other.cols, self.cols)),
-                               self.n_items)
-        if dup is None:
+        # other's ascending cell keys, then one above all (see _cell_keys)
+        theirs = np.append(_cell_keys(other.rows, other.cols, self.n_items),
+                           np.iinfo(np.uint64).max)
+        mine = _cell_keys(self.rows, self.cols, self.n_items)
+        hit = np.flatnonzero(theirs[np.searchsorted(theirs, mine)] == mine)
+        if hit.size == 0:
             return None
-        return int(self.rows[dup - other.nnz]), int(self.cols[dup - other.nnz])
+        return int(self.rows[hit[0]]), int(self.cols[hit[0]])
 
     def save(self, path):
         """Write the versioned little-endian binary format."""

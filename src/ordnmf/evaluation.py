@@ -7,10 +7,10 @@ import numpy as np
 from . import inference
 from .data import _cell_keys
 from .errors import ConfigError, DataError, NumericalError
-from .inference import entry_dot, predict_scores
+from .inference import entry_dot
 from .model import log1mexp
 
-# Cells per dense float64 score block of score_blocks (~16 MB)
+# Cells per dense float64 score block of top_lists (~16 MB)
 BLOCK_CELLS = 1 << 21
 
 
@@ -30,17 +30,6 @@ class PPCReport:
     simulated_freq: np.ndarray
     simulated_nonzero_pct: float
     n_cells_sampled: int
-
-
-def score_blocks(state, users):
-    """Yield (users, predict_scores rows) for consecutive blocks of users,
-    BLOCK_CELLS score cells at most (one row at least), so
-    ranking's dense score memory (~16 MB) does not grow with U x I."""
-    users = np.asarray(users, dtype=np.int64)
-    step = max(1, BLOCK_CELLS // state.n_items)
-    for start in range(0, users.size, step):
-        block = users[start:start + step]
-        yield block, predict_scores(state, block)
 
 
 def top_m_items(scores, users, train, list_length):
@@ -78,8 +67,27 @@ def top_m_items(scores, users, train, list_length):
     return np.take_along_axis(items, order, axis=1), lengths
 
 
-def _ndcg_reports(blocks, train, test, thresholds, list_length):
-    """RankingMetricsReports over (users, scores) blocks; see evaluate_ranking."""
+def top_lists(state, users, train, list_length):
+    """Yield top_m_items' (users, items, lengths) and the listed items'
+    scores E[W] E[H]^T for blocks of users (any order, repeats allowed) of
+    BLOCK_CELLS score cells at most (one row at least), so ranking's dense
+    score memory (~16 MB) does not grow with U x I.  ConfigError unless
+    every user index lies in 0..U-1."""
+    users = np.asarray(users, dtype=np.int64)
+    bad = users[(users < 0) | (users >= state.n_users)]
+    if bad.size:
+        raise ConfigError(f"user index {bad[0]} outside "
+                          f"0..{state.n_users - 1}")
+    step = max(1, BLOCK_CELLS // state.n_items)
+    for start in range(0, users.size, step):
+        block = users[start:start + step]
+        scores = state.W.mean[block] @ state.H.mean.T
+        items, lengths = top_m_items(scores, block, train, list_length)
+        yield block, items, lengths, np.take_along_axis(scores, items, axis=1)
+
+
+def _ndcg_reports(lists, test, thresholds, list_length):
+    """RankingMetricsReports over top_lists' blocks; see evaluate_ranking."""
     thresholds = sorted({int(s) for s in thresholds})
     for s in thresholds:
         if not 1 <= s <= test.n_classes:
@@ -93,8 +101,7 @@ def _ndcg_reports(blocks, train, test, thresholds, list_length):
              for s in thresholds]
     total = np.zeros(len(thresholds))
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
-    for users, scores in blocks:
-        items, lengths = top_m_items(scores, users, train, list_length)
+    for users, items, lengths, _ in lists:
         m = items.shape[1]
         listed = _cell_keys(users[:, None], items, test.n_items)
         at = np.searchsorted(keys, listed)
@@ -125,8 +132,8 @@ def evaluate_ranking(state, train, test, thresholds, list_length=100):
     reports NaN.  The ideal DCG truncates at min(list_length, number of
     relevant items).  One report per distinct threshold, in ascending order.
     """
-    return _ndcg_reports(score_blocks(state, np.arange(train.n_users)),
-                         train, test, thresholds, list_length)
+    lists = top_lists(state, np.arange(train.n_users), train, list_length)
+    return _ndcg_reports(lists, test, thresholds, list_length)
 
 
 def log_lik_nonzeros(test, state):
@@ -134,13 +141,20 @@ def log_lik_nonzeros(test, state):
 
     Uses the posterior-mean intensity and subtracts the log probability of
     being non-zero; never positive.  NumericalError naming the first entry
-    whose intensity is not finite and normal (inference.require_positive).
+    whose intensity is not finite and normal (inference.require_positive)
+    or whose lambda * delta_y, which log_pmf takes log1mexp of, is not
+    normal; delta_y <= theta_0, so lambda * theta_0 is normal too.
     """
     if test.nnz == 0:
         raise DataError("test matrix is empty")
     thr = state.thresholds
     lam = inference.require_positive(
         entry_dot(state.W.mean, state.H.mean, test.rows, test.cols), test)
+    x, floor = lam * thr.delta[test.vals - 1], np.finfo(float).tiny
+    j = np.argmax(x < floor)  # the first entry below, if any
+    if x[j] < floor:
+        raise NumericalError(f"lambda * delta {x[j]:.4g} at (u={test.rows[j]}, "
+                             f"i={test.cols[j]}) is below {floor:.4g}")
     log_p = thr.log_pmf(test.vals, lam)
     log_nonzero = log1mexp(lam * thr.theta[0])
     return float((log_p - log_nonzero).sum())

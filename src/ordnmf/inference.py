@@ -434,8 +434,8 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
 def iterate(state, data, lam_big, variant):
     """One CAVI iteration of variant (see FitConfig), in place on state,
     whose entry intensities are lam_big: local step, users, items,
-    thresholds (ordinal only), rate hyperparameters.  Returns lam_big,
-    overwritten with the new state's entry intensities, and the ELBO."""
+    thresholds (ordinal only), rate hyperparameters.  Overwrites lam_big
+    with the new state's entry intensities and returns the ELBO."""
     point_mass = variant == "pf"
     stats = local_update(state, data, lam_big, point_mass)
     update_factors(state, data, stats)
@@ -447,8 +447,7 @@ def iterate(state, data, lam_big, variant):
         state.thresholds, _ = update_thresholds(state, data, stats,
                                                 lam_by_class)
     update_rate_hyperparams(state)
-    return lam_big, compute_elbo(state, data, lam_big, lam_by_class,
-                                 point_mass)
+    return compute_elbo(state, data, lam_big, lam_by_class, point_mass)
 
 
 def fit(data, config):
@@ -461,7 +460,7 @@ def fit(data, config):
     trace = []
     converged = False
     for _ in range(config.max_iter):
-        lam_big, elbo = iterate(state, data, lam_big, config.variant)
+        elbo = iterate(state, data, lam_big, config.variant)
         trace.append(elbo)
         # also covers a positive initial ELBO: iteration 1's is no lower,
         # or the decrease check below raises
@@ -478,20 +477,6 @@ def fit(data, config):
         prev = elbo
     return FitResult(state=state, elbo_trace=np.asarray(trace),
                      converged=converged)
-
-
-def predict_scores(state, user_indices=None):
-    """Ranking scores s_ui = sum_k E[w_uk] E[h_ik]; rows of E[W] E[H]^T."""
-    EW = state.W.mean
-    if user_indices is not None:
-        user_indices = np.asarray(user_indices)
-        bad = user_indices[(user_indices < 0)
-                           | (user_indices >= state.n_users)]
-        if bad.size:
-            raise ConfigError(f"user index {bad[0]} outside "
-                              f"0..{state.n_users - 1}")
-        EW = EW[user_indices]
-    return EW @ state.H.mean.T
 
 
 def save_state(path, state, metadata=None):

@@ -21,7 +21,7 @@ from ordnmf.baselines import binarize
 from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
 from ordnmf.inference import (GammaVariationalMatrix, VariationalState,
-                              load_state, predict_scores, save_state)
+                              load_state, save_state)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -185,7 +185,8 @@ class TestPipeline:
                        "--max-iter", 15, "--seed", 9) == 0
         s1, _ = load_state(m1)
         s2, _ = load_state(m2)
-        np.testing.assert_array_equal(predict_scores(s1), predict_scores(s2))
+        np.testing.assert_array_equal(s1.W.mean @ s1.H.mean.T,
+                                      s2.W.mean @ s2.H.mean.T)
 
     def test_binary_model_reports_na_loglik(self, tmp_path, triplet_file):
         mat = tmp_path / "m.ordmat"
@@ -693,6 +694,30 @@ class TestErrorHandling:
         found = re.fullmatch(r"error: intensity (\S+) at \(u=1, i=1\) is "
                              r"below 2\.225e-308\n", err)
         assert found and float(found[1]) == (1 / rate) ** 2 > 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate, gap", [(3e-308 ** -0.5, 2.0 ** -52),
+                                           (2.0 ** 511, 2.0 ** -53)],
+                             ids=["subnormal", "zero"])
+    def test_subnormal_lambda_delta_stops_evaluate(self, tmp_path, capsys,
+                                                   rate, gap):
+        # lambda = rate**-2 is normal, 3e-308 or 2^-1022, but lambda * delta_1
+        # with delta_1 = gap is subnormal (6.7e-324) or rounds to 0
+        train, test = tmp_path / "train.ordmat", tmp_path / "test.ordmat"
+        OrdinalMatrix(3, 4, 2, [0], [0], [2]).save(train)
+        OrdinalMatrix(3, 4, 2, [1], [1], [1]).save(test)
+        W, H = (GammaVariationalMatrix(np.ones((n, 1)), np.full((n, 1), rate),
+                                       1.0, np.ones(n)) for n in (3, 4))
+        model = tmp_path / "model.npz"
+        save_state(model, VariationalState(
+            W, H, ThresholdSequence([1.0, 1.0 - gap])))
+        out = tmp_path / "eval.txt"
+        assert run("evaluate", "--model", model, "--train", train,
+                   "--test", test, "--output", out) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: lambda \* delta (\S+) at \(u=1, i=1\) "
+                             r"is below 2\.225e-308\n", err)
+        assert found and 0 <= float(found[1]) < np.finfo(float).tiny
         assert not out.exists()
 
     def test_ppc_draws_of_zero_intensity(self, tmp_path, ranking_files):

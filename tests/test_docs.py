@@ -1,7 +1,13 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and the names it cites exist."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
+
+import ordnmf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +19,23 @@ def test_library_quick_start_runs(capsys):
     ndcg, log_lik = map(float, capsys.readouterr().out.split())
     assert 0.0 < ndcg <= 1.0
     assert log_lik < 0.0
+
+
+def module_references(path):
+    """(module, name) of each `module.name` in the inline code spans of
+    path whose module is one of the package's modules."""
+    modules = {m.name for m in pkgutil.iter_modules(ordnmf.__path__)}
+    return [(module, name)
+            for span in re.findall(r"`([^`\n]+)`", path.read_text())
+            for module, name in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span)
+            if module in modules]
+
+
+@pytest.mark.parametrize("path", [README], ids=lambda p: p.name)
+def test_module_references_resolve(path):
+    refs = module_references(path)
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"ordnmf.{module}"),
+                              name)]
+    assert missing == []

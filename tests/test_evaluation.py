@@ -15,8 +15,8 @@ from ordnmf.errors import ConfigError, NumericalError
 from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
                                log_lik_nonzeros, ppc_histogram,
                                ppc_report_text, ranking_report_text,
-                               score_blocks, top_m_items)
-from ordnmf.inference import FitConfig, fit, predict_scores
+                               top_lists, top_m_items)
+from ordnmf.inference import FitConfig, fit
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
@@ -29,8 +29,10 @@ def ndcg_at_m(scores, train, test, threshold, list_length):
     ranking writes -inf over train items), by evaluate_ranking's kernel."""
     scores = np.array(scores, dtype=float)
     assert scores.shape == (train.n_users, train.n_items)
-    return _ndcg_reports([(np.arange(train.n_users), scores)], train, test,
-                         [threshold], list_length)[0]
+    users = np.arange(train.n_users)
+    items, lengths = top_m_items(scores, users, train, list_length)
+    return _ndcg_reports([(users, items, lengths, None)], test, [threshold],
+                         list_length)[0]
 
 
 def matrices_for_ranking():
@@ -124,7 +126,7 @@ class TestNdcg:
         rng = np.random.default_rng(4)
         data = random_matrix(12, 10, 3, rng, density=0.4)
         res = fit(data, FitConfig(n_components=3, max_iter=15, tol=1e-12))
-        scores = predict_scores(res.state)
+        scores = res.state.W.mean @ res.state.H.mean.T
         test = random_matrix(12, 10, 3, np.random.default_rng(5), density=0.2)
         for s in (1, 2, 3):
             single = ndcg_at_m(scores, data, test, s, 5)
@@ -142,7 +144,8 @@ def _matrix(dense, n_classes):
 
 @st.composite
 def ranking_cases(draw):
-    """Small train/test class matrices and a state with integer scores."""
+    """Small train/test class matrices, a state with integer scores and
+    the users to list: all in order, or any, repeats allowed."""
     U, I = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     V, K = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     classes = st.integers(0, V)
@@ -154,6 +157,8 @@ def ranking_cases(draw):
     return dict(train=train, test=test, n_classes=V, w=w, h=h,
                 list_length=draw(st.integers(1, I + 2)),
                 exclude=draw(st.booleans()),
+                users=draw(st.just(list(range(U)))
+                           | st.lists(st.integers(0, U - 1), max_size=2 * U)),
                 block_cells=draw(st.integers(1, U * I)))
 
 
@@ -168,19 +173,23 @@ class TestRankingKernel:
                                   np.random.default_rng(0))
         state.W.set(case["w"], np.ones_like(case["w"]))
         state.H.set(case["h"], np.ones_like(case["h"]))
-        scores = predict_scores(state)
+        scores = state.W.mean @ state.H.mean.T
         exclude = train if case["exclude"] else None
-        want = top_m_bruteforce(
+        full = top_m_bruteforce(
             scores, case["train"] if case["exclude"] else None, m)
 
         with mock.patch.object(evaluation, "BLOCK_CELLS", case["block_cells"]):
-            got = []
-            for users, block in score_blocks(state, np.arange(train.n_users)):
-                items, lengths = top_m_items(block, users, exclude, m)
-                got += [row[:n] for row, n in zip(items.tolist(), lengths)]
+            got, listed_users = [], []
+            for users, items, lengths, top in top_lists(state, case["users"],
+                                                        exclude, m):
+                listed_users += users.tolist()
+                for u, row, vals, n in zip(users, items, top, lengths):
+                    got.append(row[:n].tolist())
+                    assert vals[:n].tolist() == scores[u, row[:n]].tolist()
             reports = evaluate_ranking(state, train, test, range(1, V + 1),
                                        list_length=m)
-        assert got == want
+        assert listed_users == case["users"]
+        assert got == [full[u] for u in case["users"]]
         # NDCG always ranks with the train items excluded
         ranked = top_m_bruteforce(scores, case["train"], m)
         for s, report in zip(range(1, V + 1), reports):

@@ -12,11 +12,11 @@ from ordnmf import inference
 from ordnmf.baselines import binarize
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, NumericalError
-from ordnmf.evaluation import ppc_histogram
+from ordnmf.evaluation import ppc_histogram, top_lists
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
                               entry_intensities, fit, init_state, iterate,
-                              load_state, local_update, predict_scores,
-                              save_state, update_factors,
+                              load_state, local_update, save_state,
+                              update_factors,
                               update_rate_hyperparams, update_thresholds,
                               ztp_mean)
 from ordnmf.model import ThresholdSequence
@@ -550,7 +550,7 @@ class TestPredictAndSerialize:
         rng = np.random.default_rng(22)
         data = random_matrix(4, 6, 2, rng)
         state = random_state_like(data, 1, rng)
-        scores = predict_scores(state)
+        scores = state.W.mean @ state.H.mean.T
         for u in range(4):
             assert np.argsort(scores[u]).tolist() == \
                 np.argsort(state.H.mean[:, 0]).tolist()
@@ -559,7 +559,7 @@ class TestPredictAndSerialize:
         rng = np.random.default_rng(23)
         data = random_matrix(3, 8, 3, rng)
         state = random_state_like(data, 2, rng)
-        scores = predict_scores(state, [0])[0]
+        scores = (state.W.mean @ state.H.mean.T)[0]
         expected = expected_class(state.thresholds, scores)
         assert np.argsort(scores).tolist() == np.argsort(expected).tolist()
 
@@ -568,14 +568,17 @@ class TestPredictAndSerialize:
         state = random_state_like(data, 2, np.random.default_rng(24))
         state.W.set(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((2, 2)))
         state.H.set(np.array([[1.0, 1.0], [2.0, 0.5]]), np.ones((2, 2)))
-        np.testing.assert_allclose(predict_scores(state),
-                                   [[3.0, 3.0], [7.0, 8.0]])
+        # scores [[3, 3], [7, 8]]: ties listed by ascending item
+        [(users, items, lengths, top)] = top_lists(state, [0, 1], None, 2)
+        assert users.tolist() == [0, 1] and lengths.tolist() == [2, 2]
+        assert items.tolist() == [[0, 1], [1, 0]]
+        np.testing.assert_allclose(top, [[3.0, 3.0], [8.0, 7.0]])
 
     def test_unknown_user_rejected(self):
         data = OrdinalMatrix(2, 2, 1, [0], [0], [1])
         state = random_state_like(data, 2, np.random.default_rng(25))
-        with pytest.raises(ConfigError):
-            predict_scores(state, [5])
+        with pytest.raises(ConfigError, match=r"^user index 5 outside 0\.\.1$"):
+            next(top_lists(state, [0, 5], None, 2))
 
     @pytest.mark.parametrize("kind", ["text", "empty", "npy", "other-npz",
                                       "truncated", "missing-key", "bad-theta",
@@ -633,8 +636,8 @@ class TestPredictAndSerialize:
         save_state(path, res.state, metadata={"note": "test"})
         loaded, meta = load_state(path)
         assert meta["note"] == "test"
-        np.testing.assert_array_equal(predict_scores(loaded),
-                                      predict_scores(res.state))
+        np.testing.assert_array_equal(loaded.W.mean @ loaded.H.mean.T,
+                                      res.state.W.mean @ res.state.H.mean.T)
 
         def arrays(state):
             return {"theta": state.thresholds.theta,
