@@ -32,7 +32,10 @@ class OrdinalMatrix:
     """Sparse U x I matrix of ordinal classes in {1..V}; zeros implicit.
 
     rows/cols/vals are parallel arrays in CSR order (sorted by user then
-    item).  `indptr` delimits each user's slice.
+    item).  `indptr` delimits each user's slice.  Input already in CSR
+    order is not sorted, and its int64 arrays that are read-only are kept
+    rather than copied (the caller must not change them through a
+    writable view).
     """
 
     def __init__(self, n_users, n_items, n_classes, rows, cols, vals):
@@ -55,14 +58,18 @@ class OrdinalMatrix:
                 raise DataError("item index out of range")
             if vals.min() < 1 or vals.max() > n_classes:
                 raise DataError(f"classes must lie in 1..{n_classes}")
-        # equal CSR keys are duplicates, so sort stability does not matter
         key = _cell_keys(rows, cols, n_items)
-        order = np.argsort(key)
-        dup = np.flatnonzero(np.diff(key[order]) == 0)
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if dup.size:
-            raise DataError(f"duplicate entry for (user={rows[dup[0]]}, "
-                            f"item={cols[dup[0]]})")
+        if np.all(key[1:] > key[:-1]):  # CSR order, no duplicates
+            rows, cols, vals = (a if not a.flags.writeable else a.copy()
+                                for a in (rows, cols, vals))
+        else:
+            # equal CSR keys are duplicates, so sort stability does not matter
+            order = np.argsort(key)
+            dup = np.flatnonzero(np.diff(key[order]) == 0)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            if dup.size:
+                raise DataError(f"duplicate entry for (user={rows[dup[0]]}, "
+                                f"item={cols[dup[0]]})")
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.n_classes = int(n_classes)
@@ -115,9 +122,8 @@ class OrdinalMatrix:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_users,
                                   self.n_items, self.n_classes, self.nnz))
-            self.rows.astype("<i8").tofile(fh)
-            self.cols.astype("<i8").tofile(fh)
-            self.vals.astype("<i8").tofile(fh)
+            for a in (self.rows, self.cols, self.vals):
+                a.astype("<i8", copy=False).tofile(fh)
 
     @classmethod
     def load(cls, path):
@@ -136,8 +142,9 @@ class OrdinalMatrix:
             if size != _HEADER.size + 24 * nnz:
                 raise DataError(f"{path}: {size} bytes, but a header with "
                                 f"nnz = {nnz} needs {_HEADER.size + 24 * nnz}")
-            rows, cols, vals = np.fromfile(fh, dtype="<i8",
-                                           count=3 * nnz).reshape(3, nnz)
+            entries = np.fromfile(fh, dtype="<i8", count=3 * nnz)
+        entries.setflags(write=False)  # so the matrix keeps it uncopied
+        rows, cols, vals = entries.reshape(3, nnz)
         try:
             return cls(n_users, n_items, n_classes, rows, cols, vals)
         except DataError as exc:
@@ -409,7 +416,11 @@ def train_test_split(matrix, test_fraction, seed):
     train_idx = perm[n_test:]
 
     def subset(idx):
+        idx.sort()  # CSR order, so the matrix keeps the gathered arrays
+        arrays = [a[idx] for a in (matrix.rows, matrix.cols, matrix.vals)]
+        for a in arrays:
+            a.setflags(write=False)
         return OrdinalMatrix(matrix.n_users, matrix.n_items, matrix.n_classes,
-                             matrix.rows[idx], matrix.cols[idx], matrix.vals[idx])
+                             *arrays)
 
     return subset(train_idx), subset(test_idx)

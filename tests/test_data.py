@@ -429,6 +429,44 @@ class TestOrdinalMatrix:
             OrdinalMatrix(n, n, 2, [n - 1, 0, n - 1], [n - 1, 0, n - 1],
                           [1, 1, 2])
 
+    def test_shuffled_and_csr_input_agree(self):
+        rng = np.random.default_rng(5)
+        cells = rng.choice(40 * 30, size=300, replace=False)
+        rows, cols, vals = cells // 30, cells % 30, rng.integers(1, 4, 300)
+        csr = np.lexsort((cols, rows))
+        for order in (np.arange(300), csr):  # shuffled, then in CSR order
+            mat = OrdinalMatrix(40, 30, 3, rows[order], cols[order],
+                                vals[order])
+            for got, want in zip((mat.rows, mat.cols, mat.vals),
+                                 (rows[csr], cols[csr], vals[csr])):
+                np.testing.assert_array_equal(got, want)
+
+    def test_duplicate_named_shuffled_or_in_csr_order(self):
+        rng = np.random.default_rng(6)
+        cells = rng.choice(40 * 30, size=300, replace=False)
+        # cells 7 and 3 twice each; the one first in CSR order is named
+        cells = np.append(cells, cells[[7, 3]])
+        first = min(cells[7], cells[3])
+        message = (rf"^duplicate entry for \(user={first // 30}, "
+                   rf"item={first % 30}\)$")
+        vals = rng.integers(1, 4, cells.size)
+        for order in (np.arange(cells.size), np.argsort(cells, kind="stable")):
+            with pytest.raises(DataError, match=message):
+                OrdinalMatrix(40, 30, 3, cells[order] // 30,
+                              cells[order] % 30, vals[order])
+
+    def test_csr_input_kept_only_when_read_only(self):
+        arrays = [np.array(a) for a in ([0, 0, 2], [1, 3, 0], [1, 2, 1])]
+        mat = OrdinalMatrix(3, 4, 2, *arrays)
+        for got, given in zip((mat.rows, mat.cols, mat.vals), arrays):
+            assert given.flags.writeable
+            assert not np.shares_memory(got, given)
+        for a in arrays:
+            a.setflags(write=False)
+        mat = OrdinalMatrix(3, 4, 2, *arrays)
+        for got, given in zip((mat.rows, mat.cols, mat.vals), arrays):
+            assert got is given
+
     def test_class_counts(self):
         mat = make_matrix([[1, 0, 2], [0, 2, 3]], n_classes=3)
         assert mat.class_counts.tolist() == [1, 2, 1]
@@ -527,6 +565,25 @@ class TestOrdinalMatrix:
             tracemalloc.stop()
         assert (back.n_users, back.n_items, back.nnz) == (n, n, 2)
         assert peak < 1 << 20
+
+    def test_load_peak_within_twice_the_arrays(self, tmp_path):
+        # a file in CSR order is neither sorted nor gathered: its arrays
+        # plus the cell keys and their temporaries, ~1.67x measured; the
+        # argsort and three gathers took ~2.67x
+        rng = np.random.default_rng(7)
+        nnz = 200_000
+        cells = np.sort(rng.choice(2000 * 1500, size=nnz, replace=False))
+        path = tmp_path / "csr.ordmat"
+        OrdinalMatrix(2000, 1500, 5, cells // 1500, cells % 1500,
+                      rng.integers(1, 6, nnz)).save(path)
+        tracemalloc.start()
+        try:
+            back = OrdinalMatrix.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.nnz == nnz
+        assert peak < 2 * 24 * nnz
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])

@@ -39,3 +39,14 @@ def test_module_references_resolve(path):
                if not hasattr(importlib.import_module(f"ordnmf.{module}"),
                               name)]
     assert missing == []
+
+
+def test_stated_block_sizes_match_constants():
+    # "`module.NAME` = 2^N": a retuned block size must change the text too
+    stated = re.findall(r"`(\w+)\.([A-Z_]+)` = 2\^(\d+)", README.read_text())
+    assert {f"{module}.{name}" for module, name, _ in stated} >= {
+        "evaluation.BLOCK_CELLS", "inference.GATHER_CELLS"}
+    wrong = [f"{module}.{name} = 2^{n}" for module, name, n in stated
+             if getattr(importlib.import_module(f"ordnmf.{module}"), name)
+             != 1 << int(n)]
+    assert wrong == []

@@ -227,10 +227,10 @@ class TestRankingKernel:
 
 class TestRankingMemory:
     # evaluate_ranking's traced peak, in score blocks of BLOCK_CELLS float64
-    # cells: ~2.3 measured (the block being ranked and the one scored after
-    # it, the argpartition index block, bool masks); 4.4 with a dense int64
-    # class block each for train and test
-    MAX_BLOCKS = 3.0
+    # cells: 2.32-2.38 measured (the score buffer, the argpartition index
+    # block, a bool mask and the 64 KB buffer of its row counts); 4.4 with a
+    # dense int64 class block each for train and test
+    MAX_BLOCKS = 2.6
 
     @staticmethod
     def sparse(n_users, n_items, nnz, rng):
@@ -257,6 +257,28 @@ class TestRankingMemory:
             # U x I from 2 to 32 blocks at a fixed number of entries
             for n_users, n_items in ((64, 2048), (256, 8192), (1024, 2048)):
                 assert self.peak_blocks(n_users, n_items) < self.MAX_BLOCKS
+
+    def test_blocks_scored_into_one_buffer(self):
+        rng = np.random.default_rng(13)
+        train = self.sparse(50, 40, 200, rng)
+        state = random_state_like(train, 2, rng)
+        seen = []
+
+        def spy(scores, *args):
+            seen.append(scores)
+            return top_m_items(scores, *args)
+
+        with mock.patch.object(evaluation, "BLOCK_CELLS", 400), \
+                mock.patch.object(evaluation, "top_m_items", spy):
+            lists = list(top_lists(state, np.arange(50), train, 5))
+        assert [len(users) for users, *_ in lists] == [10] * 5
+        assert all(s.base is not None and s.base is seen[0].base
+                   for s in seen)
+        # the yielded scores are copies, not views of the buffer
+        for users, items, _, top in lists:
+            np.testing.assert_array_equal(
+                top, np.take_along_axis(state.W.mean[users] @ state.H.mean.T,
+                                        items, axis=1))
 
 
 class TestLogLikNonzeros:
@@ -339,6 +361,37 @@ class TestPPC:
                            match=rf"^n_cells must be >= 1, got {n_cells}$"):
             ppc_histogram(state, data, np.random.default_rng(0),
                           n_cells=n_cells)
+
+    def test_peak_memory_per_cell(self):
+        # a chunk of a million cells holds its users and items as uint32
+        # (8 bytes per cell) and sub-blocks of SAMPLE_CELLS cells: ~11.2
+        # bytes per cell measured; six int64/float64 arrays of the chunk
+        # (users, items, intensities, uniforms, cuts, classes) took ~56
+        data = random_matrix(37, 23, 4, np.random.default_rng(30))
+        state = random_state_like(data, 3, np.random.default_rng(31))
+        ppc_histogram(state, data, np.random.default_rng(0), n_cells=1000)
+        tracemalloc.start()
+        try:
+            ppc_histogram(state, data, np.random.default_rng(0),
+                          n_cells=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1_000_000
+
+    def test_sampled_counts_pinned(self):
+        # two full chunks and a partial one, counted before the sampling
+        # ran in sub-blocks: a change to what is drawn, in what dtype or in
+        # what order changes these
+        rng = np.random.default_rng(31)
+        data = random_matrix(37, 23, 4, rng)
+        state = random_state_like(data, 3, rng)
+        n = 2_100_000
+        report = ppc_histogram(state, data, np.random.default_rng(2024),
+                               n_cells=n)
+        counts = np.rint(report.simulated_freq * n).astype(np.int64)
+        assert counts.tolist() == [475012, 99017, 424421, 452828, 648722]
+        np.testing.assert_array_equal(counts / n, report.simulated_freq)
 
     def test_report_text_shapes(self):
         data, state = self.fitted()
