@@ -80,9 +80,10 @@ class OrdinalMatrix:
     @functools.cached_property
     def indptr(self):
         """CSR row pointer, length n_users + 1.  Built on first use, so that
-        construction (and load) takes memory in nnz only, not in n_users."""
-        return np.concatenate(
-            ([0], np.cumsum(np.bincount(self.rows, minlength=self.n_users))))
+        construction (and load) takes memory in nnz only, not in n_users;
+        by binary search in the sorted rows, as bincount would copy the
+        read-only rows (numpy 2.4)."""
+        return np.searchsorted(self.rows, np.arange(self.n_users + 1))
 
     @property
     def nnz(self):

@@ -12,25 +12,26 @@ iterate runs the one CAVI iteration of every variant: local (n, c)
 statistics -> factors (users, then items) -> entry intensities (reused by
 the next local step) -> thresholds (ordinal only) -> rate hyperparameters
 -> ELBO; fit calls it until convergence.  It forms two per-entry products
-with entry_dot: Lambda_ui from the geometric means and E[lambda_ui] from
-the means.  E[lambda] enters only through its per-class sums S_l, one
-bincount of it by class, so no step loops over the V classes.  The ELBO is
-exact for this variational family and must be non-decreasing; a decrease
-beyond roundoff raises NumericalError since it indicates an update bug.  So
-does a positive ELBO (as under a huge prior shape): it bounds the
-log-probability of discrete data.
+with entry_dot: E[lambda_ui] from the means and Lambda_ui from the
+geometric means.  E[lambda] and E[n] enter only through their per-class
+sums, so no step loops over the V classes.  The ELBO is exact for this
+variational family and must be non-decreasing; a decrease beyond roundoff
+raises NumericalError since it indicates an update bug.  So does a
+positive ELBO (as under a huge prior shape): it bounds the log-probability
+of discrete data.
 
-The dense (U+I) x K work is done in place where it can be: a factor takes
-one digamma per set and writes its new mean, digamma and geometric mean
-over the old ones; update_factors writes the new rate over the old one,
-which nothing reads after the local step; and the ELBO's gamma terms run
-over row blocks of GATHER_CELLS cells in three scratch arrays allocated
-once per call.  So beyond the state, an iteration allocates (U+I) x K only
-for the local step's allocation totals, which become the new shapes, and
-for the sparse products of the rate update.  SciPy (sparse products,
-digamma, gammaln) is imported inside the functions of the fit that use it,
-so that neither importing the package nor loading a fitted model for
-evaluate, predict or ppc loads it.
+An iteration's one per-entry array is the caller's Lambda, its scratch: it
+holds E[n] / Lambda after the local step, then the rate weights, then
+E[lambda] and at the end the new Lambda.  Other per-entry values (Lambda *
+delta_y, E[n], the ELBO's terms) live in buffers of GATHER_CELLS entries.
+The (U+I) x K work is done in place: a factor caches only its geometric
+mean; the local step writes the allocation totals over the old shapes and
+update_factors the new rate over the old one; the ELBO's gamma terms run
+over row blocks in fixed scratch.  So beyond the state, an iteration
+allocates (U+I) x K only for SciPy's sparse products, whose matvecs take
+no output array.  SciPy (sparse products, digamma, gammaln) is imported
+inside the functions of the fit that use it, so that neither importing the
+package nor loading a fitted model for evaluate, predict or ppc loads it.
 """
 
 import json
@@ -53,15 +54,16 @@ VARIANTS = ("ordinal", "bepof", "pf")
 GATHER_CELLS = 1 << 15
 
 
-def ztp_mean(x):
-    """Mean of a zero-truncated Poisson with intensity x: x / (1 - e^{-x}).
+def ztp_mean(x, out=None):
+    """Mean of a zero-truncated Poisson with intensity x: x / (1 - e^{-x}),
+    written into out (an array of x's shape other than x) if given.
 
     Always >= 1; tends to 1 as x -> 0 and to x as x -> infinity.
     """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() <= 0:
         raise ValueError("ztp_mean requires x > 0")
-    out = np.negative(x, out=np.empty_like(x))
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     np.negative(np.expm1(out, out=out), out=out)
     np.divide(x, out, out=out)
     return float(out) if out.ndim == 0 else out
@@ -73,15 +75,15 @@ class GammaVariationalMatrix:
 
     Caches the per-entry mean E = shape/rate and the column sums of E,
     which the opposite side's updates consume, and, on first use after
-    each set, psi = digamma(shape) and the geometric mean G = exp(psi)/rate
-    (so log G = E[log .]).  set writes the new E, psi and G into the arrays
-    that held the old ones, so it keeps the constructor's shapes.
+    each set, the geometric mean G = exp(digamma(shape))/rate, so that
+    log G = E[log .] wherever G is normal.  set writes the new E and G into
+    the arrays that held the old ones, so it keeps the constructor's shapes.
     ValueError unless shape and rate are equal 2-d shapes and beta has one
     entry per row.
     """
 
     def __init__(self, shape, rate, alpha, beta):
-        self.mean = self._digamma = self._geo_mean = None
+        self.mean = self._geo_mean = None
         self.set(shape, rate)
         self.alpha = float(alpha)
         self.beta = np.asarray(beta, dtype=float)
@@ -101,22 +103,20 @@ class GammaVariationalMatrix:
         self.shape = shape
         self.rate = rate
         self.mean_colsum = self.mean.sum(axis=0)
-        self._stale = True  # psi and G
+        self._stale = True  # G
 
-    def _lazy(self):
-        """(psi, G), computed on first use after set."""
+    @property
+    def geo_mean(self):
+        """G, computed on first use after set, in G's own array."""
         if self._stale:
             # not at module level: importing scipy costs ~0.27 s of CPU
             # (2-core x86 box), and only the fit calls it
             from scipy import special
-            self._digamma = special.digamma(self.shape, out=self._digamma)
-            self._geo_mean = np.exp(self._digamma, out=self._geo_mean)
-            self._geo_mean /= self.rate
+            G = special.digamma(self.shape, out=self._geo_mean)
+            self._geo_mean = np.exp(G, out=G)
+            G /= self.rate
             self._stale = False
-        return self._digamma, self._geo_mean
-
-    digamma = property(lambda self: self._lazy()[0])
-    geo_mean = property(lambda self: self._lazy()[1])
+        return self._geo_mean
 
     @property
     def n_rows(self):
@@ -128,22 +128,29 @@ class GammaVariationalMatrix:
 
     def prior_minus_entropy(self):
         """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form:
-        a log b - gammaln(a) + (a - a_t)(psi - log rate) - b E - a_t log rate
+        a log b - gammaln(a) + (a - a_t) E[log x] - b E - a_t log rate
         + gammaln(a_t) + a_t (a, b the prior, a_t the posterior shape), one
         elementwise operation at a time in that order, over row blocks of
-        GATHER_CELLS cells in three scratch arrays allocated once."""
-        from scipy import special  # see _lazy
-        a, psi = self.alpha, self.digamma
+        GATHER_CELLS cells in three scratch arrays allocated once.
+        E[log x] is log G, or digamma(a_t) - log rate where G is below the
+        least normal float (a tiny shape can underflow G while Lambda stays
+        normal)."""
+        from scipy import special  # see geo_mean
+        a, G, tiny = self.alpha, self.geo_mean, np.finfo(float).tiny
         prior = a * np.log(self.beta) - special.gammaln(a)
         step = max(1, GATHER_CELLS // self.n_components)
         scratch = np.empty((3, min(step, self.n_rows), self.n_components))
         total = 0.0
         for start in range(0, self.n_rows, step):
             rows = slice(start, start + step)
-            a_t, b = self.shape[rows], self.beta[rows, None]
+            a_t, b, g = self.shape[rows], self.beta[rows, None], G[rows]
             term, other, log_rate = scratch[:, :len(a_t)]
             np.log(self.rate[rows], out=log_rate)
-            np.subtract(psi[rows], log_rate, out=term)
+            with np.errstate(divide="ignore"):  # log 0, replaced below
+                np.log(g, out=term)
+            if g.min() < tiny:
+                low = g < tiny
+                term[low] = special.digamma(a_t[low]) - log_rate[low]
             term *= np.subtract(a, a_t, out=other)
             term += prior[rows, None]
             term -= np.multiply(b, self.mean[rows], out=other)
@@ -226,17 +233,18 @@ class FitResult:
 
 @dataclass
 class LocalStats:
-    """Per-entry and aggregated statistics from one local sweep.
-    update_factors adds alpha to cw and ch in place and takes them over as
-    the factors' new shapes."""
+    """Aggregated statistics from one local sweep.  cw and ch are the
+    factors' shape arrays, written over; update_factors adds alpha to them
+    in place and sets them as the new shapes."""
 
-    e_n: np.ndarray            # E[n_ui] per non-zero entry
+    n_by_class: np.ndarray     # sum of E[n_ui] over y = l, l = 1..V
     cw: np.ndarray             # sum_i E[c_uik], shape (U, K)
     ch: np.ndarray             # sum_u E[c_uik], shape (I, K)
 
 
-def entry_dot(A, B, rows, cols):
-    """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T.
+def entry_dot(A, B, rows, cols, out=None):
+    """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T,
+    written into out (one float per entry) if given, and returned.
 
     Gathers the factor rows of GATHER_CELLS cells at a time into two
     buffers allocated once per call, so extra memory does not grow with
@@ -249,13 +257,14 @@ def entry_dot(A, B, rows, cols):
         if len(idx) and (idx.min() < 0 or idx.max() >= len(M)):
             bad = idx[(idx < 0) | (idx >= len(M))][0]
             raise IndexError(f"{name} index {bad} outside 0..{len(M) - 1}")
-    out = np.empty(len(rows), dtype=np.result_type(A, B))
+    if out is None:
+        out = np.empty(len(rows), dtype=np.result_type(A, B))
     step = max(1, GATHER_CELLS // A.shape[1])
-    a = np.empty((min(step, out.size), A.shape[1]), dtype=A.dtype)
+    a = np.empty((min(step, len(rows)), A.shape[1]), dtype=A.dtype)
     b = np.empty((len(a), B.shape[1]), dtype=B.dtype)
-    for start in range(0, out.size, step):
+    for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        m = len(out[block])
+        m = len(rows[block])
         # in range (checked above); mode="raise" would buffer the output
         np.take(A, rows[block], axis=0, out=a[:m], mode="clip")
         np.take(B, cols[block], axis=0, out=b[:m], mode="clip")
@@ -263,13 +272,12 @@ def entry_dot(A, B, rows, cols):
     return out
 
 
-def entry_intensities(state, data):
-    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means),
-    checked by require_positive, which fails when G underflows under a
-    small prior shape."""
-    return require_positive(
-        entry_dot(state.W.geo_mean, state.H.geo_mean, data.rows, data.cols),
-        data)
+def entry_intensities(state, data, out=None):
+    """Lambda at data's non-zeros: sum_k G_w G_h (geometric means), written
+    into out if given, checked by require_positive, which fails when G
+    underflows under a small prior shape."""
+    return require_positive(entry_dot(state.W.geo_mean, state.H.geo_mean,
+                                      data.rows, data.cols, out=out), data)
 
 
 def require_positive(lam, data):
@@ -291,17 +299,21 @@ def require_positive(lam, data):
 def _csr(data, values):
     """scipy CSR matrix over data's sparsity pattern holding values, one
     per stored entry in CSR order."""
-    from scipy import sparse  # see GammaVariationalMatrix._lazy
+    from scipy import sparse  # see GammaVariationalMatrix.geo_mean
     return sparse.csr_matrix((values, data.cols, data.indptr),
                              shape=(data.n_users, data.n_items))
 
 
-def class_sums(state, data):
-    """S_l = sum over entries with y = l of E[lambda_ui], for l = 1..V:
-    one bincount by class of E[lambda] at data's non-zeros."""
-    e_lam = entry_dot(state.W.mean, state.H.mean, data.rows, data.cols)
-    return np.bincount(data.vals, weights=e_lam,
-                       minlength=data.n_classes + 1)[1:]
+def class_sums(state, data, out=None):
+    """S_l = sum over entries with y = l of E[lambda_ui], for l = 1..V, from
+    E[lambda] at data's non-zeros (written into out if given).  np.add.at
+    adds in entry order, as bincount does, without bincount's copy of the
+    read-only data.vals (numpy 2.4)."""
+    e_lam = entry_dot(state.W.mean, state.H.mean, data.rows, data.cols,
+                      out=out)
+    sums = np.zeros(data.n_classes + 1)
+    np.add.at(sums, data.vals, e_lam)
+    return sums[1:]
 
 
 def init_thresholds(data):
@@ -337,41 +349,82 @@ def init_state(config, data):
     return VariationalState(W=W, H=H, thresholds=init_thresholds(data))
 
 
+def _blocks(n):
+    """Slices of GATHER_CELLS entries each, in order, covering 0..n."""
+    return (slice(s, s + GATHER_CELLS) for s in range(0, n, GATHER_CELLS))
+
+
+def _take_by_class(table, vals, out):
+    """out[j] = table[vals[j]] (no vals - 1), one block at a time, as
+    np.take copies a read-only index array such as OrdinalMatrix.vals."""
+    for block in _blocks(len(vals)):
+        # classes are in 0..V; mode="raise" would buffer the output
+        np.take(table, vals[block], out=out[block], mode="clip")
+    return out
+
+
+def _scaled_blocks(state, data, lam_big):
+    """(slice, x = Lambda * delta_y) per block of GATHER_CELLS entries, in
+    order, x in one reused buffer; lam_big holds Lambda."""
+    delta = np.append(np.inf, state.thresholds.delta)  # indexed by class
+    buf = np.empty(min(GATHER_CELLS, data.nnz))
+    for block in _blocks(data.nnz):
+        x = _take_by_class(delta, data.vals[block], buf[:len(lam_big[block])])
+        x *= lam_big[block]
+        yield block, x
+
+
+def _count_sums(state, data, lam_big, point_mass):
+    """Sums of E[n] by class 1..V, E[n] = ztp_mean(Lambda * delta_y) or 1
+    under the point mass, added in entry order (see class_sums) block by
+    block; writes E[n] / Lambda over lam_big."""
+    sums = np.zeros(data.n_classes + 1)
+    e_n = np.ones(min(GATHER_CELLS, data.nnz))
+    for block, x in _scaled_blocks(state, data, lam_big):
+        n = e_n[:len(x)]
+        if not point_mass:
+            ztp_mean(x, out=n)
+        np.add.at(sums, data.vals[block], n)
+        np.divide(n, lam_big[block], out=lam_big[block])
+    return sums[1:]
+
+
 def local_update(state, data, lam_big, point_mass=False):
-    """E-step over the non-zero entries.
+    """E-step over the non-zero entries, in the caller's arrays.
 
     Lambda_uik = G_w[u,k] * G_h[i,k] (exp of expected logs), and lam_big
     holds Lambda_ui = sum_k Lambda_uik; n_ui has mean ztp_mean(Lambda_ui *
     delta_y) (or exactly 1 under the point-mass approximation); c allocates
-    n proportionally to Lambda_uik.  Returns the per-(u,k) and per-(i,k)
-    allocation totals.
+    n proportionally to Lambda_uik.  E[n] is reduced at once to its
+    per-class sums, and E[n] / Lambda is written over lam_big.  The
+    per-(u,k) and per-(i,k) allocation totals are written over the
+    factors' shapes, which nothing reads before update_factors.
     """
-    x = state.thresholds.delta[data.vals - 1]
-    x *= lam_big  # Lambda * delta_y
-    e_n = np.ones_like(lam_big) if point_mass else ztp_mean(x)
+    GW, GH = state.W.geo_mean, state.H.geo_mean  # of the old shapes
+    n_by_class = _count_sums(state, data, lam_big, point_mass)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
-    GW, GH = state.W.geo_mean, state.H.geo_mean
-    ratio = _csr(data, np.divide(e_n, lam_big, out=x))
-    cw = ratio @ GH
-    cw *= GW
-    ch = ratio.T @ GW
-    ch *= GH
-    return LocalStats(e_n=e_n, cw=cw, ch=ch)
+    ratio = _csr(data, lam_big)
+    np.multiply(ratio @ GH, GW, out=state.W.shape)
+    np.multiply(ratio.T @ GW, GH, out=state.H.shape)
+    return LocalStats(n_by_class=n_by_class, cw=state.W.shape,
+                      ch=state.H.shape)
 
 
-def update_factors(state, data, stats):
+def update_factors(state, data, stats, scratch):
     """shape = alpha + sum E[c]; rate = beta_r + sum over the row's cells of
     theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users first, so item
     rates see the new user means.  So a rate is a dense theta_0 * colsum
     term plus a sparse term from one CSR of theta_{y-1} - theta_0 over the
-    non-zeros (its transpose for the items).  The new rate is written over
-    the old one, which nothing reads after the local step."""
-    theta0 = state.thresholds.theta[0]
-    exposure = state.thresholds.theta[data.vals - 1]
-    weights = _csr(data, np.subtract(exposure, theta0, out=exposure))
+    non-zeros (its transpose for the items), whose values are written over
+    scratch, one float per entry.  The new shape and rate are written over
+    the old ones, which nothing reads after the local step."""
+    theta = state.thresholds.theta
+    # theta_{y-1} - theta_0 indexed by class y (y = 0 is not stored)
+    _take_by_class(np.append(0.0, theta - theta[0]), data.vals, scratch)
+    weights = _csr(data, scratch)
     for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
                                      (state.H, stats.ch, weights.T, state.W)):
-        rate = np.add(side.beta[:, None], theta0 * other.mean_colsum,
+        rate = np.add(side.beta[:, None], theta[0] * other.mean_colsum,
                       out=side.rate)
         rate += mat @ other.mean
         counts += side.alpha
@@ -395,7 +448,7 @@ def update_thresholds(state, data, stats, lam_by_class):
     classes.
     """
     V = data.n_classes
-    num = np.bincount(data.vals, weights=stats.e_n, minlength=V + 1)[1:]
+    num = stats.n_by_class
     # above[l-1] = sum of E[lambda] over entries with y > l
     above = np.concatenate((np.cumsum(lam_by_class[::-1])[::-1][1:], [0.0]))
     den = total_expected_lambda(state) - above
@@ -428,17 +481,20 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     two terms become log x); the first term is linear in E[lambda], so it
     sums per class.  Zero cells contribute -E[lambda] * theta_0,
     accumulated as total-minus-nonzero.  Factor terms are closed-form gamma
-    cross-entropy minus entropy.
+    cross-entropy minus entropy.  The per-entry terms are summed block by
+    block.
     """
     thr = state.thresholds
-    x = thr.delta[data.vals - 1]
-    x *= lam_big
-    if point_mass:
-        nonlinear = np.log(x, out=x)
-    else:
-        nonlinear = log1mexp(x)
-        nonlinear += x
-    nz_part = float(nonlinear.sum() - lam_by_class @ thr.theta)
+    term = np.empty(min(GATHER_CELLS, data.nnz))
+    nonlinear = 0.0
+    for _, x in _scaled_blocks(state, data, lam_big):
+        if point_mass:
+            nonlinear += np.log(x, out=x).sum()
+        else:
+            t = log1mexp(x, out=term[:len(x)])
+            t += x
+            nonlinear += t.sum()
+    nz_part = float(nonlinear - lam_by_class @ thr.theta)
     zero_part = -thr.theta[0] * (total_expected_lambda(state)
                                  - float(lam_by_class.sum()))
     elbo = (nz_part + zero_part + state.W.prior_minus_entropy()
@@ -451,15 +507,15 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
 def iterate(state, data, lam_big, variant):
     """One CAVI iteration of variant (see FitConfig), in place on state,
     whose entry intensities are lam_big: local step, users, items,
-    thresholds (ordinal only), rate hyperparameters.  Overwrites lam_big
-    with the new state's entry intensities and returns the ELBO."""
+    thresholds (ordinal only), rate hyperparameters.  lam_big is its
+    per-entry scratch and on return holds the new state's entry
+    intensities.  Returns the ELBO."""
     point_mass = variant == "pf"
     stats = local_update(state, data, lam_big, point_mass)
-    update_factors(state, data, stats)
-    # threshold and rate updates leave W and H, hence these, unchanged;
-    # in place, so the caller's old Lambda is not kept alive beside it
-    lam_big[:] = entry_intensities(state, data)
-    lam_by_class = class_sums(state, data)
+    update_factors(state, data, stats, lam_big)
+    # threshold and rate updates leave W and H, hence these, unchanged
+    lam_by_class = class_sums(state, data, out=lam_big)
+    entry_intensities(state, data, out=lam_big)
     if variant == "ordinal":
         state.thresholds, _ = update_thresholds(state, data, stats,
                                                 lam_by_class)
@@ -471,8 +527,10 @@ def fit(data, config):
     """Run iterate until the relative ELBO increment falls below
     config.tol or max_iter is reached."""
     state = init_state(config, data)
-    lam_big = entry_intensities(state, data)
-    prev = compute_elbo(state, data, lam_big, class_sums(state, data),
+    lam_big = np.empty(data.nnz)
+    lam_by_class = class_sums(state, data, out=lam_big)
+    entry_intensities(state, data, out=lam_big)
+    prev = compute_elbo(state, data, lam_big, lam_by_class,
                         config.variant == "pf")
     trace = []
     converged = False

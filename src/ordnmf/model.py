@@ -10,11 +10,14 @@ the threshold sequence.
 
 import numpy as np
 
+from .errors import NumericalError
+
 _LOG2 = float(np.log(2.0))
 
 
-def log1mexp(x):
-    """Stable log(1 - exp(-x)) for x > 0.
+def log1mexp(x, out=None):
+    """Stable log(1 - exp(-x)) for x > 0, written into out (an array of
+    x's shape other than x) if given.
 
     Uses log(-expm1(-x)) below log 2 and log1p(-exp(-x)) above, which
     avoids cancellation at both ends of the range.  Both are computed over
@@ -24,7 +27,7 @@ def log1mexp(x):
     x = np.asarray(x, dtype=float)
     if x.size and x.min() <= 0:
         raise ValueError("log1mexp requires x > 0")
-    out = np.negative(x, out=np.empty_like(x))
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     above = np.exp(out, out=np.empty_like(x))
     np.log(np.negative(np.expm1(out, out=out), out=out), out=out)
     with np.errstate(divide="ignore"):  # log1p(-1) at tiny x, not kept
@@ -85,14 +88,20 @@ class ThresholdSequence:
 
         Exactly -lambda * theta_0 for v = 0; otherwise
         -lambda * theta_v + log(1 - exp(-lambda * delta_v)), evaluated
-        stably for lambda * delta_v near 0 and near +inf.
+        stably for lambda * delta_v near 0 and near +inf.  NumericalError
+        where lambda * delta_v is below the least normal float: there it
+        has lost digits or is 0, and so would the result.
         """
         v = self._check_class(v)
         lam = np.asarray(lam, dtype=float)
         if np.any(lam <= 0):
             raise ValueError("log_pmf requires lambda > 0")
         # at v = 0, lambda * delta_0 = +inf and log1mexp(+inf) = 0
-        out = log1mexp(lam * self._delta_ext[v])
+        x, floor = lam * self._delta_ext[v], np.finfo(float).tiny
+        if np.size(x) and np.min(x) < floor:
+            raise NumericalError(f"lambda * delta {np.min(x):.4g} is below "
+                                 f"{floor:.4g}")
+        out = log1mexp(x)
         out -= lam * self._theta_ext[v]
         return out if np.ndim(out) else float(out)
 

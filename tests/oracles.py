@@ -70,9 +70,9 @@ def expected_class(thr, lam):
 # 40 of the 50 digits on its side of x = 1.
 
 def log1mexp_mp(x):
-    """log(1 - e^{-x}) for a float x > 0."""
+    """log(1 - e^{-x}) for a float or mpmath number x > 0."""
     with mpmath.workdps(50):
-        x = mpmath.mpf(float(x))
+        x = mpmath.mpf(x)
         if x < 1:
             return mpmath.log(-mpmath.expm1(-x))
         return mpmath.log1p(-mpmath.exp(-x))
@@ -90,6 +90,19 @@ def elbo_entry_mp(x):
     non-zero entry with x = Lambda * delta_y, for a float x > 0."""
     with mpmath.workdps(50):
         return mpmath.log(mpmath.expm1(mpmath.mpf(float(x))))
+
+
+def log_pmf_mp(theta, v, lam):
+    """log P[y = v | lambda] = log(e^{-lambda theta_v} - e^{-lambda
+    theta_{v-1}}) for class v in 0..V, from the float thresholds theta
+    taken exactly (theta_{-1} = +inf, theta_V = 0), for a float lam > 0:
+    -lambda theta_v + log(1 - e^{-lambda (theta_{v-1} - theta_v)})."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(float(lam))
+        ext = [mpmath.mpf(float(t)) for t in theta] + [mpmath.mpf(0)]
+        if v == 0:
+            return -lam * ext[0]
+        return -lam * ext[v] + log1mexp_mp(lam * (ext[v - 1] - ext[v]))
 
 
 def dense(matrix):
@@ -294,6 +307,22 @@ def threshold_objective(delta, y, e_n, e_lam):
         total += e_n[y == l].sum() * np.log(delta[l - 1])
         total -= e_lam[y <= l].sum() * delta[l - 1]
     return total
+
+
+def local_step(state, data, point_mass=False):
+    """(stats, e_n, lam): local_update's stats on state, E[n] per entry
+    taken as ztp_mean(Lambda * delta_y) (1 under the point mass) from the
+    same Lambda, and the Lambda array, over which local_update must have
+    written e_n / Lambda (checked here, bit for bit)."""
+    from ordnmf.inference import entry_intensities, local_update, ztp_mean
+
+    lam = entry_intensities(state, data)
+    before = lam.copy()
+    e_n = (np.ones_like(lam) if point_mass else
+           ztp_mean(lam * state.thresholds.delta[data.vals - 1]))
+    stats = local_update(state, data, lam, point_mass)
+    assert lam.tobytes() == (e_n / before).tobytes()
+    return stats, e_n, lam
 
 
 def random_state_like(data, n_components, rng, alpha_w=0.3, alpha_h=0.3):

@@ -21,15 +21,15 @@ from ordnmf.baselines import binarize
 from ordnmf.data import train_test_split
 from ordnmf.evaluation import evaluate_ranking, ppc_histogram
 from ordnmf.inference import (FitConfig, class_sums, compute_elbo,
-                              entry_intensities, fit, iterate, local_update,
-                              update_factors, update_thresholds, ztp_mean)
+                              entry_intensities, fit, iterate, update_factors,
+                              update_thresholds, ztp_mean)
 from ordnmf.model import ThresholdSequence
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (bepof_iteration, cdf, dense, dense_iteration,
-                     elbo_bruteforce, expected_class, pmf, pmf_all, quantize,
-                     random_matrix, random_state_like, threshold_objective,
-                     ztp_mean_series)
+                     elbo_bruteforce, expected_class, local_step, pmf,
+                     pmf_all, quantize, random_matrix, random_state_like,
+                     threshold_objective, ztp_mean_series)
 
 
 def _report(number, label):
@@ -197,15 +197,15 @@ def test_criterion_6_threshold_stationarity():
         rng = np.random.default_rng(40 + seed)
         data = random_matrix(8, 7, int(rng.integers(2, 6)), rng, density=0.7)
         state = random_state_like(data, 3, rng)
-        stats = local_update(state, data, entry_intensities(state, data))
-        update_factors(state, data, stats)
+        stats, e_n_entries, lam = local_step(state, data)
+        update_factors(state, data, stats, lam)
         lam_by_class = class_sums(state, data)
         thr, floored = update_thresholds(state, data, stats, lam_by_class)
         assert not floored
 
         y = dense(data)
         e_n = np.zeros(y.shape)
-        e_n[y > 0] = stats.e_n
+        e_n[y > 0] = e_n_entries
         e_lam = state.W.mean @ state.H.mean.T
         delta = thr.delta
         f0 = threshold_objective(delta, y, e_n, e_lam)

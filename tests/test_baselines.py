@@ -5,10 +5,10 @@ import pytest
 
 from ordnmf.baselines import binarize
 from ordnmf.errors import ConfigError
-from ordnmf.inference import FitConfig, entry_intensities, fit, local_update
+from ordnmf.inference import FitConfig, fit
 from ordnmf.model import ThresholdSequence
 
-from oracles import dense, pmf, random_matrix
+from oracles import dense, local_step, pmf, random_matrix
 
 
 class TestBinarize:
@@ -72,7 +72,6 @@ class TestConfigs:
         data = random_matrix(8, 6, 1, rng)
         cfg = FitConfig(n_components=2, max_iter=20, tol=1e-14, variant="pf")
         res = fit(data, cfg)
-        stats = local_update(res.state, data,
-                             entry_intensities(res.state, data),
-                             point_mass=True)
-        np.testing.assert_array_equal(stats.e_n, 1.0)
+        # local_step checks that 1 / Lambda was written over Lambda
+        stats, _, _ = local_step(res.state, data, point_mass=True)
+        np.testing.assert_array_equal(stats.n_by_class, data.class_counts)

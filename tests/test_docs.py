@@ -50,3 +50,17 @@ def test_stated_block_sizes_match_constants():
              if getattr(importlib.import_module(f"ordnmf.{module}"), name)
              != 1 << int(n)]
     assert wrong == []
+
+
+def test_stated_transient_bounds_match_tests():
+    # "the bound is X (U+I)·K·8 bytes" and "X nnz·8 bytes": the bounds the
+    # two transient-peak tests enforce
+    from test_inference import TestScalability
+
+    text = " ".join(README.read_text().split())
+    stated = {unit: re.findall(r"the bound is ([\d.]+) " + re.escape(unit),
+                               text)
+              for unit in ("(U+I)·K·8 bytes", "nnz·8 bytes")}
+    assert stated == {
+        "(U+I)·K·8 bytes": [str(TestScalability.DENSE_TRANSIENT)],
+        "nnz·8 bytes": [str(TestScalability.ENTRY_TRANSIENT)]}

@@ -22,15 +22,29 @@ at most 4 * 2^-1074 on a subnormal result).
   22 eps (|x| + |L|) + 2 a.  Relative to the result that is the sum's
   condition number (|x| + |L|) / |x + L|, which is unbounded at
   x = log 2, where x + L = 0.
+* ThresholdSequence.log_pmf(v, lambda) = -lambda theta_v + L(x), with
+  L = log1mexp, x = fl(lambda * delta_v) and delta_v = fl(theta_{v-1} -
+  theta_v); the reference takes the exact difference.  So x is within
+  3 eps relative of the exact lambda (theta_{v-1} - theta_v), which moves L
+  by at most 3 eps * x L'(x) = 3 eps * x / (e^x - 1) (that is at most
+  3 eps, and 0 at v = 0, where x = +inf and L = 0); log1mexp adds
+  20 eps |L| + a.  fl(lambda * theta_v) is within eps lambda theta_v, plus
+  2^-1075 when subnormal.  Both terms are <= 0, so their sum has condition
+  number 1, and the subtraction adds eps (|L| + lambda theta_v).  In all:
+  21 eps |L| + 2 eps lambda theta_v + 3 eps x / (e^x - 1) + 2 a.  Where x
+  is below the least normal float it has lost digits (or is 0), and
+  log_pmf raises NumericalError instead.
 """
 
 import mpmath
 import numpy as np
+import pytest
 
+from ordnmf.errors import NumericalError
 from ordnmf.inference import ztp_mean
-from ordnmf.model import log1mexp
+from ordnmf.model import ThresholdSequence, log1mexp
 
-from oracles import elbo_entry_mp, log1mexp_mp, ztp_mean_mp
+from oracles import elbo_entry_mp, log1mexp_mp, log_pmf_mp, ztp_mean_mp
 
 EPS = 2.0 ** -53
 SUBNORMAL = 2.0 ** -1071  # two 4-ulp errors on a subnormal result
@@ -72,3 +86,55 @@ def test_elbo_entry_within_its_conditioning():
     L = np.abs(np.array([float(log1mexp_mp(x)) for x in GRID]))
     check(got, ref, 22 * EPS * (GRID + L) + 2 * SUBNORMAL)
 
+
+
+# decrements down to 2^-52, and V = 10 spans theta from 4 to 2^-52
+THRESHOLDS = {1: [1.0], 3: [1.0, 1 - 2.0 ** -52, 0.5],
+              10: [4.0, 2.0, 1.0, 1 - 2.0 ** -52, 0.75, 0.5, 2.0 ** -10,
+                   2.0 ** -30, 2.0 ** -40, 2.0 ** -52]}
+
+
+@pytest.mark.parametrize("V", sorted(THRESHOLDS))
+def test_log_pmf_within_its_conditioning(V):
+    thr = ThresholdSequence(THRESHOLDS[V])
+    theta = np.append(thr.theta, 0.0)
+    delta = np.append(np.inf, thr.delta)
+    tiny = np.finfo(float).tiny
+    # a log grid, and each class's lambda at x = lambda * delta_v of log 2,
+    # of exp's subnormal range and on both sides of the least normal float
+    lams = np.unique(np.concatenate((np.logspace(-300, 300, 241), [
+        c / d for d in thr.delta
+        for c in (LOG2, 708.0, 746.0, tiny / 2, tiny, 2 * tiny)])))
+    for v in range(V + 1):
+        below = lams * delta[v] < tiny
+        for lam in lams[below]:
+            with pytest.raises(NumericalError, match="is below 2.225e-308"):
+                thr.log_pmf(v, lam)
+        ok = lams[~below]
+        got = thr.log_pmf(np.full(ok.size, v), ok)
+        ref = [log_pmf_mp(thr.theta, v, lam) for lam in ok]
+        if v == 0:  # x = +inf: L = 0, and so is its change with x
+            L = shrink = np.zeros(ok.size)
+        else:
+            x = ok * delta[v]
+            L = np.abs(np.array([float(log1mexp_mp(xj)) for xj in x]))
+            # x / (e^x - 1) as x e^{-x} / (1 - e^{-x}), which cannot overflow
+            shrink = x * np.exp(-x) / -np.expm1(-x)
+        bound = (21 * EPS * L + 2 * EPS * ok * theta[v] + 3 * EPS * shrink
+                 + 2 * SUBNORMAL)
+        err = np.array([float(abs(mpmath.mpf(float(g)) - r))
+                        for g, r in zip(got, ref)])
+        j = np.argmax(err / bound)
+        assert np.all(err <= bound), (f"v = {v}, lambda = {ok[j]!r}: error "
+                                      f"{err[j]:.3g} > bound {bound[j]:.3g}")
+
+
+@pytest.mark.parametrize("lam, theta", [
+    (3e-308, [1.0, 1 - 2.0 ** -52]), (2.0 ** -1022, [1.0, 1 - 2.0 ** -53])],
+    ids=["subnormal-product", "product-rounds-to-zero"])
+def test_log_pmf_rejects_product_below_normal(lam, theta):
+    # lambda itself is normal; lambda * delta_1 is subnormal (6.7e-324, so
+    # the result lost its digits) or rounds to 0 (log1mexp's ValueError)
+    with pytest.raises(NumericalError, match=r"^lambda \* delta .* is below "
+                       r"2\.225e-308$"):
+        ThresholdSequence(theta).log_pmf(1, lam)
