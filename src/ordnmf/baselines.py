@@ -6,6 +6,8 @@ factorization is the same corner with the truncated count posterior
 replaced by a point mass at 1 (variant "pf").
 """
 
+import numpy as np
+
 from .data import OrdinalMatrix
 from .errors import ConfigError
 
@@ -17,7 +19,9 @@ def binarize(matrix, threshold):
         raise ConfigError(f"binarization threshold {threshold} outside "
                           f"1..{matrix.n_classes}")
     keep = matrix.vals >= threshold
-    return OrdinalMatrix(matrix.n_users, matrix.n_items, 1,
-                         matrix.rows[keep], matrix.cols[keep],
-                         [1] * int(keep.sum()))
+    arrays = [matrix.rows[keep], matrix.cols[keep],
+              np.ones(np.count_nonzero(keep), matrix.vals.dtype)]
+    for a in arrays:
+        a.setflags(write=False)  # in CSR order, so the matrix keeps them
+    return OrdinalMatrix(matrix.n_users, matrix.n_items, 1, *arrays)
 

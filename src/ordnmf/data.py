@@ -1,8 +1,10 @@
 """Sparse ordinal matrices: ingestion, quantization, splitting.
 
 The observed matrix stores only non-zero classes (class 0 is implicit).
-Entries live in CSR order by user.  Matrices are immutable after
-construction and safe for shared read access.
+Entries live in CSR order by user, in three parallel arrays, each int32
+while its bound (U, I or V) is below 2^31 and int64 otherwise: 12 bytes per
+stored entry in memory below that size.  The .ordmat file holds int64.
+Matrices are immutable after construction and safe for shared read access.
 """
 
 import functools
@@ -18,24 +20,61 @@ from .errors import ConfigError, DataError, ParseError
 _MAGIC = b"ORDM"
 _FORMAT_VERSION = 1
 # magic, version, users, items, classes, nnz; then rows, cols, vals as
-# nnz little-endian int64 each
+# nnz little-endian int64 each, whatever dtype the matrix holds them in
 _HEADER = struct.Struct("<4sIIIIQ")
+# entries per block of class_counts' bincount, which copies its input
+_COUNT_BLOCK = 1 << 16
+
+
+def entry_dtype(bound):
+    """dtype of an entry array whose values are at most bound (U, I or V):
+    int32 when bound is below 2^31, int64 otherwise."""
+    return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
+
+
+def _entry_arrays(n_users, n_items, n_classes, arrays):
+    """rows, cols and vals of a U x I matrix with V classes from arrays,
+    any iterable of three, each checked to lie in its range (DataError
+    otherwise) and cast to entry_dtype of its bound before the next is
+    drawn, so a generator's arrays are read and cast one at a time.  A cast
+    is a copy that nothing else holds, so it is made read-only, and
+    OrdinalMatrix keeps it as it keeps read-only input."""
+    arrays, out = iter(arrays), []
+    for low, high, bound, what in (
+            (0, n_users - 1, n_users, "user index out of range"),
+            (0, n_items - 1, n_items, "item index out of range"),
+            (1, n_classes, n_classes, f"classes must lie in 1..{n_classes}")):
+        a = np.asarray(next(arrays))
+        if a.dtype.kind not in "iu":
+            a = a.astype(np.int64)
+        if a.size and (a.min() < low or a.max() > high):
+            raise DataError(what)
+        if a.dtype != entry_dtype(bound):
+            a = a.astype(entry_dtype(bound))
+            a.setflags(write=False)
+        out.append(a)
+    return out
 
 
 def _cell_keys(rows, cols, n_items):
     """uint64 keys rows * n_items + cols, equal only for equal cells and
-    ascending in CSR order; below 2^64 while U and I are below 2^32."""
-    return rows.astype(np.uint64) * np.uint64(n_items) + cols.astype(np.uint64)
+    ascending in CSR order; below 2^64 while U and I are below 2^32.
+    Formed in place by uint64 loops, which cast the (non-negative) indices
+    a buffer at a time, so the keys are the only full-size allocation."""
+    key = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(cols)),
+                   dtype=np.uint64)
+    np.multiply(rows, n_items, out=key, dtype=np.uint64, casting="unsafe")
+    return np.add(key, cols, out=key, dtype=np.uint64, casting="unsafe")
 
 
 class OrdinalMatrix:
     """Sparse U x I matrix of ordinal classes in {1..V}; zeros implicit.
 
     rows/cols/vals are parallel arrays in CSR order (sorted by user then
-    item).  `indptr` delimits each user's slice.  Input already in CSR
-    order is not sorted, and its int64 arrays that are read-only are kept
-    rather than copied (the caller must not change them through a
-    writable view).
+    item), each of entry_dtype of its bound U, I or V.  `indptr` delimits
+    each user's slice.  Input already in CSR order is not sorted, and its
+    arrays that are read-only and of that dtype are kept rather than
+    copied (the caller must not change them through a writable view).
     """
 
     def __init__(self, n_users, n_items, n_classes, rows, cols, vals):
@@ -46,18 +85,10 @@ class OrdinalMatrix:
         if max(int(n_users), int(n_items), int(n_classes)) >= 1 << 32:
             raise DataError(f"{n_users} users, {n_items} items, V = "
                             f"{n_classes}: each must be below 2^32")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.int64)
+        rows, cols, vals = _entry_arrays(n_users, n_items, n_classes,
+                                         (rows, cols, vals))
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise DataError("rows/cols/vals must be parallel 1-d arrays")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_users:
-                raise DataError("user index out of range")
-            if cols.min() < 0 or cols.max() >= n_items:
-                raise DataError("item index out of range")
-            if vals.min() < 1 or vals.max() > n_classes:
-                raise DataError(f"classes must lie in 1..{n_classes}")
         key = _cell_keys(rows, cols, n_items)
         if np.all(key[1:] > key[:-1]):  # CSR order, no duplicates
             rows, cols, vals = (a if not a.flags.writeable else a.copy()
@@ -65,7 +96,9 @@ class OrdinalMatrix:
         else:
             # equal CSR keys are duplicates, so sort stability does not matter
             order = np.argsort(key)
-            dup = np.flatnonzero(np.diff(key[order]) == 0)
+            key = key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            del key  # before the gathers
             rows, cols, vals = rows[order], cols[order], vals[order]
             if dup.size:
                 raise DataError(f"duplicate entry for (user={rows[dup[0]]}, "
@@ -82,8 +115,10 @@ class OrdinalMatrix:
         """CSR row pointer, length n_users + 1.  Built on first use, so that
         construction (and load) takes memory in nnz only, not in n_users;
         by binary search in the sorted rows, as bincount would copy the
-        read-only rows (numpy 2.4)."""
-        return np.searchsorted(self.rows, np.arange(self.n_users + 1))
+        read-only rows (numpy 2.4); the needles take rows' dtype, or
+        searchsorted would cast rows to theirs."""
+        needles = np.arange(self.n_users + 1, dtype=self.rows.dtype)
+        return np.searchsorted(self.rows, needles)
 
     @property
     def nnz(self):
@@ -91,8 +126,13 @@ class OrdinalMatrix:
 
     @property
     def class_counts(self):
-        """Number of stored entries per class 1..V (length V)."""
-        return np.bincount(self.vals, minlength=self.n_classes + 1)[1:]
+        """Number of stored entries per class 1..V (length V), counted
+        _COUNT_BLOCK entries at a time, as bincount copies its input."""
+        counts = np.zeros(self.n_classes + 1, dtype=np.int64)
+        for start in range(0, self.nnz, _COUNT_BLOCK):
+            counts += np.bincount(self.vals[start:start + _COUNT_BLOCK],
+                                  minlength=self.n_classes + 1)
+        return counts[1:]
 
     def block_entries(self, users):
         """(row, at): the users' entries (any order, repeats allowed) by
@@ -119,7 +159,8 @@ class OrdinalMatrix:
         return int(self.rows[hit[0]]), int(self.cols[hit[0]])
 
     def save(self, path):
-        """Write the versioned little-endian binary format."""
+        """Write the versioned little-endian binary format, widening each
+        array to int64 as it is written."""
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, self.n_users,
                                   self.n_items, self.n_classes, self.nnz))
@@ -143,13 +184,21 @@ class OrdinalMatrix:
             if size != _HEADER.size + 24 * nnz:
                 raise DataError(f"{path}: {size} bytes, but a header with "
                                 f"nnz = {nnz} needs {_HEADER.size + 24 * nnz}")
-            entries = np.fromfile(fh, dtype="<i8", count=3 * nnz)
-        entries.setflags(write=False)  # so the matrix keeps it uncopied
-        rows, cols, vals = entries.reshape(3, nnz)
-        try:
-            return cls(n_users, n_items, n_classes, rows, cols, vals)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+            try:
+                # each array read, checked and cast before the next is read
+                arrays = _entry_arrays(n_users, n_items, n_classes, (
+                    _read_entries(fh, nnz) for _ in range(3)))
+                return cls(n_users, n_items, n_classes, *arrays)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+
+
+def _read_entries(fh, nnz):
+    """The next nnz little-endian int64 values of fh, read-only, so that
+    a matrix keeps them uncopied when int64 is their entry_dtype."""
+    a = np.fromfile(fh, dtype="<i8", count=nnz)
+    a.setflags(write=False)
+    return a
 
 
 class RawTriplets:

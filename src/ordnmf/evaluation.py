@@ -105,7 +105,7 @@ def _ndcg_reports(lists, test, thresholds, list_length):
     # test's ascending cell keys, then one above all, of class 0, for misses
     keys = np.append(_cell_keys(test.rows, test.cols, test.n_items),
                      np.iinfo(np.uint64).max)
-    classes = np.append(test.vals, 0)
+    classes = np.append(test.vals, np.zeros(1, test.vals.dtype))
     # test entries of class >= thresholds[j] before each CSR position
     below = [np.concatenate(([0], np.cumsum(test.vals >= s)))
              for s in thresholds]

@@ -298,7 +298,9 @@ def require_positive(lam, data):
 
 def _csr(data, values):
     """scipy CSR matrix over data's sparsity pattern holding values, one
-    per stored entry in CSR order."""
+    per stored entry in CSR order.  SciPy keeps int32 column indices as
+    given, so the matrix shares data.cols (int32 while I < 2^31) and
+    copies only the U + 1 row pointers to int32."""
     from scipy import sparse  # see GammaVariationalMatrix.geo_mean
     return sparse.csr_matrix((values, data.cols, data.indptr),
                              shape=(data.n_users, data.n_items))

@@ -6,6 +6,7 @@ no use of the sparse update paths they validate.  Slow on purpose; only for
 tiny instances.
 """
 
+import copy
 import struct
 
 import mpmath
@@ -401,6 +402,28 @@ def damaged_ordmat(kind):
     body = np.asarray(entries, dtype="<i8").tobytes()
     tail = b"\0" if kind == "trailing-bytes" else b""
     return header.pack(b"ORDM", 1, 2, 3, 2, 2) + body + tail
+
+
+def ordmat_bytes(matrix):
+    """Bytes of matrix's .ordmat file, from the format alone: the header,
+    then rows, cols and vals as little-endian int64."""
+    header = struct.Struct("<4sIIIIQ").pack(
+        b"ORDM", 1, matrix.n_users, matrix.n_items, matrix.n_classes,
+        matrix.nnz)
+    return header + np.asarray([matrix.rows, matrix.cols, matrix.vals],
+                               dtype="<i8").tobytes()
+
+
+def widened(matrix):
+    """A copy of matrix whose entry arrays are rebuilt as read-only int64,
+    the dtype a matrix stores them in when U, I and V reach 2^31."""
+    wide = copy.copy(matrix)
+    wide.__dict__.pop("indptr", None)  # cached from the narrow rows
+    for name in ("rows", "cols", "vals"):
+        a = getattr(matrix, name).astype(np.int64)
+        a.setflags(write=False)
+        setattr(wide, name, a)
+    return wide
 
 
 def load_triplets_by_line(path, delimiter=None, skip_header=False):

@@ -1,9 +1,12 @@
 """Binary special cases: binarization and the restricted configurations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ordnmf.baselines import binarize
+from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError
 from ordnmf.inference import FitConfig, fit
 from ordnmf.model import ThresholdSequence
@@ -20,8 +23,6 @@ class TestBinarize:
         assert np.all(out.vals == 1)
 
     def test_counts_surviving_threshold(self):
-        from ordnmf.data import OrdinalMatrix
-
         mat = OrdinalMatrix(3, 3, 9, [0, 1, 2], [0, 1, 2], [1, 8, 9])
         out = binarize(mat, 8)
         assert out.nnz == 2
@@ -39,6 +40,29 @@ class TestBinarize:
         mat = random_matrix(5, 5, 1, rng)
         out = binarize(mat, 1)
         np.testing.assert_array_equal(dense(out), dense(mat))
+
+    def test_binarize_peak_within_its_arrays(self):
+        # the kept arrays (12 bytes per kept entry, read-only, so the matrix
+        # keeps them), the mask and one cell key per kept entry: ~1.9x the
+        # arrays measured.  Values from a list of ints, and copies of the
+        # gathered arrays, took ~2.7x the then 24-byte arrays
+        rng = np.random.default_rng(4)
+        nnz = 200_000
+        cells = np.sort(rng.choice(2000 * 1500, size=nnz, replace=False))
+        mat = OrdinalMatrix(2000, 1500, 5, cells // 1500, cells % 1500,
+                            rng.integers(1, 6, nnz))
+        tracemalloc.start()
+        try:
+            out = binarize(mat, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keep = mat.vals >= 3
+        np.testing.assert_array_equal(out.rows, mat.rows[keep])
+        np.testing.assert_array_equal(out.cols, mat.cols[keep])
+        assert out.vals.dtype == np.int32 and np.all(out.vals == 1)
+        stored = sum(a.nbytes for a in (out.rows, out.cols, out.vals))
+        assert peak < 2 * stored + nnz
 
 
 class TestConfigs:

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ordnmf import data as data_module
-from ordnmf.data import (OrdinalMatrix, RawTriplets, load_triplets,
-                         quantize_counts, train_test_split, write_index_map)
+from ordnmf.data import (OrdinalMatrix, RawTriplets, entry_dtype,
+                         load_triplets, quantize_counts, train_test_split,
+                         write_index_map)
 from ordnmf.errors import ConfigError, DataError, OrdnmfError, ParseError
 
-from oracles import damaged_ordmat, load_triplets_by_line
+from oracles import (damaged_ordmat, load_triplets_by_line, ordmat_bytes,
+                     widened)
 
 PLAYCOUNT_BOUNDARIES = [1, 2, 5, 10, 20, 50, 100, 200, 500]
 # pieces of triplet fields, valid and not: ids, digits, signs, exponents,
@@ -441,6 +443,26 @@ class TestOrdinalMatrix:
                                  (rows[csr], cols[csr], vals[csr])):
                 np.testing.assert_array_equal(got, want)
 
+    def test_shuffled_input_peak(self):
+        # the int32 casts (12 bytes per entry), the keys and the sort order
+        # (8 each), and the sorted keys, which replace the keys before the
+        # gathers: 36 bytes per entry measured.  The keys, the order and
+        # three int64 gathers took 40, and 44 with the casts and np.diff
+        # of the sorted keys beside the keys
+        rng = np.random.default_rng(10)
+        nnz = 200_000
+        cells = rng.choice(2000 * 1500, size=nnz, replace=False)
+        arrays = [cells // 1500, cells % 1500, rng.integers(1, 6, nnz)]
+        tracemalloc.start()
+        try:
+            mat = OrdinalMatrix(2000, 1500, 5, *arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(mat.rows * 1500 + mat.cols,
+                                      np.sort(cells))
+        assert peak < 38 * nnz
+
     def test_duplicate_named_shuffled_or_in_csr_order(self):
         rng = np.random.default_rng(6)
         cells = rng.choice(40 * 30, size=300, replace=False)
@@ -456,21 +478,97 @@ class TestOrdinalMatrix:
                               cells[order] % 30, vals[order])
 
     def test_csr_input_kept_only_when_read_only(self):
-        arrays = [np.array(a) for a in ([0, 0, 2], [1, 3, 0], [1, 2, 1])]
-        mat = OrdinalMatrix(3, 4, 2, *arrays)
-        for got, given in zip((mat.rows, mat.cols, mat.vals), arrays):
-            assert given.flags.writeable
-            assert not np.shares_memory(got, given)
-        for a in arrays:
-            a.setflags(write=False)
-        mat = OrdinalMatrix(3, 4, 2, *arrays)
-        for got, given in zip((mat.rows, mat.cols, mat.vals), arrays):
-            assert got is given
+        # kept only when read-only and already of the chosen dtype: int32
+        # for a 4 x 4 matrix, int64 rows and cols for 2^32 - 1 users/items
+        entries = ([0, 0, 2], [1, 3, 0], [1, 2, 1])
+        for n, dtype in ((4, np.int32), ((1 << 32) - 1, np.int64)):
+            for given_dtype in (np.int32, np.int64):
+                arrays = [np.array(a, dtype=given_dtype) for a in entries]
+                mat = OrdinalMatrix(n, n, 2, *arrays)
+                stored = (mat.rows, mat.cols, mat.vals)
+                assert [a.dtype for a in stored] == [dtype, dtype, np.int32]
+                for got, given in zip(stored, arrays):
+                    assert given.flags.writeable
+                    assert not np.shares_memory(got, given)
+                for a in arrays:
+                    a.setflags(write=False)
+                mat = OrdinalMatrix(n, n, 2, *arrays)
+                for got, given in zip((mat.rows, mat.cols, mat.vals), arrays):
+                    assert (got is given) == (got.dtype == given_dtype)
+                    np.testing.assert_array_equal(got, given)
 
     def test_class_counts(self):
         mat = make_matrix([[1, 0, 2], [0, 2, 3]], n_classes=3)
         assert mat.class_counts.tolist() == [1, 2, 1]
         assert mat.class_counts.sum() == mat.nnz
+
+    def test_class_counts_copy_no_more_than_a_block(self):
+        # bincount copies its input to intp; over all of vals that was
+        # nnz * 8 bytes (3.2 MB here), by blocks of 2^16 entries it is 0.5 MB
+        rng = np.random.default_rng(8)
+        nnz = 400_000
+        mat = OrdinalMatrix(nnz, 1, 5, np.arange(nnz), np.zeros(nnz),
+                            rng.integers(1, 6, nnz))
+        want = np.bincount(mat.vals, minlength=6)[1:]
+        tracemalloc.start()
+        try:
+            got = mat.class_counts
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak < 2 * nnz
+
+    def test_entry_dtype_per_array_at_2_31(self):
+        # int32 while the array's bound (U, I or V) is below 2^31, so the
+        # largest index or class still fits; decided for each array alone
+        n = 1 << 31
+        assert entry_dtype(n - 1) == np.int32
+        assert entry_dtype(n) == np.int64
+        for shape in ((n - 1, n, n - 1), (n, n - 1, n), (2, 3, 2)):
+            U, I, V = shape
+            mat = OrdinalMatrix(U, I, V, [0, U - 1], [I - 1, 0], [V, 1])
+            assert [a.dtype for a in (mat.rows, mat.cols, mat.vals)] == [
+                entry_dtype(bound) for bound in shape]
+            assert [a.tolist() for a in (mat.rows, mat.cols, mat.vals)] == [
+                [0, U - 1], [I - 1, 0], [V, 1]]
+
+    def test_cell_keys_allocate_only_the_keys(self):
+        # computed in uint64 ufunc loops that cast a buffer at a time; three
+        # uint64 temporaries (casts, product) took ~2x the keys' 8 bytes
+        rng = np.random.default_rng(9)
+        nnz = 200_000
+        cells = rng.choice(3000 * 2000, size=nnz, replace=False)
+        mat = OrdinalMatrix(3000, 2000, 2, cells // 2000, cells % 2000,
+                            np.ones(nnz))
+        want = (mat.rows.astype(np.uint64) * np.uint64(2000)
+                + mat.cols.astype(np.uint64))
+        tracemalloc.start()
+        try:
+            got = data_module._cell_keys(mat.rows, mat.cols, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.uint64
+        assert peak < 1.1 * 8 * nnz
+
+    def test_indptr_copies_no_entries(self):
+        # searchsorted casts rows to its needles' dtype: int64 needles made
+        # a full int64 copy of int32 rows (1.6 MB here), where indptr and
+        # the needles take 36 KB
+        nnz = 200_000
+        mat = OrdinalMatrix(3000, 100, 1, np.arange(nnz) // 100,
+                            np.arange(nnz) % 100, np.ones(nnz))
+        tracemalloc.start()
+        try:
+            indptr = mat.indptr
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(indptr, np.minimum(
+            np.arange(3001) * 100, nnz))
+        assert peak < nnz
 
     @settings(max_examples=300, deadline=None)
     @given(row_blocks())
@@ -492,6 +590,10 @@ class TestOrdinalMatrix:
         np.testing.assert_array_equal(
             got, np.asarray(dense)[np.asarray(users, dtype=np.int64)])
         assert row.size == np.count_nonzero(got)
+        # the same lists from int64 entry arrays
+        for wide, narrow in zip(widened(mat).block_entries(users), (row, at)):
+            np.testing.assert_array_equal(wide, narrow)
+            assert wide.dtype == np.int64
 
     @pytest.mark.parametrize("mine, theirs, shared", [
         ([[1, 2], [0, 1]], [[0, 0], [0, 0]], None),  # nothing in theirs
@@ -517,8 +619,11 @@ class TestOrdinalMatrix:
     @given(matrix_pairs())
     def test_first_shared_entry_matches_bruteforce(self, pair):
         mine, theirs = pair
-        assert mine.first_shared_entry(theirs) == first_shared_bruteforce(
-            mine, theirs)
+        shared = first_shared_bruteforce(mine, theirs)
+        assert mine.first_shared_entry(theirs) == shared
+        # the same with int64 entry arrays on either side
+        assert widened(mine).first_shared_entry(theirs) == shared
+        assert mine.first_shared_entry(widened(theirs)) == shared
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -530,6 +635,25 @@ class TestOrdinalMatrix:
         np.testing.assert_array_equal(back.rows, mat.rows)
         np.testing.assert_array_equal(back.cols, mat.cols)
         np.testing.assert_array_equal(back.vals, mat.vals)
+
+    def test_save_load_byte_identical_for_both_dtypes(self, tmp_path):
+        # int32 arrays for a 4 x 4 matrix, int64 rows and cols for 2^32 - 1
+        # users and items; either way the file holds int64
+        first, second = tmp_path / "a.ordmat", tmp_path / "b.ordmat"
+        for n, dtype in ((4, np.int32), ((1 << 32) - 1, np.int64)):
+            mat = OrdinalMatrix(n, n, 3, [0, 0, 2], [1, 3, 0], [1, 3, 2])
+            mat.save(first)
+            back = OrdinalMatrix.load(first)
+            back.save(second)
+            assert first.read_bytes() == second.read_bytes() == ordmat_bytes(
+                mat)
+            widened(mat).save(second)
+            assert second.read_bytes() == first.read_bytes()
+            for got, want in zip((back.rows, back.cols, back.vals),
+                                 (mat.rows, mat.cols, mat.vals)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+            assert back.rows.dtype == back.cols.dtype == dtype
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -567,23 +691,30 @@ class TestOrdinalMatrix:
         assert peak < 1 << 20
 
     def test_load_peak_within_twice_the_arrays(self, tmp_path):
-        # a file in CSR order is neither sorted nor gathered: its arrays
-        # plus the cell keys and their temporaries, ~1.67x measured; the
-        # argsort and three gathers took ~2.67x
+        # a file in CSR order is neither sorted nor gathered, and each
+        # int64 array read is cast to int32 before the next is read, or
+        # kept when int64 is its dtype: the stored arrays plus one key per
+        # entry, ~1.75x of their 12 bytes per entry measured, and ~1.45x
+        # of 20 (int64 rows and cols, 2^32 - 1 users and items).
+        # Read whole as int64 it was ~1.67x of 24 bytes (the bound was 2x
+        # of those), and the argsort and three gathers took ~2.67x
         rng = np.random.default_rng(7)
         nnz = 200_000
         cells = np.sort(rng.choice(2000 * 1500, size=nnz, replace=False))
         path = tmp_path / "csr.ordmat"
-        OrdinalMatrix(2000, 1500, 5, cells // 1500, cells % 1500,
-                      rng.integers(1, 6, nnz)).save(path)
-        tracemalloc.start()
-        try:
-            back = OrdinalMatrix.load(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert back.nnz == nnz
-        assert peak < 2 * 24 * nnz
+        for shape in ((2000, 1500), ((1 << 32) - 1, (1 << 32) - 1)):
+            OrdinalMatrix(*shape, 5, cells // 1500, cells % 1500,
+                          rng.integers(1, 6, nnz)).save(path)
+            tracemalloc.start()
+            try:
+                back = OrdinalMatrix.load(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert back.nnz == nnz
+            stored = sum(a.nbytes for a in (back.rows, back.cols, back.vals))
+            assert stored == (12 if shape[0] == 2000 else 20) * nnz
+            assert peak < 2 * stored
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])

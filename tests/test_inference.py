@@ -24,7 +24,7 @@ from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (dense, dense_iteration, expected_class, local_step,
                      random_matrix, random_state_like, threshold_objective,
-                     ztp_mean_series)
+                     widened, ztp_mean_series)
 
 
 class TestZtpMean:
@@ -505,6 +505,32 @@ def test_elbo_trace_pinned(corner):
     res = fit(data, cfg)
     np.testing.assert_allclose(res.elbo_trace, PINNED_TRACES[corner],
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("corner", sorted(PINNED_TRACES))
+def test_fit_same_bits_from_int64_entries(corner):
+    # the dtype of the entry arrays changes no bit of the state or trace
+    data, cfg = _pinned_fit_inputs(corner)
+    assert data.rows.dtype == data.cols.dtype == data.vals.dtype == np.int32
+    narrow, wide = fit(data, cfg), fit(widened(data), cfg)
+    assert narrow.elbo_trace.tobytes() == wide.elbo_trace.tobytes()
+    for side in ("W", "H"):
+        a, b = getattr(narrow.state, side), getattr(wide.state, side)
+        for name in ("shape", "rate", "beta"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (narrow.state.thresholds.theta.tobytes()
+            == wide.state.thresholds.theta.tobytes())
+
+
+def test_csr_shares_the_column_indices():
+    # SciPy keeps int32 indices as given (it copied int64 ones to int32 on
+    # every call, twice per iteration), and the transpose shares them too
+    data, _ = _pinned_fit_inputs("ordinal")
+    values = np.ones(data.nnz)
+    mat = inference._csr(data, values)
+    assert np.shares_memory(mat.indices, data.cols)
+    assert np.shares_memory(mat.T.indices, data.cols)
+    np.testing.assert_array_equal(mat.toarray(), dense(data) > 0)
 
 
 def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
