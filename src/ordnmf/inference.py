@@ -25,22 +25,32 @@ holds E[n] / Lambda after the local step, then the rate weights, then
 E[lambda] and at the end the new Lambda.  Other per-entry values (Lambda *
 delta_y, E[n], the ELBO's terms) live in buffers of GATHER_CELLS entries.
 The (U+I) x K work is done in place: a factor caches only its geometric
-mean; the local step writes the allocation totals over the old shapes and
-update_factors the new rate over the old one; the ELBO's gamma terms run
-over row blocks in fixed scratch.  So beyond the state, an iteration
-allocates (U+I) x K only for SciPy's sparse products, whose matvecs take
-no output array.  SciPy (sparse products, digamma, gammaln) is imported
-inside the functions of the fit that use it, so that neither importing the
-package nor loading a fitted model for evaluate, predict or ppc loads it.
+mean; the local step writes its sparse products over the old shapes and
+update_factors over the old means; the new rate is written over the old
+one; the ELBO's gamma terms run over row blocks in fixed scratch.  So an
+iteration allocates no (U+I) x K array beyond the state.
+
+The fit calls four compiled SciPy functions: csr_matvecs and csc_matvecs
+(the kernels of scipy.sparse's CSR product and of its transpose), digamma
+and gammaln.  _scipy_extension loads their two extension modules from
+their files, without SciPy's Python packages, whose import costs a process
+~0.24 s of CPU and ~26 MB (2-core x86 box); so neither importing the
+package nor loading a fitted model for evaluate, predict or ppc loads any
+SciPy module, and train loads only these two.
 """
 
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .data import entry_dtype
+from .errors import ConfigError, DataError, NumericalError, OrdnmfError
 from .model import ThresholdSequence, log1mexp
 
 _STATE_VERSION = 1
@@ -52,6 +62,46 @@ VARIANTS = ("ordinal", "bepof", "pf")
 # rather than from L3 or DRAM, and each call allocates them once.  Also the
 # cells per row block of prior_minus_entropy's scratch arrays.
 GATHER_CELLS = 1 << 15
+# The compiled functions the fit calls, by SciPy extension module.
+_SCIPY_KERNELS = {"_sparsetools": ("csr_matvecs", "csc_matvecs"),
+                  "_special_ufuncs": ("psi", "gammaln")}
+
+
+def _scipy_extension(package, name):
+    """SciPy's compiled module scipy.<package>.<name>: the one in
+    sys.modules if SciPy has loaded it, else loaded from its file in
+    SciPy's install directory (found without importing anything) and
+    registered there under that name, so that SciPy, imported later, uses
+    this module.  OrdnmfError naming the module and SciPy's version when
+    SciPy, the file or a function of _SCIPY_KERNELS is missing."""
+    full = f"scipy.{package}.{name}"
+    module = sys.modules.get(full)
+    root = None if module else importlib.util.find_spec("scipy")
+    if root is not None and root.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root.submodule_search_locations[0], package),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(full)
+        if spec is not None:
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:  # a file that does not load
+                module = None
+            else:
+                sys.modules[full] = module
+    absent = (_SCIPY_KERNELS[name] if module is None else
+              [f for f in _SCIPY_KERNELS[name] if not hasattr(module, f)])
+    if absent:
+        from importlib import metadata  # only here: it imports email, csv
+        try:
+            version = f"SciPy {metadata.version('scipy')}"
+        except metadata.PackageNotFoundError:
+            version = "SciPy not installed"
+        raise OrdnmfError(f"cannot load {', '.join(absent)} from {full} "
+                          f"({version}); the fit needs scipy>=1.17")
+    return module
 
 
 def ztp_mean(x, out=None):
@@ -109,10 +159,8 @@ class GammaVariationalMatrix:
     def geo_mean(self):
         """G, computed on first use after set, in G's own array."""
         if self._stale:
-            # not at module level: importing scipy costs ~0.27 s of CPU
-            # (2-core x86 box), and only the fit calls it
-            from scipy import special
-            G = special.digamma(self.shape, out=self._geo_mean)
+            psi = _scipy_extension("special", "_special_ufuncs").psi
+            G = psi(self.shape, out=self._geo_mean)  # digamma
             self._geo_mean = np.exp(G, out=G)
             G /= self.rate
             self._stale = False
@@ -135,7 +183,7 @@ class GammaVariationalMatrix:
         E[log x] is log G, or digamma(a_t) - log rate where G is below the
         least normal float (a tiny shape can underflow G while Lambda stays
         normal)."""
-        from scipy import special  # see geo_mean
+        special = _scipy_extension("special", "_special_ufuncs")
         a, G, tiny = self.alpha, self.geo_mean, np.finfo(float).tiny
         prior = a * np.log(self.beta) - special.gammaln(a)
         step = max(1, GATHER_CELLS // self.n_components)
@@ -150,7 +198,7 @@ class GammaVariationalMatrix:
                 np.log(g, out=term)
             if g.min() < tiny:
                 low = g < tiny
-                term[low] = special.digamma(a_t[low]) - log_rate[low]
+                term[low] = special.psi(a_t[low]) - log_rate[low]
             term *= np.subtract(a, a_t, out=other)
             term += prior[rows, None]
             term -= np.multiply(b, self.mean[rows], out=other)
@@ -296,14 +344,23 @@ def require_positive(lam, data):
     return lam
 
 
-def _csr(data, values):
-    """scipy CSR matrix over data's sparsity pattern holding values, one
-    per stored entry in CSR order.  SciPy keeps int32 column indices as
-    given, so the matrix shares data.cols (int32 while I < 2^31) and
-    copies only the U + 1 row pointers to int32."""
-    from scipy import sparse  # see GammaVariationalMatrix.geo_mean
-    return sparse.csr_matrix((values, data.cols, data.indptr),
-                             shape=(data.n_users, data.n_items))
+def _sparse_product(data, values, X, out, transposed=False):
+    """A @ X, or A^T @ X if transposed, written into out and returned, for
+    A the U x I matrix over data's sparsity pattern holding values (one per
+    stored entry, in CSR order): SciPy's csr_matvecs or csc_matvecs, which
+    scipy.sparse runs for these products, adding into out, zeroed first,
+    so the same bits.  Both index arrays are passed in one dtype, cols' own
+    unless U or nnz needs int64, as the kernels' wrapper would otherwise
+    copy both to a common one: so only indptr (U + 1 values) is cast."""
+    index = np.result_type(data.rows, data.cols, entry_dtype(data.nnz))
+    kernels = _scipy_extension("sparse", "_sparsetools")
+    matvecs, shape = ((kernels.csc_matvecs, (data.n_items, data.n_users))
+                      if transposed else
+                      (kernels.csr_matvecs, (data.n_users, data.n_items)))
+    out.fill(0.0)
+    matvecs(*shape, X.shape[1], data.indptr.astype(index, copy=False),
+            data.cols.astype(index, copy=False), values, X, out)
+    return out
 
 
 def class_sums(state, data, out=None):
@@ -405,9 +462,10 @@ def local_update(state, data, lam_big, point_mass=False):
     GW, GH = state.W.geo_mean, state.H.geo_mean  # of the old shapes
     n_by_class = _count_sums(state, data, lam_big, point_mass)
     # sum_i E[c_uik] = G_w[u,k] * sum_i (E[n]/Lambda) G_h[i,k]; ditto for items
-    ratio = _csr(data, lam_big)
-    np.multiply(ratio @ GH, GW, out=state.W.shape)
-    np.multiply(ratio.T @ GW, GH, out=state.H.shape)
+    _sparse_product(data, lam_big, GH, state.W.shape)
+    state.W.shape *= GW
+    _sparse_product(data, lam_big, GW, state.H.shape, transposed=True)
+    state.H.shape *= GH
     return LocalStats(n_by_class=n_by_class, cw=state.W.shape,
                       ch=state.H.shape)
 
@@ -416,19 +474,21 @@ def update_factors(state, data, stats, scratch):
     """shape = alpha + sum E[c]; rate = beta_r + sum over the row's cells of
     theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users first, so item
     rates see the new user means.  So a rate is a dense theta_0 * colsum
-    term plus a sparse term from one CSR of theta_{y-1} - theta_0 over the
-    non-zeros (its transpose for the items), whose values are written over
-    scratch, one float per entry.  The new shape and rate are written over
-    the old ones, which nothing reads after the local step."""
+    term plus a sparse product of theta_{y-1} - theta_0 over the non-zeros
+    (its transpose for the items), whose values are written over scratch,
+    one float per entry.  The product is written over the side's mean,
+    which set then overwrites, and the new shape and rate over the old
+    ones, which nothing reads after the local step."""
     theta = state.thresholds.theta
     # theta_{y-1} - theta_0 indexed by class y (y = 0 is not stored)
     _take_by_class(np.append(0.0, theta - theta[0]), data.vals, scratch)
-    weights = _csr(data, scratch)
-    for side, counts, mat, other in ((state.W, stats.cw, weights, state.H),
-                                     (state.H, stats.ch, weights.T, state.W)):
+    for side, counts, other, transposed in (
+            (state.W, stats.cw, state.H, False),
+            (state.H, stats.ch, state.W, True)):
         rate = np.add(side.beta[:, None], theta[0] * other.mean_colsum,
                       out=side.rate)
-        rate += mat @ other.mean
+        rate += _sparse_product(data, scratch, other.mean, side.mean,
+                                transposed)
         counts += side.alpha
         side.set(counts, rate)
 

@@ -1,17 +1,28 @@
 """Coordinate-ascent updates against dense references, plus loop behavior."""
 
 import copy
+import importlib.machinery
+import importlib.metadata
+import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordnmf
 from ordnmf import inference
 from ordnmf.baselines import binarize
+from ordnmf.cli import main
 from ordnmf.data import OrdinalMatrix
-from ordnmf.errors import ConfigError, DataError, NumericalError
+from ordnmf.errors import ConfigError, DataError, NumericalError, OrdnmfError
 from ordnmf.evaluation import ppc_histogram, top_lists
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
                               entry_intensities, fit, init_state, iterate,
@@ -522,15 +533,128 @@ def test_fit_same_bits_from_int64_entries(corner):
             == wide.state.thresholds.theta.tobytes())
 
 
-def test_csr_shares_the_column_indices():
-    # SciPy keeps int32 indices as given (it copied int64 ones to int32 on
-    # every call, twice per iteration), and the transpose shares them too
-    data, _ = _pinned_fit_inputs("ordinal")
-    values = np.ones(data.nnz)
-    mat = inference._csr(data, values)
-    assert np.shares_memory(mat.indices, data.cols)
-    assert np.shares_memory(mat.T.indices, data.cols)
-    np.testing.assert_array_equal(mat.toarray(), dense(data) > 0)
+# loads the fit's two SciPy extension modules through the loader, then
+# SciPy's packages; prints the scipy modules loaded in between and whether
+# SciPy's functions and products use the modules the loader loaded
+KERNEL_PROBE = """
+import json, sys
+from ordnmf.inference import _scipy_extension
+special = _scipy_extension("special", "_special_ufuncs")
+sparsetools = _scipy_extension("sparse", "_sparsetools")
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import scipy.special, scipy.sparse
+print(json.dumps({
+    "loaded": loaded,
+    "digamma": scipy.special.digamma is special.psi,
+    "gammaln": scipy.special.gammaln is special.gammaln,
+    "products": scipy.sparse._compressed._sparsetools is sparsetools}))
+"""
+KERNEL_MODULES = ("scipy.sparse._sparsetools", "scipy.special._special_ufuncs")
+
+
+class TestScipyKernels:
+    def test_kernels_are_scipys_own(self):
+        src = str(Path(ordnmf.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(child.stdout) == {
+            "loaded": sorted(KERNEL_MODULES), "digamma": True,
+            "gammaln": True, "products": True}
+        from scipy import sparse  # the oracle
+
+        rng = np.random.default_rng(49)
+        narrow = random_matrix(40, 30, 3, rng, density=0.3)
+        for data in (narrow, widened(narrow)):
+            U, I = data.n_users, data.n_items
+            v = rng.random(data.nnz)
+            X, Y = rng.random((I, 5)), rng.random((U, 5))
+            A = sparse.csr_matrix((v, data.cols, data.indptr), shape=(U, I))
+            # out is zeroed first
+            product = inference._sparse_product(data, v, X,
+                                                np.full((U, 5), np.nan))
+            assert product.tobytes() == (A @ X).tobytes()
+            product = inference._sparse_product(
+                data, v, Y, np.full((I, 5), np.nan), transposed=True)
+            assert product.tobytes() == (A.T @ Y).tobytes()
+
+    def test_product_allocates_no_per_entry_array(self):
+        # measured 0.01 B per entry (the int32 copy of indptr); with an
+        # int64 indptr beside int32 cols, the kernels' wrapper copied cols
+        # to int64 on every call, 8.0 B per entry
+        data = TestScalability._matrix(400, 500, 150_000, 47)
+        values = np.ones(data.nnz)
+        for transposed in (False, True):
+            n_out, n_in = ((data.n_items, data.n_users) if transposed
+                           else (data.n_users, data.n_items))
+            X, out = np.ones((n_in, 4)), np.empty((n_out, 4))
+            # loads the kernels and caches indptr, as a fit's first product
+            inference._sparse_product(data, values, X, out, transposed)
+            tracemalloc.start()
+            try:
+                inference._sparse_product(data, values, X, out, transposed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * data.nnz, transposed
+
+    @pytest.mark.parametrize("case", ["no-scipy", "empty-dir", "bad-file",
+                                      "missing-function"])
+    def test_missing_kernel_is_an_ordnmf_error(self, monkeypatch, tmp_path,
+                                               case):
+        for name in KERNEL_MODULES:
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        version = f"SciPy {importlib.metadata.version('scipy')}"
+        if case == "no-scipy":
+            def not_installed(name):
+                raise importlib.metadata.PackageNotFoundError(name)
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+            monkeypatch.setattr(importlib.metadata, "version", not_installed)
+            version = "SciPy not installed"
+        elif case in ("empty-dir", "bad-file"):
+            spec = importlib.machinery.ModuleSpec("scipy", None,
+                                                  is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+            if case == "bad-file":  # found, but not a shared library
+                for name in KERNEL_MODULES:
+                    _, package, module = name.split(".")
+                    (tmp_path / package).mkdir()
+                    (tmp_path / package / (
+                        module + importlib.machinery.EXTENSION_SUFFIXES[0])
+                     ).write_bytes(b"not a shared library")
+        else:  # as if SciPy had loaded a module without the kernels
+            for name in KERNEL_MODULES:
+                monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+        with pytest.raises(OrdnmfError, match=re.escape(
+                "cannot load csr_matvecs, csc_matvecs from "
+                f"scipy.sparse._sparsetools ({version}); the fit needs "
+                "scipy>=1.17")):
+            inference._scipy_extension("sparse", "_sparsetools")
+        with pytest.raises(OrdnmfError, match=re.escape(
+                "cannot load psi, gammaln from scipy.special._special_ufuncs "
+                f"({version})")):
+            inference._scipy_extension("special", "_special_ufuncs")
+
+    def test_missing_kernel_ends_train_with_one_error_line(
+            self, monkeypatch, tmp_path, capsys):
+        for name in KERNEL_MODULES:
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        random_matrix(6, 5, 3, np.random.default_rng(50)).save(
+            tmp_path / "train.ordmat")
+        model = tmp_path / "model.npz"
+        assert main(["train", "--input", str(tmp_path / "train.ordmat"),
+                     "--output", str(model), "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: cannot load psi, gammaln from "
+            "scipy.special._special_ufuncs (SciPy "
+            f"{importlib.metadata.version('scipy')}); the fit needs "
+            "scipy>=1.17"]
+        assert not model.exists()
 
 
 def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
@@ -791,9 +915,6 @@ class TestScalability:
                              cells % n_items, rng.integers(1, 6, nnz))
 
     def _peak(self, data):
-        import scipy.sparse  # noqa: F401  imports are not the fit's memory
-        import scipy.special  # noqa: F401
-
         cfg = FitConfig(n_components=self.K, max_iter=2, tol=1e-300)
         fit(self._matrix(6, 5, 20, 0), replace(cfg, n_components=2))
         tracemalloc.start()
@@ -835,15 +956,59 @@ class TestScalability:
         return peak - final
 
     def test_transient_peak_over_final_state(self):
-        # measured ~0.85: SciPy's fresh product of one side, in the local
-        # step or the rate update, as the allocation totals are written
-        # over the old shapes.  With the totals beside the old shapes it was
-        # ~1.9, and ~2.7 with a fresh rate array per update and the ELBO's
-        # gamma terms over whole factors
+        # measured ~0.82: the ELBO's fixed scratch (three row blocks of
+        # GATHER_CELLS cells, 0.66 here) and block buffers, now that the
+        # sparse products write into the state's arrays.  With SciPy's
+        # fresh product of one side it was ~0.85, with the allocation
+        # totals beside the old shapes ~1.9, and ~2.7 with a fresh rate
+        # array per update and the ELBO's gamma terms over whole factors
         data = self._matrix(4000, 1000, 4000, 46)
         K = 30
         assert self._transient(data, K) < (
             self.DENSE_TRANSIENT * (data.n_users + data.n_items) * K * 8)
+
+    # the functions iterate calls, one per phase
+    PHASES = ("local_update", "update_factors", "class_sums",
+              "entry_intensities", "update_thresholds",
+              "update_rate_hyperparams", "compute_elbo")
+
+    def test_no_phase_allocates_a_factor_array(self, monkeypatch):
+        # each phase's traced peak above what it starts with, in units of
+        # one factor's (rows x K) array: measured ~0.31 at most (the ELBO's
+        # gamma-term scratch and block buffers), 0.12 in the local step and
+        # 0.04 in the factor update; when SciPy's products returned fresh
+        # arrays, these two took ~1.01 each
+        data = self._matrix(10_000, 10_000, 20_000, 48)
+        K = 50
+        state = init_state(FitConfig(n_components=K), data)
+        lam_big = np.empty(data.nnz)
+        class_sums(state, data, out=lam_big)
+        entry_intensities(state, data, out=lam_big)
+        iterate(state, data, lam_big, "ordinal")  # loads the kernels
+        peaks = {}
+
+        def traced(name):
+            real = getattr(inference, name)
+
+            def run(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            monkeypatch.setattr(inference, name, run)
+
+        for name in self.PHASES:
+            traced(name)
+        tracemalloc.start()
+        try:
+            iterate(state, data, lam_big, "ordinal")
+        finally:
+            tracemalloc.stop()
+        factor = data.n_users * K * 8
+        assert {name: peak / factor < 0.5 for name, peak in peaks.items()} \
+            == dict.fromkeys(self.PHASES, True), peaks
 
     def test_transient_peak_over_final_state_in_entries(self):
         # measured ~1.7: Lambda, the one length-nnz array of an iteration,
@@ -868,7 +1033,7 @@ class TestClassScaling:
     C * V * 8 bytes to the tracemalloc peak of a 2-iteration fit and a
     ppc_histogram (length-V arrays: thresholds, class sums, histograms,
     the list of floored classes).  Measured: ~14 V * 8, so C = 32 leaves
-    ~2x; one 0/1 CSR per class added ~126 V * 8 and 2000 _csr calls."""
+    ~2x; one 0/1 CSR per class added ~126 V * 8 and 2000 sparse products."""
 
     C, V = 32, 2000
 
@@ -886,7 +1051,7 @@ class TestClassScaling:
 
         cfg = FitConfig(n_components=3, max_iter=2, tol=1e-300)
         with monkeypatch.context() as patch:
-            spy(patch, inference, "_csr")
+            spy(patch, inference, "_sparse_product")
             spy(patch, inference, "entry_dot")
             spy(patch, ThresholdSequence, "sample_class")
             tracemalloc.start()
