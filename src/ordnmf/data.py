@@ -114,9 +114,9 @@ class OrdinalMatrix:
     def indptr(self):
         """CSR row pointer, length n_users + 1.  Built on first use, so that
         construction (and load) takes memory in nnz only, not in n_users;
-        by binary search in the sorted rows, as bincount would copy the
-        read-only rows (numpy 2.4); the needles take rows' dtype, or
-        searchsorted would cast rows to theirs."""
+        by binary search in the sorted rows, as bincount would cast the
+        int32 rows to an intp copy (numpy 2.4); the needles take rows'
+        dtype, or searchsorted would cast rows to theirs."""
         needles = np.arange(self.n_users + 1, dtype=self.rows.dtype)
         return np.searchsorted(self.rows, needles)
 
@@ -146,14 +146,23 @@ class OrdinalMatrix:
               + np.arange(int(lengths.sum())))
         return np.repeat(np.arange(users.size), lengths), at
 
+    def classes_at(self, rows, cols):
+        """Class stored at each cell (rows, cols), which broadcast, or 0
+        where none is stored; rows and cols are assumed to lie in 0..U-1
+        and 0..I-1.  One binary search per cell among the stored cells'
+        keys, which ascend in CSR order (see _cell_keys)."""
+        # the stored keys, then one above all, of class 0, for misses
+        keys = np.append(_cell_keys(self.rows, self.cols, self.n_items),
+                         np.iinfo(np.uint64).max)
+        classes = np.append(self.vals, np.zeros(1, self.vals.dtype))
+        cells = _cell_keys(rows, cols, self.n_items)
+        at = np.searchsorted(keys, cells)
+        return np.where(keys[at] == cells, classes[at], 0)
+
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that
         other holds too; None when they share none.  Same shape assumed."""
-        # other's ascending cell keys, then one above all (see _cell_keys)
-        theirs = np.append(_cell_keys(other.rows, other.cols, self.n_items),
-                           np.iinfo(np.uint64).max)
-        mine = _cell_keys(self.rows, self.cols, self.n_items)
-        hit = np.flatnonzero(theirs[np.searchsorted(theirs, mine)] == mine)
+        hit = np.flatnonzero(other.classes_at(self.rows, self.cols))
         if hit.size == 0:
             return None
         return int(self.rows[hit[0]]), int(self.cols[hit[0]])

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .data import _cell_keys
 from .errors import ConfigError, DataError, NumericalError
 from .inference import entry_dot
 from .model import log1mexp
@@ -102,10 +101,6 @@ def _ndcg_reports(lists, test, thresholds, list_length):
     for s in thresholds:
         if not 1 <= s <= test.n_classes:
             raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
-    # test's ascending cell keys, then one above all, of class 0, for misses
-    keys = np.append(_cell_keys(test.rows, test.cols, test.n_items),
-                     np.iinfo(np.uint64).max)
-    classes = np.append(test.vals, np.zeros(1, test.vals.dtype))
     # test entries of class >= thresholds[j] before each CSR position
     below = [np.concatenate(([0], np.cumsum(test.vals >= s)))
              for s in thresholds]
@@ -113,9 +108,7 @@ def _ndcg_reports(lists, test, thresholds, list_length):
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
     for users, items, lengths, _ in lists:
         m = items.shape[1]
-        listed = _cell_keys(users[:, None], items, test.n_items)
-        at = np.searchsorted(keys, listed)
-        ranked = np.where(keys[at] == listed, classes[at], 0)
+        ranked = test.classes_at(users[:, None], items)
         ranked[np.arange(m) >= lengths[:, None]] = 0
         start, stop = test.indptr[users], test.indptr[users + 1]
         discounts = 1.0 / np.log2(np.arange(2, m + 2))
@@ -160,7 +153,7 @@ def log_lik_nonzeros(test, state):
     thr = state.thresholds
     lam = inference.require_positive(
         entry_dot(state.W.mean, state.H.mean, test.rows, test.cols), test)
-    x, floor = lam * thr.delta[test.vals - 1], np.finfo(float).tiny
+    x, floor = lam * thr.delta_by_class[test.vals], np.finfo(float).tiny
     j = np.argmax(x < floor)  # the first entry below, if any
     if x[j] < floor:
         raise NumericalError(f"lambda * delta {x[j]:.4g} at (u={test.rows[j]}, "

@@ -39,6 +39,7 @@ package nor loading a fitted model for evaluate, predict or ppc loads any
 SciPy module, and train loads only these two.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -67,13 +68,17 @@ _SCIPY_KERNELS = {"_sparsetools": ("csr_matvecs", "csc_matvecs"),
                   "_special_ufuncs": ("psi", "gammaln")}
 
 
+@functools.cache
 def _scipy_extension(package, name):
-    """SciPy's compiled module scipy.<package>.<name>: the one in
-    sys.modules if SciPy has loaded it, else loaded from its file in
-    SciPy's install directory (found without importing anything) and
-    registered there under that name, so that SciPy, imported later, uses
-    this module.  OrdnmfError naming the module and SciPy's version when
-    SciPy, the file or a function of _SCIPY_KERNELS is missing."""
+    """SciPy's compiled module scipy.<package>.<name>, found once: the one
+    in sys.modules if SciPy has loaded it, else loaded from its file in
+    SciPy's install directory (found without importing anything) and taken
+    out of sys.modules, where CPython registers a single-phase extension
+    module by itself: a module registered there before its package is
+    imported never becomes the package's attribute.  SciPy, imported
+    later, loads its own module object with the same functions.
+    OrdnmfError naming the module and SciPy's version when SciPy, the file
+    or a function of _SCIPY_KERNELS is missing."""
     full = f"scipy.{package}.{name}"
     module = sys.modules.get(full)
     root = None if module else importlib.util.find_spec("scipy")
@@ -89,8 +94,8 @@ def _scipy_extension(package, name):
                 spec.loader.exec_module(module)
             except ImportError:  # a file that does not load
                 module = None
-            else:
-                sys.modules[full] = module
+            finally:
+                sys.modules.pop(full, None)
     absent = (_SCIPY_KERNELS[name] if module is None else
               [f for f in _SCIPY_KERNELS[name] if not hasattr(module, f)])
     if absent:
@@ -279,17 +284,6 @@ class FitResult:
         return len(self.elbo_trace)
 
 
-@dataclass
-class LocalStats:
-    """Aggregated statistics from one local sweep.  cw and ch are the
-    factors' shape arrays, written over; update_factors adds alpha to them
-    in place and sets them as the new shapes."""
-
-    n_by_class: np.ndarray     # sum of E[n_ui] over y = l, l = 1..V
-    cw: np.ndarray             # sum_i E[c_uik], shape (U, K)
-    ch: np.ndarray             # sum_u E[c_uik], shape (I, K)
-
-
 def entry_dot(A, B, rows, cols, out=None):
     """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T,
     written into out (one float per entry) if given, and returned.
@@ -366,8 +360,9 @@ def _sparse_product(data, values, X, out, transposed=False):
 def class_sums(state, data, out=None):
     """S_l = sum over entries with y = l of E[lambda_ui], for l = 1..V, from
     E[lambda] at data's non-zeros (written into out if given).  np.add.at
-    adds in entry order, as bincount does, without bincount's copy of the
-    read-only data.vals (numpy 2.4)."""
+    adds in entry order, as bincount does, in ~0.5 byte per entry, where
+    bincount casts the int32 data.vals to an intp copy, 8 bytes per entry,
+    writable or not (numpy 2.4)."""
     e_lam = entry_dot(state.W.mean, state.H.mean, data.rows, data.cols,
                       out=out)
     sums = np.zeros(data.n_classes + 1)
@@ -414,8 +409,8 @@ def _blocks(n):
 
 
 def _take_by_class(table, vals, out):
-    """out[j] = table[vals[j]] (no vals - 1), one block at a time, as
-    np.take copies a read-only index array such as OrdinalMatrix.vals."""
+    """out[j] = table[vals[j]], one block at a time, as np.take casts an
+    int32 index array such as OrdinalMatrix.vals to an intp copy."""
     for block in _blocks(len(vals)):
         # classes are in 0..V; mode="raise" would buffer the output
         np.take(table, vals[block], out=out[block], mode="clip")
@@ -425,7 +420,7 @@ def _take_by_class(table, vals, out):
 def _scaled_blocks(state, data, lam_big):
     """(slice, x = Lambda * delta_y) per block of GATHER_CELLS entries, in
     order, x in one reused buffer; lam_big holds Lambda."""
-    delta = np.append(np.inf, state.thresholds.delta)  # indexed by class
+    delta = state.thresholds.delta_by_class
     buf = np.empty(min(GATHER_CELLS, data.nnz))
     for block in _blocks(data.nnz):
         x = _take_by_class(delta, data.vals[block], buf[:len(lam_big[block])])
@@ -454,10 +449,10 @@ def local_update(state, data, lam_big, point_mass=False):
     Lambda_uik = G_w[u,k] * G_h[i,k] (exp of expected logs), and lam_big
     holds Lambda_ui = sum_k Lambda_uik; n_ui has mean ztp_mean(Lambda_ui *
     delta_y) (or exactly 1 under the point-mass approximation); c allocates
-    n proportionally to Lambda_uik.  E[n] is reduced at once to its
-    per-class sums, and E[n] / Lambda is written over lam_big.  The
-    per-(u,k) and per-(i,k) allocation totals are written over the
-    factors' shapes, which nothing reads before update_factors.
+    n proportionally to Lambda_uik.  Returns the sums of E[n] by class
+    1..V, and writes E[n] / Lambda over lam_big.  The per-(u,k) and
+    per-(i,k) allocation totals sum E[c] are written over the factors'
+    shapes, which nothing reads before update_factors.
     """
     GW, GH = state.W.geo_mean, state.H.geo_mean  # of the old shapes
     n_by_class = _count_sums(state, data, lam_big, point_mass)
@@ -466,31 +461,30 @@ def local_update(state, data, lam_big, point_mass=False):
     state.W.shape *= GW
     _sparse_product(data, lam_big, GW, state.H.shape, transposed=True)
     state.H.shape *= GH
-    return LocalStats(n_by_class=n_by_class, cw=state.W.shape,
-                      ch=state.H.shape)
+    return n_by_class
 
 
-def update_factors(state, data, stats, scratch):
-    """shape = alpha + sum E[c]; rate = beta_r + sum over the row's cells of
-    theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users first, so item
-    rates see the new user means.  So a rate is a dense theta_0 * colsum
-    term plus a sparse product of theta_{y-1} - theta_0 over the non-zeros
-    (its transpose for the items), whose values are written over scratch,
-    one float per entry.  The product is written over the side's mean,
-    which set then overwrites, and the new shape and rate over the old
-    ones, which nothing reads after the local step."""
+def update_factors(state, data, scratch):
+    """shape = alpha + sum E[c], alpha added in place to the totals that
+    local_update wrote over the shape; rate = beta_r + sum over the row's
+    cells of theta_{y-1} * E[other factor] (theta_0 at y = 0).  Users
+    first, so item rates see the new user means.  So a rate is a dense
+    theta_0 * colsum term plus a sparse product of theta_{y-1} - theta_0
+    over the non-zeros (its transpose for the items), whose values are
+    written over scratch, one float per entry.  The product is written
+    over the side's mean, which set then overwrites, and the new rate over
+    the old one, which nothing reads after the local step."""
     theta = state.thresholds.theta
     # theta_{y-1} - theta_0 indexed by class y (y = 0 is not stored)
     _take_by_class(np.append(0.0, theta - theta[0]), data.vals, scratch)
-    for side, counts, other, transposed in (
-            (state.W, stats.cw, state.H, False),
-            (state.H, stats.ch, state.W, True)):
+    for side, other, transposed in ((state.W, state.H, False),
+                                    (state.H, state.W, True)):
         rate = np.add(side.beta[:, None], theta[0] * other.mean_colsum,
                       out=side.rate)
         rate += _sparse_product(data, scratch, other.mean, side.mean,
                                 transposed)
-        counts += side.alpha
-        side.set(counts, rate)
+        side.shape += side.alpha
+        side.set(side.shape, rate)
 
 
 def total_expected_lambda(state):
@@ -498,8 +492,9 @@ def total_expected_lambda(state):
     return float(state.W.mean_colsum @ state.H.mean_colsum)
 
 
-def update_thresholds(state, data, stats, lam_by_class):
-    """Point-estimate update of the decrements; lam_by_class is class_sums.
+def update_thresholds(state, n_by_class, lam_by_class):
+    """Point-estimate update of the V decrements; n_by_class is
+    local_update's and lam_by_class class_sums' (each of length V).
 
     delta_l = (sum over entries with y = l of E[n]) /
               (sum over cells with y <= l of E[lambda]).
@@ -509,14 +504,12 @@ def update_thresholds(state, data, stats, lam_by_class):
     get DELTA_FLOOR.  Returns the new sequence and the list of floored
     classes.
     """
-    V = data.n_classes
-    num = stats.n_by_class
     # above[l-1] = sum of E[lambda] over entries with y > l
     above = np.concatenate((np.cumsum(lam_by_class[::-1])[::-1][1:], [0.0]))
     den = total_expected_lambda(state) - above
-    ok = num > 0
-    delta = np.full(V, DELTA_FLOOR)
-    delta[ok] = num[ok] / den[ok]
+    ok = n_by_class > 0
+    delta = np.full(len(n_by_class), DELTA_FLOOR)
+    delta[ok] = n_by_class[ok] / den[ok]
     floored = [int(1 + f) for f in np.flatnonzero(~ok)]
     return ThresholdSequence.from_delta(delta), floored
 
@@ -573,13 +566,13 @@ def iterate(state, data, lam_big, variant):
     per-entry scratch and on return holds the new state's entry
     intensities.  Returns the ELBO."""
     point_mass = variant == "pf"
-    stats = local_update(state, data, lam_big, point_mass)
-    update_factors(state, data, stats, lam_big)
+    n_by_class = local_update(state, data, lam_big, point_mass)
+    update_factors(state, data, lam_big)
     # threshold and rate updates leave W and H, hence these, unchanged
     lam_by_class = class_sums(state, data, out=lam_big)
     entry_intensities(state, data, out=lam_big)
     if variant == "ordinal":
-        state.thresholds, _ = update_thresholds(state, data, stats,
+        state.thresholds, _ = update_thresholds(state, n_by_class,
                                                 lam_by_class)
     update_rate_hyperparams(state)
     return compute_elbo(state, data, lam_big, lam_by_class, point_mass)

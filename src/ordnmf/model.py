@@ -44,6 +44,8 @@ class ThresholdSequence:
 
     * delta: positive decrements, delta_v = theta_{v-1} - theta_v for
       v in {1..V}, so theta_v = sum(delta[v+1:]).
+    * delta_by_class: the decrements indexed by class v in {0..V}, with
+      delta_0 = theta_{-1} - theta_0 = +inf prepended.
 
     Instances are immutable and safe to share across threads.
     """
@@ -62,11 +64,9 @@ class ThresholdSequence:
         # theta with the implicit theta_V = 0 appended; index by class v
         self._theta_ext = np.append(theta, 0.0)
         self._theta_ext.setflags(write=False)
-        # decrements with delta_0 = theta_{-1} - theta_0 = +inf prepended;
-        # index by class v
-        self._delta_ext = -np.diff(np.append(np.inf, self._theta_ext))
-        self._delta_ext.setflags(write=False)
-        self.delta = self._delta_ext[1:]
+        self.delta_by_class = -np.diff(np.append(np.inf, self._theta_ext))
+        self.delta_by_class.setflags(write=False)
+        self.delta = self.delta_by_class[1:]
 
     @classmethod
     def from_delta(cls, delta):
@@ -97,7 +97,7 @@ class ThresholdSequence:
         if np.any(lam <= 0):
             raise ValueError("log_pmf requires lambda > 0")
         # at v = 0, lambda * delta_0 = +inf and log1mexp(+inf) = 0
-        x, floor = lam * self._delta_ext[v], np.finfo(float).tiny
+        x, floor = lam * self.delta_by_class[v], np.finfo(float).tiny
         if np.size(x) and np.min(x) < floor:
             raise NumericalError(f"lambda * delta {np.min(x):.4g} is below "
                                  f"{floor:.4g}")

@@ -311,19 +311,21 @@ def threshold_objective(delta, y, e_n, e_lam):
 
 
 def local_step(state, data, point_mass=False):
-    """(stats, e_n, lam): local_update's stats on state, E[n] per entry
-    taken as ztp_mean(Lambda * delta_y) (1 under the point mass) from the
-    same Lambda, and the Lambda array, over which local_update must have
-    written e_n / Lambda (checked here, bit for bit)."""
+    """(n_by_class, e_n, lam): local_update's class sums of E[n] on state,
+    E[n] per entry taken as ztp_mean(Lambda * delta_y) (1 under the point
+    mass) from the same Lambda, and the Lambda array, over which
+    local_update must have written e_n / Lambda (checked here, bit for
+    bit).  local_update leaves the allocation totals in state.W.shape and
+    state.H.shape."""
     from ordnmf.inference import entry_intensities, local_update, ztp_mean
 
     lam = entry_intensities(state, data)
     before = lam.copy()
     e_n = (np.ones_like(lam) if point_mass else
            ztp_mean(lam * state.thresholds.delta[data.vals - 1]))
-    stats = local_update(state, data, lam, point_mass)
+    n_by_class = local_update(state, data, lam, point_mass)
     assert lam.tobytes() == (e_n / before).tobytes()
-    return stats, e_n, lam
+    return n_by_class, e_n, lam
 
 
 def random_state_like(data, n_components, rng, alpha_w=0.3, alpha_h=0.3):

@@ -197,10 +197,10 @@ def test_criterion_6_threshold_stationarity():
         rng = np.random.default_rng(40 + seed)
         data = random_matrix(8, 7, int(rng.integers(2, 6)), rng, density=0.7)
         state = random_state_like(data, 3, rng)
-        stats, e_n_entries, lam = local_step(state, data)
-        update_factors(state, data, stats, lam)
+        n_by_class, e_n_entries, lam = local_step(state, data)
+        update_factors(state, data, lam)
         lam_by_class = class_sums(state, data)
-        thr, floored = update_thresholds(state, data, stats, lam_by_class)
+        thr, floored = update_thresholds(state, n_by_class, lam_by_class)
         assert not floored
 
         y = dense(data)

@@ -97,5 +97,5 @@ class TestConfigs:
         cfg = FitConfig(n_components=2, max_iter=20, tol=1e-14, variant="pf")
         res = fit(data, cfg)
         # local_step checks that 1 / Lambda was written over Lambda
-        stats, _, _ = local_step(res.state, data, point_mass=True)
-        np.testing.assert_array_equal(stats.n_by_class, data.class_counts)
+        n_by_class, _, _ = local_step(res.state, data, point_mass=True)
+        np.testing.assert_array_equal(n_by_class, data.class_counts)

@@ -77,6 +77,16 @@ def row_blocks(draw):
 
 
 @st.composite
+def cell_blocks(draw):
+    """row_blocks' class matrix and users, and a row of items for each
+    user (the same count for every user, repeats allowed)."""
+    dense, users = draw(row_blocks())
+    items = draw(hnp.arrays(np.int64, (len(users), draw(st.integers(0, 5))),
+                            elements=st.integers(0, dense.shape[1] - 1)))
+    return dense, users, items
+
+
+@st.composite
 def matrix_pairs(draw):
     """Two small class matrices of one shape, either disjoint or drawn
     independently, so that they often share entries."""
@@ -594,6 +604,28 @@ class TestOrdinalMatrix:
         for wide, narrow in zip(widened(mat).block_entries(users), (row, at)):
             np.testing.assert_array_equal(wide, narrow)
             assert wide.dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_blocks())
+    # no entries; one entry, so that misses fall before and after it
+    @example((np.zeros((2, 3), dtype=np.int64), [1, 0],
+              np.array([[2, 0], [1, 1]])))
+    @example((np.array([[0, 0, 0], [0, 2, 0], [0, 0, 0]]), [0, 1, 2],
+              np.array([[0, 2], [1, 0], [0, 2]])))
+    def test_classes_at_matches_dense_lookup(self, case):
+        dense, users, items = case
+        users = np.asarray(users, dtype=np.int64)
+        mat = make_matrix(dense, n_classes=2)
+        U, I = dense.shape
+        for m in (mat, widened(mat)):
+            # a block of users broadcast against a block of items per user
+            got = m.classes_at(users[:, None], items)
+            np.testing.assert_array_equal(got, dense[users[:, None], items])
+            assert got.shape == items.shape
+            # every cell, those before the first stored one and after the
+            # last included
+            np.testing.assert_array_equal(
+                m.classes_at(np.arange(U)[:, None], np.arange(I)), dense)
 
     @pytest.mark.parametrize("mine, theirs, shared", [
         ([[1, 2], [0, 1]], [[0, 0], [0, 0]], None),  # nothing in theirs

@@ -1,5 +1,7 @@
-"""The README's examples run as written, and the names it cites exist."""
+"""The README's examples run as written, the names it cites exist, and no
+module of the package reaches into a sibling's private names."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -64,3 +66,46 @@ def test_stated_transient_bounds_match_tests():
     assert stated == {
         "(U+I)·K·8 bytes": [str(TestScalability.DENSE_TRANSIENT)],
         "nnz·8 bytes": [str(TestScalability.ENTRY_TRANSIENT)]}
+
+
+def private(name):
+    """Whether name is private: a leading underscore, dunders aside."""
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def cross_module_private_names(source):
+    """`module.name` for each private name that the package module whose
+    source is given imports from a sibling (or from the package), or reads
+    as an attribute of a sibling module it imported."""
+    siblings = {m.name for m in pkgutil.iter_modules(ordnmf.__path__)}
+    tree = ast.parse(source)
+    found, modules = [], {}  # modules: local name -> sibling module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ordnmf"):
+            origin = ((node.module or "").removeprefix("ordnmf").lstrip(".")
+                      or "ordnmf")
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(f"{origin}.{alias.name}")
+                elif origin == "ordnmf" and alias.name in siblings:
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_private_names_across_modules():
+    # the checker finds both forms, and lets dunders through
+    assert cross_module_private_names(
+        "from .data import _cell_keys\n"
+        "from . import inference, __version__\n"
+        "inference._blocks(inference.__doc__)\n") == [
+            "data._cell_keys", "inference._blocks"]
+    package = Path(ordnmf.__file__).resolve().parent
+    found = {path.name: cross_module_private_names(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -32,7 +32,9 @@ class TestThresholdSequence:
         assert theta.flags.writeable
         theta[0] = 2.0
         assert thr.theta[0] == 1.0
-        for frozen in (thr.theta, thr.delta):
+        # delta_0 = +inf, then delta_v = theta_{v-1} - theta_v
+        assert thr.delta_by_class.tolist() == [np.inf, 0.5, 0.5]
+        for frozen in (thr.theta, thr.delta, thr.delta_by_class):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[0] = 3.0
 
