@@ -146,26 +146,40 @@ class OrdinalMatrix:
               + np.arange(int(lengths.sum())))
         return np.repeat(np.arange(users.size), lengths), at
 
+    @functools.cached_property
+    def _cell_table(self):
+        """The stored cells' keys (see _cell_keys), which ascend in CSR
+        order, then one above all, a sentinel for misses.  Built on first
+        use and kept, like indptr, as classes_at runs once per ranking
+        block."""
+        keys = np.append(_cell_keys(self.rows, self.cols, self.n_items),
+                         np.iinfo(np.uint64).max)
+        keys.setflags(write=False)
+        return keys
+
     def classes_at(self, rows, cols):
         """Class stored at each cell (rows, cols), which broadcast, or 0
         where none is stored; rows and cols are assumed to lie in 0..U-1
-        and 0..I-1.  One binary search per cell among the stored cells'
-        keys, which ascend in CSR order (see _cell_keys)."""
-        # the stored keys, then one above all, of class 0, for misses
-        keys = np.append(_cell_keys(self.rows, self.cols, self.n_items),
-                         np.iinfo(np.uint64).max)
-        classes = np.append(self.vals, np.zeros(1, self.vals.dtype))
+        and 0..I-1.  One binary search per cell in _cell_table."""
+        keys = self._cell_table
         cells = _cell_keys(rows, cols, self.n_items)
         at = np.searchsorted(keys, cells)
-        return np.where(keys[at] == cells, classes[at], 0)
+        hit = keys[at] == cells  # never at the sentinel: keys < U * I
+        classes = np.zeros(cells.shape, dtype=self.vals.dtype)
+        classes[hit] = self.vals[at[hit]]
+        return classes
 
     def first_shared_entry(self, other):
         """(user, item) of this matrix's first entry, in CSR order, that
-        other holds too; None when they share none.  Same shape assumed."""
-        hit = np.flatnonzero(other.classes_at(self.rows, self.cols))
+        other holds too; None when they share none.  Same shape assumed.
+        Both matrices are in CSR order, so that cell is also the first of
+        other's entries that this matrix holds: the lookup runs in this
+        matrix's table (see classes_at), which evaluate's ranking against
+        this, the test matrix, reuses."""
+        hit = np.flatnonzero(self.classes_at(other.rows, other.cols))
         if hit.size == 0:
             return None
-        return int(self.rows[hit[0]]), int(self.cols[hit[0]])
+        return int(other.rows[hit[0]]), int(other.cols[hit[0]])
 
     def save(self, path):
         """Write the versioned little-endian binary format, widening each

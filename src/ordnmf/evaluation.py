@@ -146,21 +146,29 @@ def log_lik_nonzeros(test, state):
     being non-zero; never positive.  NumericalError naming the first entry
     whose intensity is not finite and normal (inference.require_positive)
     or whose lambda * delta_y, which log_pmf takes log1mexp of, is not
-    normal; delta_y <= theta_0, so lambda * theta_0 is normal too.
+    normal; delta_y <= theta_0, so lambda * theta_0 is normal too.  The
+    intensities are one length-nnz array; the check and the terms run over
+    blocks of inference.GATHER_CELLS entries, so the rest of the memory
+    does not grow with nnz.
     """
     if test.nnz == 0:
         raise DataError("test matrix is empty")
-    thr = state.thresholds
+    thr, floor = state.thresholds, np.finfo(float).tiny
     lam = inference.require_positive(
         entry_dot(state.W.mean, state.H.mean, test.rows, test.cols), test)
-    x, floor = lam * thr.delta_by_class[test.vals], np.finfo(float).tiny
-    j = np.argmax(x < floor)  # the first entry below, if any
-    if x[j] < floor:
-        raise NumericalError(f"lambda * delta {x[j]:.4g} at (u={test.rows[j]}, "
-                             f"i={test.cols[j]}) is below {floor:.4g}")
-    log_p = thr.log_pmf(test.vals, lam)
-    log_nonzero = log1mexp(lam * thr.theta[0])
-    return float((log_p - log_nonzero).sum())
+    total, step = 0.0, inference.GATHER_CELLS
+    for start in range(0, test.nnz, step):
+        vals, lam_b = test.vals[start:start + step], lam[start:start + step]
+        x = lam_b * thr.delta_by_class[vals]
+        j = np.argmax(x < floor)  # the block's first entry below, if any
+        if x[j] < floor:
+            raise NumericalError(
+                f"lambda * delta {x[j]:.4g} at (u={test.rows[start + j]}, "
+                f"i={test.cols[start + j]}) is below {floor:.4g}")
+        log_p = thr.log_pmf(vals, lam_b)
+        log_p -= log1mexp(np.multiply(lam_b, thr.theta[0], out=x))
+        total += log_p.sum()
+    return float(total)
 
 
 def ppc_histogram(state, train, rng, n_cells=10_000_000):

@@ -13,8 +13,10 @@ statistics -> factors (users, then items) -> entry intensities (reused by
 the next local step) -> thresholds (ordinal only) -> rate hyperparameters
 -> ELBO; fit calls it until convergence.  It forms two per-entry products
 with entry_dot: E[lambda_ui] from the means and Lambda_ui from the
-geometric means.  E[lambda] and E[n] enter only through their per-class
-sums, so no step loops over the V classes.  The ELBO is exact for this
+geometric means, by gathering factor rows, or by BLAS blocks of A B^T
+where the matrix stores enough of its cells (see _dense_cheaper).
+E[lambda] and E[n] enter only through their per-class sums, so no step
+loops over the V classes.  The ELBO is exact for this
 variational family and must be non-decreasing; a decrease beyond roundoff
 raises NumericalError since it indicates an update bug.  So does a
 positive ELBO (as under a huge prior shape): it bounds the log-probability
@@ -63,6 +65,12 @@ VARIANTS = ("ordinal", "bepof", "pf")
 # rather than from L3 or DRAM, and each call allocates them once.  Also the
 # cells per row block of prior_minus_entropy's scratch arrays.
 GATHER_CELLS = 1 << 15
+# Cells per score block of entry_dot's BLAS strategy (1 MB of float64).
+# BLAS packs B^T once per block, so small blocks lose: at K = 100 on
+# 2500 x 2000 cells with 8% stored (one BLAS thread, 2-core x86 box), a
+# product took 49.5 ms in blocks of 2^15 cells, 33.0 at 2^16, 29.4 at
+# 2^17 and 26.8 at 2^18 (medians of 15), against 57.6 for the gathers.
+DENSE_CELLS = 1 << 17
 # The compiled functions the fit calls, by SciPy extension module.
 _SCIPY_KERNELS = {"_sparsetools": ("csr_matvecs", "csc_matvecs"),
                   "_special_ufuncs": ("psi", "gammaln")}
@@ -287,13 +295,20 @@ class FitResult:
 def entry_dot(A, B, rows, cols, out=None):
     """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T,
     written into out (one float per entry) if given, and returned.
+    IndexError on a row or column index outside A or B, negative included,
+    checked before either strategy runs.
 
-    Gathers the factor rows of GATHER_CELLS cells at a time into two
-    buffers allocated once per call, so extra memory does not grow with
-    len(rows) * K; each entry's sum is the same einsum over the same K
-    values as in one call over all entries (for K <= 8192: above numpy's
-    iterator buffer size, einsum's sums depend on how many rows it gets).
-    IndexError on a row or column index outside A or B, negative included.
+    Where rows never decrease (CSR order) and the entries are enough of
+    A B^T's cells for K (_dense_cheaper), the BLAS strategy
+    (_dense_entry_dot) scores blocks of DENSE_CELLS cells and takes the
+    entries out; its sums differ from einsum's in the last bits.
+    Otherwise, as for unsorted rows, the factor rows of GATHER_CELLS cells
+    at a time are gathered into two buffers and each entry's sum is the
+    same einsum over the same K values as in one call over all entries
+    (for K <= 8192: above numpy's iterator buffer size, einsum's sums
+    depend on how many rows it gets).
+    Either way the scratch is allocated once per call and does not grow
+    with len(rows), len(A) * len(B) or len(rows) * K.
     """
     for idx, M, name in ((rows, A, "row"), (cols, B, "column")):
         if len(idx) and (idx.min() < 0 or idx.max() >= len(M)):
@@ -301,6 +316,9 @@ def entry_dot(A, B, rows, cols, out=None):
             raise IndexError(f"{name} index {bad} outside 0..{len(M) - 1}")
     if out is None:
         out = np.empty(len(rows), dtype=np.result_type(A, B))
+    if (_dense_cheaper(len(rows), len(A), len(B), A.shape[1])
+            and _non_decreasing(rows)):
+        return _dense_entry_dot(A, B, rows, cols, out)
     step = max(1, GATHER_CELLS // A.shape[1])
     a = np.empty((min(step, len(rows)), A.shape[1]), dtype=A.dtype)
     b = np.empty((len(a), B.shape[1]), dtype=B.dtype)
@@ -311,6 +329,59 @@ def entry_dot(A, B, rows, cols, out=None):
         np.take(A, rows[block], axis=0, out=a[:m], mode="clip")
         np.take(B, cols[block], axis=0, out=b[:m], mode="clip")
         np.einsum("jk,jk->j", a[:m], b[:m], out=out[block])
+    return out
+
+
+def _dense_cheaper(nnz, n_rows, n_cols, K):
+    """Whether scoring every cell of the n_rows x n_cols product with BLAS
+    costs less than gathering the nnz entries' factor rows.  Measured at
+    2500 x 2000 cells with one BLAS thread (2-core x86 box), a gathered
+    entry costs ~15 + 1.15 K ns, and a scored cell ~0.6 + 0.045 K ns plus
+    ~7 ns per entry taken out: by these costs BLAS wins above ~4% of cells
+    stored at K = 100 and ~7% at K = 2.  The rule asks for about 1.6x
+    that share, 16 nnz (8 + K) >= cells (16 + K): 6.8% of cells at
+    K = 100, 8.0% at K = 20 and 10.3% at K = 5.  It also asks for
+    K >= 3 (at K <= 2 the gathers are cheap: BLAS was slower at up to
+    8-16% stored, and at K = 1 np.matmul took as long as an outer
+    product), for at least 16 rows per block (with fewer, BLAS repacks
+    B^T for little work: at 6 rows it was 1.8x slower at 8% stored and
+    K = 100) and for at least 8 blocks of cells (below that the buffer's
+    fixed cost made BLAS slower at up to 16% stored)."""
+    cells = n_rows * n_cols
+    return (K >= 3 and cells >= 8 * DENSE_CELLS and 16 * n_cols <= DENSE_CELLS
+            and 16 * nnz * (8 + K) >= cells * (16 + K))
+
+
+def _non_decreasing(rows):
+    """Whether rows never decrease, checked GATHER_CELLS at a time (with
+    one entry of overlap) so the comparison's mask stays one block."""
+    chunks = (rows[s:s + GATHER_CELLS + 1]
+              for s in range(0, len(rows), GATHER_CELLS))
+    return not any(np.any(c[1:] < c[:-1]) for c in chunks)
+
+
+def _dense_entry_dot(A, B, rows, cols, out):
+    """entry_dot for rows in non-decreasing order: each block of
+    DENSE_CELLS cells in whole rows of A B^T, from the first row with an
+    entry, is scored with np.matmul into one buffer, and its entries are
+    taken out through one offset scratch, both allocated once per call."""
+    n_cols = len(B)
+    step = max(1, DENSE_CELLS // max(n_cols, 1))
+    scores = np.empty((min(step, len(A)), n_cols), dtype=out.dtype)
+    offsets = np.empty(min(len(rows), scores.size), dtype=np.intp)
+    stop = 0
+    while stop < len(rows):
+        start, first = stop, int(rows[stop])
+        last = min(first + step, len(A))
+        # a needle of rows' dtype: a Python int would cast rows to int64
+        stop = int(np.searchsorted(rows, rows.dtype.type(last)))
+        block = np.matmul(A[first:last], B.T, out=scores[:last - first])
+        at = offsets[:stop - start]
+        np.subtract(rows[start:stop], first, out=at)
+        at *= n_cols
+        at += cols[start:stop]
+        # in range: rows and cols were checked; "raise" would buffer out
+        np.take(block, at, out=out[start:stop], mode="clip")
     return out
 
 

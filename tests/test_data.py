@@ -627,6 +627,23 @@ class TestOrdinalMatrix:
             np.testing.assert_array_equal(
                 m.classes_at(np.arange(U)[:, None], np.arange(I)), dense)
 
+    def test_classes_at_builds_its_table_once(self, monkeypatch):
+        # the stored cells' keys are formed on the first lookup only, each
+        # lookup's own cells' keys every time
+        dense = np.array([[0, 2, 1], [1, 0, 2]])
+        mat = make_matrix(dense, n_classes=2)
+        formed = []
+        real = data_module._cell_keys
+
+        def spy(rows, cols, n_items):
+            formed.append(rows is mat.rows)
+            return real(rows, cols, n_items)
+        monkeypatch.setattr(data_module, "_cell_keys", spy)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                mat.classes_at(np.arange(2)[:, None], np.arange(3)), dense)
+        assert formed == [True, False, False, False]
+
     @pytest.mark.parametrize("mine, theirs, shared", [
         ([[1, 2], [0, 1]], [[0, 0], [0, 0]], None),  # nothing in theirs
         ([[1, 2], [0, 1]], [[2, 0], [1, 0]], (0, 0)),  # at our first entry

@@ -44,10 +44,15 @@ def test_module_references_resolve(path):
 
 
 def test_stated_block_sizes_match_constants():
-    # "`module.NAME` = 2^N": a retuned block size must change the text too
+    # "`module.NAME` = 2^N": a retuned block size must change the text too,
+    # and every block size (a *_CELLS constant) of the modules that block
+    # their work must be stated
     stated = re.findall(r"`(\w+)\.([A-Z_]+)` = 2\^(\d+)", README.read_text())
-    assert {f"{module}.{name}" for module, name, _ in stated} >= {
-        "evaluation.BLOCK_CELLS", "inference.GATHER_CELLS"}
+    blocks = {f"{module}.{name}" for module in ("inference", "evaluation")
+              for name in vars(importlib.import_module(f"ordnmf.{module}"))
+              if re.fullmatch(r"[A-Z_]+_CELLS", name)}
+    assert {"evaluation.BLOCK_CELLS", "inference.GATHER_CELLS"} <= blocks
+    assert {f"{module}.{name}" for module, name, _ in stated} >= blocks
     wrong = [f"{module}.{name} = 2^{n}" for module, name, n in stated
              if getattr(importlib.import_module(f"ordnmf.{module}"), name)
              != 1 << int(n)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ordnmf import evaluation
+from ordnmf import evaluation, inference
 from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, NumericalError
 from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
@@ -17,7 +17,7 @@ from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
                                ppc_report_text, ranking_report_text,
                                top_lists, top_m_items)
 from ordnmf.inference import FitConfig, fit
-from ordnmf.model import ThresholdSequence
+from ordnmf.model import ThresholdSequence, log1mexp
 from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (ndcg_bruteforce, pmf_all, random_matrix,
@@ -311,6 +311,60 @@ class TestLogLikNonzeros:
         with pytest.raises(NumericalError, match=(
                 r"^intensity 0.0 at \(u=1, i=0\) is not finite and positive$")):
             log_lik_nonzeros(test, state)
+
+    def test_blocks_sum_the_full_length_terms(self, monkeypatch):
+        # 16 entries per block: several blocks and a ragged last one
+        monkeypatch.setattr(inference, "GATHER_CELLS", 16)
+        rng = np.random.default_rng(11)
+        test = random_matrix(12, 9, 4, rng)
+        state = random_state_like(test, 3, rng)
+        lam = np.einsum("jk,jk->j", state.W.mean[test.rows],
+                        state.H.mean[test.cols])
+        thr = state.thresholds
+        want = (thr.log_pmf(test.vals, lam)
+                - log1mexp(lam * thr.theta[0])).sum()
+        assert test.nnz > 3 * 16
+        assert log_lik_nonzeros(test, state) == pytest.approx(want,
+                                                              rel=1e-12)
+
+    def test_floor_names_the_first_entry_of_a_later_block(self,
+                                                          monkeypatch):
+        # users 5 and 9 have lambda = 1e-300 at class 2, whose delta is
+        # 1e-10, so lambda * delta is subnormal; user 5 is in the second
+        # block of four entries
+        monkeypatch.setattr(inference, "GATHER_CELLS", 4)
+        vals = np.ones(12, dtype=int)
+        vals[[5, 9]] = 2
+        test = OrdinalMatrix(12, 1, 2, np.arange(12), np.zeros(12), vals)
+        state = random_state_like(test, 1, np.random.default_rng(12))
+        state.thresholds = ThresholdSequence([1.0, 1e-10])
+        rate = np.ones((12, 1))
+        rate[[5, 9]] = 1e300
+        state.W.set(np.ones((12, 1)), rate)
+        state.H.set(np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(NumericalError, match=(
+                r"^lambda \* delta \S+ at \(u=5, i=0\) is below "
+                r"2\.225e-308$")):
+            log_lik_nonzeros(test, state)
+
+    def test_peak_bytes_per_entry(self, monkeypatch):
+        # the intensities (8 bytes per entry) and buffers of one block
+        # (~2 bytes per entry here); forming each term at full length
+        # took 49
+        monkeypatch.setattr(inference, "GATHER_CELLS", 1 << 12)
+        rng = np.random.default_rng(13)
+        cells = rng.choice(500 * 400, 100_000, replace=False)
+        test = OrdinalMatrix(500, 400, 5, cells // 400, cells % 400,
+                             rng.integers(1, 6, cells.size))
+        state = random_state_like(test, 2, rng)
+        log_lik_nonzeros(test, state)
+        tracemalloc.start()
+        try:
+            log_lik_nonzeros(test, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * test.nnz
 
     def test_never_positive(self):
         rng = np.random.default_rng(8)

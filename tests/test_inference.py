@@ -757,6 +757,115 @@ class TestEntryDot:
         # two one-shot gathers would hold 2 * 64 blocks of cells
         assert peak < out.nbytes + 4 * block_cells * 8
 
+    @staticmethod
+    def _csr_cells(n_rows, n_cols, nnz, rng, dtype=np.int32):
+        """rows, cols of nnz distinct cells in CSR order."""
+        cells = np.sort(rng.choice(n_rows * n_cols, nnz, replace=False))
+        return (cells // max(n_cols, 1)).astype(dtype), \
+            (cells % max(n_cols, 1)).astype(dtype)
+
+    @staticmethod
+    def _strategies(monkeypatch):
+        """Counts of entry_dot's BLAS strategy runs, by a spy."""
+        calls = []
+        real = inference._dense_entry_dot
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(inference, "_dense_entry_dot", spy)
+        return calls
+
+    @pytest.mark.parametrize("n_rows, n_cols, nnz, K, dense_cells, dtype", [
+        (50, 40, 300, 1, None, np.int32), (50, 40, 300, 3, None, np.int32),
+        (50, 40, 300, 100, None, np.int32), (1, 40, 12, 5, None, np.int32),
+        (50, 40, 300, 5, 16, np.int32), (50, 40, 300, 5, 160, np.int32),
+        (50, 40, 30, 5, 160, np.int64), (50, 40, 0, 5, None, np.int32),
+        (0, 40, 0, 5, None, np.int32), (50, 0, 0, 5, None, np.int64)],
+        ids=["k1", "k3", "k100", "one-user", "one-row-per-block",
+             "four-rows-per-block", "int64-sparse", "no-entries",
+             "no-rows", "no-columns"])
+    def test_dense_blocks_match_one_shot_einsum(
+            self, monkeypatch, n_rows, n_cols, nnz, K, dense_cells, dtype):
+        # the rule is forced: every CSR-ordered input takes the BLAS
+        # strategy, whose sums differ from einsum's in the last bits
+        monkeypatch.setattr(inference, "_dense_cheaper", lambda *args: True)
+        if dense_cells is not None:
+            monkeypatch.setattr(inference, "DENSE_CELLS", dense_cells)
+        calls = self._strategies(monkeypatch)
+        rng = np.random.default_rng(n_rows + n_cols + nnz + K)
+        A = rng.gamma(0.3, size=(n_rows, K))
+        B = rng.gamma(0.3, size=(n_cols, K))
+        rows, cols = self._csr_cells(n_rows, n_cols, nnz, rng, dtype)
+        got = inference.entry_dot(A, B, rows, cols)
+        want = np.einsum("jk,jk->j", A[rows], B[cols])
+        assert calls == [1]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    # at 1024 x 1024 cells and K = 20 the rule's boundary is
+    # ceil(2^20 * 36 / (16 * 28)) = 84261 entries; the last three inputs
+    # store 10-20% of their cells, above that share, and fail only K >= 3,
+    # at least 8 blocks of cells and at least 16 rows per block
+    @pytest.mark.parametrize("n_rows, n_cols, nnz, K, in_order, dense", [
+        (1024, 1024, 84261, 20, True, True),
+        (1024, 1024, 84260, 20, True, False),
+        (1024, 1024, 84261, 20, False, False),
+        (1024, 1024, 209716, 2, True, False),
+        (1000, 1000, 100000, 20, True, False),
+        (128, 8200, 104960, 20, True, False)],
+        ids=["at-boundary", "below-boundary", "out-of-order", "k2",
+             "below-8-blocks", "under-16-rows-per-block"])
+    def test_rule_picks_strategy(self, monkeypatch, n_rows, n_cols, nnz, K,
+                                 in_order, dense):
+        calls = self._strategies(monkeypatch)
+        rng = np.random.default_rng(27)
+        A, B = rng.random((n_rows, K)), rng.random((n_cols, K))
+        rows, cols = self._csr_cells(n_rows, n_cols, nnz, rng)
+        if not in_order:  # the first and last cells swapped
+            rows[[0, -1]], cols[[0, -1]] = rows[[-1, 0]], cols[[-1, 0]]
+        got = inference.entry_dot(A, B, rows, cols)
+        assert calls == ([1] if dense else [])
+        some = slice(None, None, 97)
+        np.testing.assert_allclose(
+            got[some], np.einsum("jk,jk->j", A[rows[some]], B[cols[some]]),
+            rtol=1e-13)
+
+    def test_dense_extra_memory_bounded_by_blocks(self, monkeypatch):
+        # one score buffer and one offset scratch of DENSE_CELLS cells each,
+        # whatever nnz and U x I (64 blocks of cells here)
+        dense_cells, K = 1 << 12, 8
+        monkeypatch.setattr(inference, "DENSE_CELLS", dense_cells)
+        monkeypatch.setattr(inference, "_dense_cheaper", lambda *args: True)
+        calls = self._strategies(monkeypatch)
+        rng = np.random.default_rng(28)
+        A, B = rng.random((1024, K)), rng.random((256, K))
+        rows, cols = self._csr_cells(1024, 256, 1 << 17, rng)
+        tracemalloc.start()
+        try:
+            out = inference.entry_dot(A, B, rows, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [1]
+        assert peak < out.nbytes + 3 * dense_cells * 8
+
+    @pytest.mark.parametrize("side, bad, message", [
+        ("rows", -1, "row index -1 outside 0..8"),
+        ("rows", 9, "row index 9 outside 0..8"),
+        ("cols", -11, "column index -11 outside 0..10"),
+        ("cols", 11, "column index 11 outside 0..10")],
+        ids=["row-negative", "row-past-end", "col-negative", "col-past-end"])
+    def test_index_out_of_range_raises_before_dense_strategy(
+            self, monkeypatch, side, bad, message):
+        monkeypatch.setattr(inference, "_dense_cheaper", lambda *args: True)
+        rng = np.random.default_rng(25)
+        A, B = rng.random((9, 3)), rng.random((11, 3))
+        idx = {"rows": np.array([0, 2, 8]), "cols": np.array([10, 0, 3])}
+        idx[side][0 if bad < 0 else 2] = bad  # rows stay in order
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            inference.entry_dot(A, B, idx["rows"], idx["cols"])
+
 
 class TestPredictAndSerialize:
     def test_rank_one_ordering(self):
