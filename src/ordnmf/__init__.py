@@ -30,6 +30,5 @@ from .inference import (
     save_state,
 )
 from .model import ThresholdSequence
-from .synthetic import GroundTruth, default_thresholds, generate_dataset
 
 __version__ = "0.1.0"

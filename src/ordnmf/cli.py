@@ -16,7 +16,7 @@ from . import __version__
 from .baselines import binarize
 from .data import (OrdinalMatrix, load_triplets, quantize_counts,
                    train_test_split, write_index_map)
-from .errors import ConfigError, OrdnmfError
+from .errors import ConfigError, DataError, OrdnmfError
 from .evaluation import (evaluate_ranking, log_lik_nonzeros, ppc_histogram,
                          ppc_report_text, ranking_report_text, top_lists)
 from .inference import FitConfig, fit, load_state, save_state
@@ -170,7 +170,14 @@ def cmd_evaluate(cfg):
 def cmd_ppc(cfg):
     state, meta = load_state(cfg["model"])
     # a model trained with --binarize-at s is checked against train >= s
-    binarize_at = meta.get("config", {}).get("binarize_at")
+    config = meta.get("config", {})
+    if not isinstance(config, dict):
+        raise DataError(f"{cfg['model']}: model metadata config is not a "
+                        "JSON object")
+    binarize_at = config.get("binarize_at")
+    if binarize_at is not None and type(binarize_at) is not int:  # nor bool
+        raise DataError(f"{cfg['model']}: model metadata config.binarize_at "
+                        f"{json.dumps(binarize_at)} is not an integer")
     train = _load_for_model(cfg["train"], state, same_classes=True,
                             binarize_at=binarize_at)
     rng = np.random.default_rng(_at_least(cfg, "seed", 0))

@@ -15,9 +15,6 @@ from .model import log1mexp
 # on the benchmark's rank input (45k minor faults per call against 15k, on
 # a 2-core x86 box)
 BLOCK_CELLS = 1 << 20
-# Cells per sub-block of ppc_histogram's intensities and class draws
-# (512 KB per float64 array)
-SAMPLE_CELLS = 1 << 16
 
 
 @dataclass
@@ -101,20 +98,18 @@ def _ndcg_reports(lists, test, thresholds, list_length):
     for s in thresholds:
         if not 1 <= s <= test.n_classes:
             raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
-    # test entries of class >= thresholds[j] before each CSR position
-    below = [np.concatenate(([0], np.cumsum(test.vals >= s)))
-             for s in thresholds]
     total = np.zeros(len(thresholds))
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
     for users, items, lengths, _ in lists:
         m = items.shape[1]
         ranked = test.classes_at(users[:, None], items)
         ranked[np.arange(m) >= lengths[:, None]] = 0
-        start, stop = test.indptr[users], test.indptr[users + 1]
+        row, at = test.block_entries(users)
+        classes = test.vals[at]
         discounts = 1.0 / np.log2(np.arange(2, m + 2))
         ideal = np.cumsum(discounts)
         for j, s in enumerate(thresholds):
-            n_rel = below[j][stop] - below[j][start]
+            n_rel = np.bincount(row[classes >= s], minlength=users.size)
             dcg = (ranked >= s) @ discounts  # 0 where n_rel is 0
             total[j] += (dcg / ideal[np.clip(n_rel, 1, m) - 1]).sum()
             n_eval[j] += np.count_nonzero(n_rel)
@@ -148,24 +143,23 @@ def log_lik_nonzeros(test, state):
     or whose lambda * delta_y, which log_pmf takes log1mexp of, is not
     normal; delta_y <= theta_0, so lambda * theta_0 is normal too.  The
     intensities are one length-nnz array; the check and the terms run over
-    blocks of inference.GATHER_CELLS entries, so the rest of the memory
-    does not grow with nnz.
+    the blocks of the fit's inference.scaled_blocks, so the rest of the
+    memory does not grow with nnz.
     """
     if test.nnz == 0:
         raise DataError("test matrix is empty")
     thr, floor = state.thresholds, np.finfo(float).tiny
     lam = inference.require_positive(
         entry_dot(state.W.mean, state.H.mean, test.rows, test.cols), test)
-    total, step = 0.0, inference.GATHER_CELLS
-    for start in range(0, test.nnz, step):
-        vals, lam_b = test.vals[start:start + step], lam[start:start + step]
-        x = lam_b * thr.delta_by_class[vals]
+    total = 0.0
+    for block, x in inference.scaled_blocks(state, test, lam):
         j = np.argmax(x < floor)  # the block's first entry below, if any
         if x[j] < floor:
             raise NumericalError(
-                f"lambda * delta {x[j]:.4g} at (u={test.rows[start + j]}, "
-                f"i={test.cols[start + j]}) is below {floor:.4g}")
-        log_p = thr.log_pmf(vals, lam_b)
+                f"lambda * delta {x[j]:.4g} at (u={test.rows[block][j]}, "
+                f"i={test.cols[block][j]}) is below {floor:.4g}")
+        lam_b = lam[block]
+        log_p = thr.log_pmf(test.vals[block], lam_b)
         log_p -= log1mexp(np.multiply(lam_b, thr.theta[0], out=x))
         total += log_p.sum()
     return float(total)
@@ -181,8 +175,8 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
 
     Cells are drawn a million at a time, users then items, as uint32 (the
     same values and stream as int64 draws for U, I <= 2^32); intensities
-    and classes follow SAMPLE_CELLS cells at a time, so memory beyond the
-    two samples is 8 bytes per cell of a chunk plus fixed sub-blocks.
+    and classes follow over inference.blocks of the chunk, so memory beyond
+    the two samples is 8 bytes per cell of a chunk plus fixed sub-blocks.
     """
     if n_cells < 1:
         raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
@@ -196,8 +190,7 @@ def ppc_histogram(state, train, rng, n_cells=10_000_000):
         n = min(chunk, remaining)
         users = rng.integers(0, U, size=n, dtype=np.uint32)
         items = rng.integers(0, I, size=n, dtype=np.uint32)
-        for start in range(0, n, SAMPLE_CELLS):
-            block = slice(start, start + SAMPLE_CELLS)
+        for block in inference.blocks(n):
             lam = entry_dot(w_sample, h_sample, users[block], items[block])
             classes = state.thresholds.sample_class(lam, rng)
             counts += np.bincount(classes, minlength=V + 1)

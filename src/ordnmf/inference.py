@@ -25,7 +25,7 @@ of discrete data.
 An iteration's one per-entry array is the caller's Lambda, its scratch: it
 holds E[n] / Lambda after the local step, then the rate weights, then
 E[lambda] and at the end the new Lambda.  Other per-entry values (Lambda *
-delta_y, E[n], the ELBO's terms) live in buffers of GATHER_CELLS entries.
+delta_y, E[n], the ELBO's terms) live in buffers of one block (blocks).
 The (U+I) x K work is done in place: a factor caches only its geometric
 mean; the local step writes its sparse products over the old shapes and
 update_factors over the old means; the new rate is written over the old
@@ -60,10 +60,10 @@ _STATE_VERSION = 1
 # Decrement given to a class absent from the train data.
 DELTA_FLOOR = 1e-10
 VARIANTS = ("ordinal", "bepof", "pf")
-# Cells per gather buffer of entry_dot (256 KB of float64): its two buffers
-# fit together in a 2 MB L2 cache, so einsum reads the gathered rows from L2
-# rather than from L3 or DRAM, and each call allocates them once.  Also the
-# cells per row block of prior_minus_entropy's scratch arrays.
+# Cells per block of blocks, the one walker of every per-entry scan: a
+# gather buffer of entry_dot holds one block (256 KB of float64), and its
+# two buffers fit together in a 2 MB L2 cache, so einsum reads the gathered
+# rows from L2 rather than from L3 or DRAM.
 GATHER_CELLS = 1 << 15
 # Cells per score block of entry_dot's BLAS strategy (1 MB of float64).
 # BLAS packs B^T once per block, so small blocks lose: at K = 100 on
@@ -191,19 +191,19 @@ class GammaVariationalMatrix:
         """sum of E_q[log p(x; alpha, beta_r) - log q(x)], in closed form:
         a log b - gammaln(a) + (a - a_t) E[log x] - b E - a_t log rate
         + gammaln(a_t) + a_t (a, b the prior, a_t the posterior shape), one
-        elementwise operation at a time in that order, over row blocks of
-        GATHER_CELLS cells in three scratch arrays allocated once.
+        elementwise operation at a time in that order, over the row blocks
+        of blocks in three scratch arrays allocated once.
         E[log x] is log G, or digamma(a_t) - log rate where G is below the
         least normal float (a tiny shape can underflow G while Lambda stays
         normal)."""
         special = _scipy_extension("special", "_special_ufuncs")
         a, G, tiny = self.alpha, self.geo_mean, np.finfo(float).tiny
         prior = a * np.log(self.beta) - special.gammaln(a)
-        step = max(1, GATHER_CELLS // self.n_components)
-        scratch = np.empty((3, min(step, self.n_rows), self.n_components))
+        K = self.n_components
+        longest = next(blocks(self.n_rows, K), slice(0)).stop  # the first
+        scratch = np.empty((3, longest, K))
         total = 0.0
-        for start in range(0, self.n_rows, step):
-            rows = slice(start, start + step)
+        for rows in blocks(self.n_rows, K):
             a_t, b, g = self.shape[rows], self.beta[rows, None], G[rows]
             term, other, log_rate = scratch[:, :len(a_t)]
             np.log(self.rate[rows], out=log_rate)
@@ -292,6 +292,15 @@ class FitResult:
         return len(self.elbo_trace)
 
 
+def blocks(n, width=1):
+    """Slices, in order, that cover 0..n once, of max(1, GATHER_CELLS //
+    width) items each (the last may be shorter): entries, or rows of width
+    cells.  The one block walker of every per-entry scan, so none of them
+    holds more than a block of per-entry scratch."""
+    step = max(1, GATHER_CELLS // width)
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
+
+
 def entry_dot(A, B, rows, cols, out=None):
     """sum_k A[rows, k] * B[cols, k]: entries (rows, cols) of A B^T,
     written into out (one float per entry) if given, and returned.
@@ -319,12 +328,12 @@ def entry_dot(A, B, rows, cols, out=None):
     if (_dense_cheaper(len(rows), len(A), len(B), A.shape[1])
             and _non_decreasing(rows)):
         return _dense_entry_dot(A, B, rows, cols, out)
-    step = max(1, GATHER_CELLS // A.shape[1])
-    a = np.empty((min(step, len(rows)), A.shape[1]), dtype=A.dtype)
-    b = np.empty((len(a), B.shape[1]), dtype=B.dtype)
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
-        m = len(rows[block])
+    K = A.shape[1]
+    longest = next(blocks(len(rows), K), slice(0)).stop  # the first block
+    a = np.empty((longest, K), dtype=A.dtype)
+    b = np.empty((longest, K), dtype=B.dtype)
+    for block in blocks(len(rows), K):
+        m = block.stop - block.start
         # in range (checked above); mode="raise" would buffer the output
         np.take(A, rows[block], axis=0, out=a[:m], mode="clip")
         np.take(B, cols[block], axis=0, out=b[:m], mode="clip")
@@ -353,10 +362,9 @@ def _dense_cheaper(nnz, n_rows, n_cols, K):
 
 
 def _non_decreasing(rows):
-    """Whether rows never decrease, checked GATHER_CELLS at a time (with
-    one entry of overlap) so the comparison's mask stays one block."""
-    chunks = (rows[s:s + GATHER_CELLS + 1]
-              for s in range(0, len(rows), GATHER_CELLS))
+    """Whether rows never decrease, checked a block at a time (with one
+    entry of overlap) so the comparison's mask stays one block."""
+    chunks = (rows[b.start:b.stop + 1] for b in blocks(len(rows)))
     return not any(np.any(c[1:] < c[:-1]) for c in chunks)
 
 
@@ -474,26 +482,22 @@ def init_state(config, data):
     return VariationalState(W=W, H=H, thresholds=init_thresholds(data))
 
 
-def _blocks(n):
-    """Slices of GATHER_CELLS entries each, in order, covering 0..n."""
-    return (slice(s, s + GATHER_CELLS) for s in range(0, n, GATHER_CELLS))
-
-
 def _take_by_class(table, vals, out):
     """out[j] = table[vals[j]], one block at a time, as np.take casts an
     int32 index array such as OrdinalMatrix.vals to an intp copy."""
-    for block in _blocks(len(vals)):
+    for block in blocks(len(vals)):
         # classes are in 0..V; mode="raise" would buffer the output
         np.take(table, vals[block], out=out[block], mode="clip")
     return out
 
 
-def _scaled_blocks(state, data, lam_big):
-    """(slice, x = Lambda * delta_y) per block of GATHER_CELLS entries, in
-    order, x in one reused buffer; lam_big holds Lambda."""
+def scaled_blocks(state, data, lam_big):
+    """(slice, x = Lambda * delta_y) per block of data's entries, in order,
+    x in one reused buffer; lam_big holds Lambda, one value per entry (the
+    fit's intensities, or the held-out likelihood's posterior means)."""
     delta = state.thresholds.delta_by_class
     buf = np.empty(min(GATHER_CELLS, data.nnz))
-    for block in _blocks(data.nnz):
+    for block in blocks(data.nnz):
         x = _take_by_class(delta, data.vals[block], buf[:len(lam_big[block])])
         x *= lam_big[block]
         yield block, x
@@ -505,7 +509,7 @@ def _count_sums(state, data, lam_big, point_mass):
     block; writes E[n] / Lambda over lam_big."""
     sums = np.zeros(data.n_classes + 1)
     e_n = np.ones(min(GATHER_CELLS, data.nnz))
-    for block, x in _scaled_blocks(state, data, lam_big):
+    for block, x in scaled_blocks(state, data, lam_big):
         n = e_n[:len(x)]
         if not point_mass:
             ztp_mean(x, out=n)
@@ -613,7 +617,7 @@ def compute_elbo(state, data, lam_big, lam_by_class, point_mass=False):
     thr = state.thresholds
     term = np.empty(min(GATHER_CELLS, data.nnz))
     nonlinear = 0.0
-    for _, x in _scaled_blocks(state, data, lam_big):
+    for _, x in scaled_blocks(state, data, lam_big):
         if point_mass:
             nonlinear += np.log(x, out=x).sum()
         else:
@@ -695,7 +699,8 @@ def save_state(path, state, metadata=None):
 
 def load_state(path):
     """(state, metadata) from a save_state file; DataError naming path for
-    any other file, including a truncated or corrupted model."""
+    any other file, including a truncated or corrupted model and one whose
+    metadata is not a JSON object."""
     try:
         z = np.load(path)  # ValueError, EOFError: neither .npz nor .npy
         version = int(z["schema_version"])  # KeyError, IndexError: not ours
@@ -717,6 +722,8 @@ def load_state(path):
             state = VariationalState(W=W, H=H,
                                      thresholds=ThresholdSequence(z["theta"]))
             metadata = json.loads(bytes(z["metadata"]).decode())
+        if not isinstance(metadata, dict):
+            raise DataError(f"{path}: model metadata is not a JSON object")
     except (ValueError, EOFError, zipfile.BadZipFile, KeyError, IndexError,
             NumericalError):
         raise DataError(f"{path}: not a valid ordnmf model file") from None

@@ -1,15 +1,14 @@
-"""Synthetic ordinal matrices drawn from the generative model.
+"""Synthetic ordinal matrices drawn from the generative model, for tests.
 
-The test suite and the README's library quick start draw their data here;
-the command-line interface does not use this module.
+Builds dense U x I arrays, so it suits only small matrices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OrdinalMatrix
-from .model import ThresholdSequence
+from ordnmf.data import OrdinalMatrix
+from ordnmf.model import ThresholdSequence
 
 
 @dataclass

@@ -24,12 +24,12 @@ from ordnmf.inference import (FitConfig, class_sums, compute_elbo,
                               entry_intensities, fit, iterate, update_factors,
                               update_thresholds, ztp_mean)
 from ordnmf.model import ThresholdSequence
-from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (bepof_iteration, cdf, dense, dense_iteration,
                      elbo_bruteforce, expected_class, local_step, pmf,
                      pmf_all, quantize, random_matrix, random_state_like,
                      threshold_objective, ztp_mean_series)
+from synthetic import default_thresholds, generate_dataset
 
 
 def _report(number, label):

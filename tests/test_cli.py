@@ -23,9 +23,9 @@ from ordnmf.data import OrdinalMatrix
 from ordnmf.inference import (GammaVariationalMatrix, VariationalState,
                               load_state, save_state)
 from ordnmf.model import ThresholdSequence
-from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import damaged_ordmat, random_state_like
+from synthetic import default_thresholds, generate_dataset
 
 REPO = Path(__file__).resolve().parents[1]
 PROTOCOL_SCRIPT = REPO / "scripts" / "reproduce_protocol.sh"
@@ -734,6 +734,32 @@ class TestErrorHandling:
         assert run("ppc", "--model", model, "--train", ranking_files["train"],
                    "--output", out, "--budget", 1000) == 0
         assert "# simulated non-zero: " in out.read_text()
+
+    @pytest.mark.parametrize("metadata, message", [
+        ([1], "model metadata is not a JSON object"),
+        ("x", "model metadata is not a JSON object"),
+        ({"config": 5}, "model metadata config is not a JSON object"),
+        ({"config": {"binarize_at": "x"}},
+         'model metadata config.binarize_at "x" is not an integer'),
+        ({"config": {"binarize_at": 1.5}},
+         "model metadata config.binarize_at 1.5 is not an integer"),
+        ({"config": {"binarize_at": True}},
+         "model metadata config.binarize_at true is not an integer")],
+        ids=["list", "string", "config-int", "binarize-at-string",
+             "binarize-at-float", "binarize-at-bool"])
+    def test_ppc_bad_model_metadata_rejected(self, tmp_path, capsys,
+                                             ranking_files, metadata,
+                                             message):
+        train = OrdinalMatrix.load(ranking_files["train"])
+        model = tmp_path / "meta.npz"
+        save_state(model, random_state_like(train, 2,
+                                            np.random.default_rng(0)),
+                   metadata=metadata)
+        out = tmp_path / "ppc.txt"
+        assert run("ppc", "--model", model, "--train", ranking_files["train"],
+                   "--output", out, "--budget", 100) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not out.exists()
 
 
 class TestOptionSweep:

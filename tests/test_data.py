@@ -512,9 +512,22 @@ class TestOrdinalMatrix:
         assert mat.class_counts.tolist() == [1, 2, 1]
         assert mat.class_counts.sum() == mat.nnz
 
+    @pytest.mark.parametrize("nnz", [0, 1, 37, 2000])
+    def test_class_counts_match_bincount(self, nnz):
+        rng = np.random.default_rng(nnz)
+        cells = rng.choice(60 * 50, nnz, replace=False)
+        mat = OrdinalMatrix(60, 50, 7, cells // 50, cells % 50,
+                            rng.integers(1, 8, nnz))
+        want = np.bincount(mat.vals, minlength=8)[1:]
+        for m in (mat, widened(mat)):
+            got = m.class_counts
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
     def test_class_counts_copy_no_more_than_a_block(self):
-        # bincount copies its input to intp; over all of vals that was
-        # nnz * 8 bytes (3.2 MB here), by blocks of 2^16 entries it is 0.5 MB
+        # bincount copies its input to intp: over all of vals that was
+        # nnz * 8 bytes (3.2 MB here); np.add.at indexes by the int32 vals
+        # as they are, ~71 KB measured
         rng = np.random.default_rng(8)
         nnz = 400_000
         mat = OrdinalMatrix(nnz, 1, 5, np.arange(nnz), np.zeros(nnz),

@@ -45,13 +45,16 @@ def test_module_references_resolve(path):
 
 def test_stated_block_sizes_match_constants():
     # "`module.NAME` = 2^N": a retuned block size must change the text too,
-    # and every block size (a *_CELLS constant) of the modules that block
-    # their work must be stated
+    # and every block size (a *_CELLS constant) of every module of the
+    # package must be stated
     stated = re.findall(r"`(\w+)\.([A-Z_]+)` = 2\^(\d+)", README.read_text())
-    blocks = {f"{module}.{name}" for module in ("inference", "evaluation")
-              for name in vars(importlib.import_module(f"ordnmf.{module}"))
+    blocks = {f"{module.name}.{name}"
+              for module in pkgutil.iter_modules(ordnmf.__path__)
+              for name in vars(importlib.import_module(
+                  f"ordnmf.{module.name}"))
               if re.fullmatch(r"[A-Z_]+_CELLS", name)}
-    assert {"evaluation.BLOCK_CELLS", "inference.GATHER_CELLS"} <= blocks
+    assert {"evaluation.BLOCK_CELLS", "inference.DENSE_CELLS",
+            "inference.GATHER_CELLS"} <= blocks
     assert {f"{module}.{name}" for module, name, _ in stated} >= blocks
     wrong = [f"{module}.{name} = 2^{n}" for module, name, n in stated
              if getattr(importlib.import_module(f"ordnmf.{module}"), name)
@@ -108,8 +111,8 @@ def test_no_private_names_across_modules():
     assert cross_module_private_names(
         "from .data import _cell_keys\n"
         "from . import inference, __version__\n"
-        "inference._blocks(inference.__doc__)\n") == [
-            "data._cell_keys", "inference._blocks"]
+        "inference._take_by_class(inference.__doc__)\n") == [
+            "data._cell_keys", "inference._take_by_class"]
     package = Path(ordnmf.__file__).resolve().parent
     found = {path.name: cross_module_private_names(path.read_text())
              for path in sorted(package.glob("*.py"))}

@@ -18,10 +18,10 @@ from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
                                top_lists, top_m_items)
 from ordnmf.inference import FitConfig, fit
 from ordnmf.model import ThresholdSequence, log1mexp
-from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (ndcg_bruteforce, pmf_all, random_matrix,
                      random_state_like, top_m_bruteforce)
+from synthetic import default_thresholds, generate_dataset
 
 
 def ndcg_at_m(scores, train, test, threshold, list_length):
@@ -418,8 +418,9 @@ class TestPPC:
 
     def test_peak_memory_per_cell(self):
         # a chunk of a million cells holds its users and items as uint32
-        # (8 bytes per cell) and sub-blocks of SAMPLE_CELLS cells: ~11.2
-        # bytes per cell measured; six int64/float64 arrays of the chunk
+        # (8 bytes per cell) and sub-blocks of inference.blocks, of
+        # GATHER_CELLS cells: ~9.6 bytes per cell measured (11.2 in
+        # sub-blocks of 2^16 cells); six int64/float64 arrays of the chunk
         # (users, items, intensities, uniforms, cuts, classes) took ~56
         data = random_matrix(37, 23, 4, np.random.default_rng(30))
         state = random_state_like(data, 3, np.random.default_rng(31))

@@ -31,11 +31,11 @@ from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
                               update_rate_hyperparams, update_thresholds,
                               ztp_mean)
 from ordnmf.model import ThresholdSequence
-from ordnmf.synthetic import default_thresholds, generate_dataset
 
 from oracles import (dense, dense_iteration, expected_class, local_step,
                      random_matrix, random_state_like, threshold_objective,
                      widened, ztp_mean_series)
+from synthetic import default_thresholds, generate_dataset
 
 
 class TestZtpMean:
@@ -687,6 +687,25 @@ def test_fit_forms_two_entry_products_per_iteration(monkeypatch):
     assert res.iterations == 6
     # Lambda and the class sums' E[lambda], once more before the loop
     assert len(calls) == 2 * (res.iterations + 1)
+
+
+@pytest.mark.parametrize("width", [1, 7, inference.GATHER_CELLS + 3],
+                         ids=["entries", "rows-of-7", "rows-above-block"])
+@pytest.mark.parametrize("n", [0, 1, inference.GATHER_CELLS - 1,
+                               inference.GATHER_CELLS + 1],
+                         ids=["empty", "one", "block-less-one",
+                              "block-plus-one"])
+def test_blocks_cover_once_in_order(n, width):
+    step = max(1, inference.GATHER_CELLS // width)
+    slices = list(inference.blocks(n, width))
+    bounds = [(s.start, s.stop) for s in slices]
+    assert all(s.step is None for s in slices)
+    # contiguous from 0 to n, each full but the last, which is not empty
+    starts = [start for start, _ in bounds]
+    assert [0] + [stop for _, stop in bounds] == starts + [n]
+    assert all(stop - start == step for start, stop in bounds[:-1])
+    assert all(0 < stop - start <= step for start, stop in bounds[-1:])
+    assert len(slices) == -(-n // step)
 
 
 class TestEntryDot:
