@@ -8,7 +8,6 @@ Matrices are immutable after construction and safe for shared read access.
 """
 
 import functools
-import itertools
 import os
 import re
 import struct
@@ -172,11 +171,16 @@ class OrdinalMatrix:
         Both matrices are in CSR order, so that cell is also the first of
         other's entries that this matrix holds: the lookup runs in this
         matrix's table (see classes_at), which evaluate's ranking against
-        this, the test matrix, reuses."""
-        hit = np.flatnonzero(self.classes_at(other.rows, other.cols))
-        if hit.size == 0:
-            return None
-        return int(other.rows[hit[0]]), int(other.cols[hit[0]])
+        this, the test matrix, reuses.  other's entries are looked up a
+        block (inference.blocks) at a time, so the scratch is a block's."""
+        from .inference import blocks  # inference imports this module
+        for block in blocks(other.nnz):
+            hit = np.flatnonzero(self.classes_at(other.rows[block],
+                                                 other.cols[block]))
+            if hit.size:
+                at = block.start + int(hit[0])
+                return int(other.rows[at]), int(other.cols[at])
+        return None
 
     def save(self, path):
         """Write the versioned little-endian binary format, widening each
@@ -250,59 +254,79 @@ def load_triplets(path, delimiter=None, skip_header=False):
     tab, or the delimiter when one is given; each id is non-empty and holds
     no whitespace, no delimiter and no byte that is not UTF-8; the value is
     1 to 18 ASCII digits, the first not 0.  On such a line _parse_line's
-    decode, strip and split change nothing and it accepts the value, so
-    each stretch of clean lines is split in one pass.  Every other line
-    goes through _parse_line, so that every line is accepted or rejected
-    as _parse_line alone would.  No line is clean when the delimiter is
-    longer than one character, "\n", "\r" or an ASCII digit.
+    decode, strip and split change nothing and it accepts the value, so a
+    run's clean lines are split by numpy in one pass over their bytes.
+    Every other line goes through _parse_line, so that every line is
+    accepted or rejected as _parse_line alone would.  No line is clean when
+    the delimiter is longer than one character, "\n", "\r" or an ASCII
+    digit.
+
+    Each id, from either path, becomes an exact integer key of its UTF-8
+    bytes (see _IdKeys), and each side's indices come from one sort of its
+    keys at the end.  No line numbers are kept per entry: entry e is on
+    line e + (first line) + (blank lines before it), and only the blank
+    lines are recorded.  So the reader holds a few words per line: its
+    traced peak on 250k lines of 13 bytes is ~51 bytes per line.
     """
     clean = _clean_line(delimiter)
-    users, items = {}, {}  # id -> index, in first-appearance order
-    empty = np.zeros(0, dtype=np.int64)
-    parts, error = [(empty,) * 4], None  # (lines, rows, cols, values)
+    users, items = _IdKeys(), _IdKeys()
+    values, blank, error = [np.zeros(0, dtype=np.int64)], [], None
     with open(path, "rb") as fh:
         first_line = 1
         if skip_header:
             fh.readline()
             first_line = 2
+        base, entries = first_line, 0
         for first_line, data in _line_runs(fh, first_line):
-            lines, uids, iids, values, error = _parse_lines(
+            view, user, item, run_values, run_blank, error = _parse_lines(
                 data, clean, delimiter, path, first_line)
-            parts.append((lines, _index(users, uids), _index(items, iids),
-                          values))
+            users.add(view, *user)
+            items.add(view, *item)
+            values.append(run_values)
+            if run_blank:
+                blank.append(np.add(run_blank, entries))
+            entries += run_values.size
             if error is not None:
                 break
-    lines, rows, cols, values = map(np.concatenate, zip(*parts))
-    user_ids, item_ids = list(users), list(items)
+    values = np.concatenate(values)
+    rows, user_ids = users.indices()
+    cols, item_ids = items.indices()
     dup = _first_duplicate(rows, cols, len(item_ids))
     if dup is not None:
         # entries stop before a failing line, so this one comes first
-        raise ParseError(path, int(lines[dup]),
-                         f"duplicate entry for ({user_ids[rows[dup]]}, "
-                         f"{item_ids[cols[dup]]})")
+        line = base + dup + sum(np.count_nonzero(b <= dup) for b in blank)
+        raise ParseError(path, line, f"duplicate entry for "
+                                     f"({user_ids[rows[dup]]}, "
+                                     f"{item_ids[cols[dup]]})")
     if error is not None:
         raise error
     return RawTriplets(len(user_ids), len(item_ids), rows, cols, values,
                        user_ids, item_ids)
 
 
-# bytes read at a time; a run of lines takes memory in proportion, while
-# the whole file would take ~40 bytes per field in Python strings at once
-_RUN_BYTES = 1 << 18
+# bytes read at a time; a run's arrays take memory in proportion, and at
+# 64 KiB each numpy temporary of a run of short lines stays below glibc's
+# 128 KiB mmap threshold, so it reuses heap pages instead of faulting in
+# fresh ones
+_RUN_BYTES = 1 << 16
 
 
 def _line_runs(fh, first_line):
     """(number of its first line, bytes) of each run of whole lines in fh,
-    read _RUN_BYTES at a time; only the last may lack a final newline."""
-    rest = b""
+    read _RUN_BYTES at a time; only the last may lack a final newline.  A
+    line longer than a read is kept in pieces and joined once, so the time
+    is linear in its length."""
+    pieces = []
     while block := fh.read(_RUN_BYTES):
-        block = rest + block
         cut = block.rfind(b"\n") + 1
-        if cut:
-            yield first_line, block[:cut]
-            first_line += block.count(b"\n", 0, cut)
-        rest = block[cut:]
-    if rest:
+        if not cut:
+            pieces.append(block)
+            continue
+        run = b"".join([*pieces, block[:cut]])
+        yield first_line, run
+        first_line += run.count(b"\n")
+        pieces = [block[cut:]]
+    if rest := b"".join(pieces):
         yield first_line, rest
 
 
@@ -334,25 +358,30 @@ def _clean_line(delimiter):
     return re.compile(f"(?:{field}{sep}{field}{sep}[1-9][0-9]{{0,17}}\r?\n)*")
 
 
+_PAD = bytes(8)
+# _LOW[n]: the low n bytes of a little-endian word
+_LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_ZEROS = 0x3030303030303030  # eight ASCII "0"
+
+
 def _parse_lines(data, clean, delimiter, path, first_line):
-    """(line numbers, user ids, item ids, values, error) of data, whole
-    lines whose first is line first_line, in file order.  clean is
-    _clean_line(delimiter).  error is the ParseError of the first line
-    that fails, or None; the entries stop before that line."""
+    """(view, users, items, values, blank, error) of data, whole lines
+    whose first is line first_line, with one entry for each line that
+    holds one, in file order.  clean is _clean_line(delimiter).  view reads
+    the little-endian word at each byte of a buffer that holds the ids'
+    UTF-8 bytes between 8 NUL bytes at each end; users and items are the
+    (starts, lengths) of each entry's id in it.  blank is the number of
+    entries before each blank line.  error is the ParseError of the first
+    line that fails, or None; the entries stop before that line."""
     text = data.decode(errors="surrogateescape")
-    users, items, values, blank = [], [], [], []
-    pos, line, error = 0, first_line, None
+    stretches, parsed, blank = [], [], []  # parsed: (entry, uid, iid, value)
+    pos, line, n, error = 0, first_line, 0, None
     while pos < len(text):
         end = clean.match(text, pos).end()
-        if end > pos:  # split the stretch of clean lines in one pass
-            stretch = text[pos:end]
-            fields = (stretch.split() if delimiter is None
-                      else stretch.replace("\n", delimiter).split(delimiter))
-            n = len(fields) // 3
-            users += fields[0:3 * n:3]
-            items += fields[1:3 * n:3]
-            values += fields[2:3 * n:3]  # with the "\r" of a CRLF line
-            pos, line = end, line + n
+        if end > pos:  # a stretch of clean lines
+            stretches.append(text[pos:end])
+            count = text.count("\n", pos, end)
+            pos, line, n = end, line + count, n + count
             continue
         end = text.find("\n", pos) + 1 or len(text)
         try:
@@ -364,34 +393,226 @@ def _parse_lines(data, clean, delimiter, path, first_line):
             error = ParseError(path, line, exc)
             break
         if triplet is None:
-            blank.append(line - first_line)
+            blank.append(n)
         else:
-            users.append(triplet[0])
-            items.append(triplet[1])
-            values.append(str(triplet[2]))
+            parsed.append((n, *triplet))
+            n += 1
         pos, line = end, line + 1
-    # digits and "\r": the separator " " skips any whitespace
-    values = np.fromstring(" ".join(values), dtype=np.int64, sep=" ")
-    lines = np.delete(np.arange(first_line, line), blank)
-    return lines, users, items, values, error
+    lined = "".join(stretches).encode()
+    ids = [s.encode() for _, uid, iid, _ in parsed for s in (uid, iid)]
+    buf = b"".join([_PAD, lined, *ids, _PAD])
+    view = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    fields = (_split_clean(buf, view, len(lined), delimiter) if lined
+              else [np.zeros(0, dtype=np.int64)] * 5)
+    if parsed:  # merged with the clean lines' fields in file order
+        size = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        offset = 8 + len(lined) + np.cumsum(size) - size
+        entry, _, _, value = zip(*parsed)
+        is_parsed = np.zeros(n, dtype=bool)
+        is_parsed[list(entry)] = True
+        for k, own in enumerate([offset[0::2], size[0::2], offset[1::2],
+                                 size[1::2], np.array(value, np.int64)]):
+            merged = np.empty(n, dtype=np.int64)
+            merged[~is_parsed] = fields[k]
+            merged[is_parsed] = own
+            fields[k] = merged
+    return view, fields[0:2], fields[2:4], fields[4], blank, error
 
 
-def _index(position, ids):
-    """Index of each of ids in position, an id -> index dict in
-    first-appearance order that the ids not in it yet join."""
-    fresh = list(itertools.filterfalse(position.__contains__,
-                                       dict.fromkeys(ids)))
-    position.update(zip(fresh, itertools.count(len(position))))
-    return np.fromiter(map(position.__getitem__, ids), dtype=np.int64,
-                       count=len(ids))
+def _split_clean(buf, view, size, delimiter):
+    """[user starts, user lengths, item starts, item lengths, values] of
+    the clean lines in bytes 8 .. 8 + size of buf, which view reads (see
+    _parse_lines).  Ids hold no separator and no newline, so the last byte
+    of each separator and each newline mark three places a line."""
+    sep = (delimiter or " \t").encode()
+    width = 1 if delimiter is None else len(sep)
+    a = np.frombuffer(buf, np.uint8)
+    marks = a[8:8 + size] == 10
+    for tail in sep if delimiter is None else sep[-1:]:
+        marks |= a[8:8 + size] == tail
+    at = np.flatnonzero(marks) + 8
+    for back in range(1, width):  # a delimiter of several UTF-8 bytes
+        at = at[(a[at] == 10) | (a[at - back] == sep[-1 - back])]
+    at = at.reshape(-1, 3)
+    users = np.concatenate(([8], at[:-1, 2] + 1))
+    ends = at[:, 2] - (a[at[:, 2] - 1] == 13)  # before a CRLF line's "\r"
+    return [users, at[:, 0] - width + 1 - users, at[:, 0] + 1,
+            at[:, 1] - width - at[:, 0],
+            _digits(view, ends, ends - at[:, 1] - 1)]
+
+
+def _digits(view, ends, lengths):
+    """int64 value of each run of lengths[k] (1 to 18) ASCII digits that
+    ends before byte ends[k] of view's buffer, which holds 8 bytes before
+    them: eight digits per word, by SWAR (Lemire, "Fast integer parsing",
+    2018), with the digits before a short run's first taken as "0"."""
+    values = np.zeros(ends.size, dtype=np.uint64)
+    for chunk in range((int(lengths.max(initial=0)) + 7) // 8):
+        low = _LOW[8 - np.clip(lengths - 8 * chunk, 0, 8)]
+        w = view[np.maximum(ends - 8 * chunk - 8, 0)]
+        w = (w & ~low | _ZEROS & low) - _ZEROS  # a digit in each byte
+        w = w * 10 + (w >> 8)  # two-digit numbers in bytes 0, 2, 4, 6
+        w = ((w & 0xFF000000FF) * (100 + (1000000 << 32))
+             + (w >> 16 & 0xFF000000FF) * (1 + (10000 << 32))) >> 32
+        values += w * 10 ** (8 * chunk)
+    return values.view(np.int64)
+
+
+class _IdKeys:
+    """One side's ids as exact integer keys, in entry order, then their
+    first-appearance indices.
+
+    An id of L UTF-8 bytes is W = L // 8 + 1 little-endian uint64 words:
+    L % 8 in the low byte, then its bytes, then NUL padding, so that ids
+    that differ only by trailing NULs (a and a\0) differ in length.  An id
+    of at most 7 bytes (W = 1) is its own key.  A wider id's key is
+    (slot << 8) | 0xFF, which no narrow key is (their low byte is at most
+    7): a slot stands for equal neighbours among one run's ids of width W
+    (a user's lines, in a file grouped by user), whose words are kept with
+    the other slots of that width, so no key is wider than one word and a
+    long id widens only its own width's rows.  At the end, the slots of
+    one id take its number among the wide ids (_merge_slots).
+    """
+
+    def __init__(self):
+        self.keys = [np.zeros(0, dtype=np.uint64)]  # an array per run
+        self.wide = {}  # W -> [(words of a run's slots, its first slot)]
+        self.n_slots = 0
+
+    def add(self, view, starts, lengths):
+        """Key the ids at (starts, lengths) in view's buffer."""
+        keys = view[starts] & _LOW[np.minimum(lengths, 7)]
+        keys <<= 8
+        keys |= (lengths & 7).astype(np.uint64)
+        self.keys.append(keys)
+        at = np.flatnonzero(lengths >= 8)
+        if at.size == 0:
+            return
+        # the wide ids by width, each a row of its W words, one row after
+        # another, whatever the widths: word j > 0 holds id bytes 8j - 1 ..
+        # 8j + 6, and only the last is partial
+        at = at[np.argsort(lengths[at] // 8, kind="stable")]
+        width = lengths[at] // 8 + 1
+        end = np.cumsum(width)
+        row = end - width
+        words = view[np.repeat(starts[at] - 1 - 8 * row, width)
+                     + np.arange(0, 8 * end[-1], 8)]
+        words[row] = keys[at]
+        words[end - 1] &= _LOW[lengths[at] - 8 * width + 9]
+        # a row equal to the one before it, of the same width, shares its
+        # slot; each width's slots are consecutive
+        fresh = ~np.logical_and.reduceat(
+            words == words[np.arange(end[-1]) - np.repeat(width, width)], row)
+        fresh[1:] |= width[1:] != width[:-1]
+        fresh[0] = True
+        slot = np.cumsum(fresh) + (self.n_slots - 1)
+        keys[at] = slot.astype(np.uint64) << 8 | 0xFF
+        words, width = words[np.repeat(fresh, width)], width[fresh]
+        bounds = (np.flatnonzero(width[1:] != width[:-1]) + 1).tolist()
+        offset = 0
+        for first, last in zip([0, *bounds], [*bounds, width.size]):
+            w = int(width[first])
+            self.wide.setdefault(w, []).append((words[
+                offset:offset + (last - first) * w].reshape(-1, w),
+                self.n_slots + first))
+            offset += (last - first) * w
+        self.n_slots += width.size
+
+    def indices(self):
+        """(int64 index of each entry's id, the ids in first-appearance
+        order), from one sort of the keys; each id is decoded once."""
+        keys = np.concatenate(self.keys)
+        self.keys.clear()
+        wide_ids = self._merge_slots(keys)
+        order, firsts = _equal_runs(keys[:, None])
+        first = np.minimum.reduceat(order, firsts)  # entry of each id
+        rank = np.argsort(first)
+        heads = keys[first[rank]]
+        narrow = (heads & 0xFF) != 0xFF
+        ids = np.empty(heads.size, dtype=object)
+        ids[narrow] = _decode(heads[narrow, None])
+        ids[~narrow] = wide_ids[heads[~narrow] >> 8]
+        index = np.empty(rank.size, dtype=np.int64)
+        index[rank] = np.arange(rank.size)
+        rows = keys.view(np.int64)  # the keys are no longer needed
+        rows[order] = np.repeat(index, np.diff(firsts, append=order.size))
+        return rows, ids.tolist()
+
+    def _merge_slots(self, keys):
+        """The distinct wide ids; the key of each slot in keys becomes the
+        number of its id among them, in place of its slot."""
+        number = np.empty(self.n_slots, dtype=np.uint64)
+        wide_ids = []
+        while self.wide:
+            parts = self.wide.popitem()[1]
+            slots = np.concatenate([np.arange(s, s + w.shape[0]) for w, s
+                                    in parts])
+            words = np.concatenate([w for w, _ in parts])
+            del parts
+            order, firsts = _equal_runs(words)
+            number[slots[order]] = np.repeat(np.arange(
+                len(wide_ids), len(wide_ids) + firsts.size, dtype=np.uint64),
+                np.diff(firsts, append=order.size))
+            wide_ids += _decode(words[order[firsts]])
+        if wide_ids:
+            wide = (keys & 0xFF) == 0xFF
+            keys[wide] = number[keys[wide] >> 8] << 8 | 0xFF
+        return np.array(wide_ids, dtype=object)
+
+
+_MIX = 0x9E3779B97F4A7C15  # odd: 2^64 / golden ratio
+
+
+def _equal_runs(rows):
+    """(order, firsts): an order that puts equal rows of a 2-d uint64
+    array next to each other, and where in it each run of equal rows
+    begins.  Rows of several words are sorted by a polynomial hash of
+    their words, and by lexsort only when two unequal rows share a hash."""
+    if rows.shape[1] == 1:
+        order = np.argsort(rows[:, 0])
+    else:
+        h = np.zeros(rows.shape[0], dtype=np.uint64)
+        for column in rows.T:
+            h += column
+            h *= _MIX
+        order = np.argsort(h)
+        h = h[order]
+    change = _unequal_neighbours(rows[order])
+    if rows.shape[1] > 1 and np.any(change & (h[1:] == h[:-1])):
+        order = np.lexsort(rows.T)
+        change = _unequal_neighbours(rows[order])
+    return order, np.flatnonzero(np.concatenate(([rows.size > 0], change)))
+
+
+def _unequal_neighbours(rows):
+    """Whether each row of a C-contiguous 2-d uint64 array differs from the
+    next, compared as one word or as one block of bytes."""
+    width = rows.shape[1]
+    blocks = rows.view(np.dtype((np.void, 8 * width)) if width > 1
+                       else rows.dtype)
+    return blocks[1:, 0] != blocks[:-1, 0]
+
+
+def _decode(words):
+    """The ids whose key words (see _IdKeys) are the rows of words: each
+    row's bytes after its length byte, up to its length, decoded at once
+    with a newline before each, which no id holds."""
+    width = 8 * words.shape[1]
+    raw = words.astype("<u8").view(np.uint8).reshape(-1, width)
+    length = width - 8 + (raw[:, 0].astype(np.int64) & 7)
+    raw[:, 0] = 10
+    keep = np.arange(width) <= length[:, None]
+    return raw[keep].tobytes().decode().split("\n")[1:]
 
 
 def _first_duplicate(rows, cols, n_items):
     """Position of the first entry whose (row, col) an earlier entry holds;
     None when all pairs are distinct."""
     key = _cell_keys(rows, cols, n_items)
-    if not np.any(np.diff(np.sort(key)) == 0):
+    key.sort()
+    if not np.any(key[1:] == key[:-1]):
         return None
+    key = _cell_keys(rows, cols, n_items)
     order = np.argsort(key, kind="stable")
     key = key[order]
     return int(order[1:][key[1:] == key[:-1]].min())

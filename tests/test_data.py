@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ordnmf import data as data_module
+from ordnmf import inference
 from ordnmf.data import (OrdinalMatrix, RawTriplets, entry_dtype,
                          load_triplets, quantize_counts, train_test_split,
                          write_index_map)
@@ -30,11 +32,19 @@ FIELD = (st.lists(st.sampled_from(FIELD_PIECES), max_size=4).map(b"".join)
              lambda n: str(n).encode())
          | st.floats().map(lambda x: repr(x).encode()))
 # fields of lines the bulk reader splits itself: a few ids, so that pairs
-# repeat, some of them not ASCII, and values of up to 20 digits, so that
-# some exceed its 18; an empty id and some values need the per-line parse
-CLEAN_ID = (st.sampled_from([b"a", b"b", b"u1", b"", "\u00e9".encode()])
-            | st.text("ab1_-.+\u00e9\u20ac", min_size=1, max_size=3).map(
-                str.encode))
+# repeat, some of them not ASCII, some holding NUL, some of 7-9 and 15-17
+# bytes, at the edges of one- and two-word keys, and values of up to 20
+# digits, so that some exceed its 18; an empty id and some values need the
+# per-line parse
+CLEAN_ID = (st.sampled_from([b"a", b"b", b"u1", b"", "\u00e9".encode(),
+                             b"a\x00", b"abcdefg", b"abcdefg\x00",
+                             b"abcdefgh", b"abcdefgh\x00",
+                             b"abcdefghijklmnop", b"abcdefghijklmnop\x00"])
+            | st.text("ab1_-.+\u00e9\u20ac\x00", min_size=1, max_size=3).map(
+                str.encode)
+            | st.sampled_from([7, 8, 9, 15, 16, 17]).flatmap(
+                lambda n: st.lists(st.sampled_from([b"a", b"\x00"]),
+                                   min_size=n, max_size=n).map(b"".join)))
 CLEAN_VALUE = (st.integers(1, 10**20).map(lambda n: str(n).encode())
                | st.sampled_from([b"0", b"00", b"007", b"10",
                                   b"999999999999999999",
@@ -226,7 +236,7 @@ class TestLoadTriplets:
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
     @given(st.data(), st.sampled_from(DELIMITERS), st.booleans(),
-           st.sampled_from([1 << 18, 7]))
+           st.sampled_from([data_module._RUN_BYTES, 7]))
     def test_matches_line_by_line_oracle(self, tmp_path, data, delimiter,
                                          skip_header, run_bytes):
         """Clean lines, clean lines with a stray byte, the fuzz lines, CRLF
@@ -334,6 +344,120 @@ class TestLoadTriplets:
             t = load_triplets(p, delimiter=delimiter)
             assert t.item_ids == ["x", "y"] and t.counts.tolist() == [3, 4]
         assert calls == []
+
+    @pytest.mark.parametrize("delimiter", [",", "\u00a7"])
+    def test_id_from_clean_and_parsed_lines_is_one(self, tmp_path,
+                                                    delimiter):
+        # the "3.0" lines take _parse_line, the others are clean; a short
+        # and a long id reach the reader both ways
+        wide = "w" * 20
+        lines = ["u1,i1,3.0", "u1,i2,4", f"{wide},i1,2.0", f"{wide},i3,5",
+                 f"{wide},i2,6"]
+        p = tmp_path / "t.csv"
+        p.write_text("".join(line.replace(",", delimiter) + "\n"
+                             for line in lines), encoding="utf-8")
+        t = load_triplets(p, delimiter=delimiter)
+        assert t.user_ids == ["u1", wide]
+        assert t.rows.tolist() == [0, 0, 1, 1, 1]
+        assert t.item_ids == ["i1", "i2", "i3"]
+        assert t.cols.tolist() == [0, 1, 0, 2, 1]
+        assert t.counts.tolist() == [3, 4, 2, 5, 6]
+        assert self.outcome(load_triplets, p, delimiter=delimiter) == (
+            self.outcome(load_triplets_by_line, p, delimiter=delimiter))
+
+    @pytest.mark.parametrize("mix", [data_module._MIX, 0],
+                             ids=["hashed", "all-colliding"])
+    def test_wide_ids_match_oracle_when_hashes_collide(self, tmp_path,
+                                                       monkeypatch, mix):
+        # with a zero multiplier every row of words hashes to 0, so the
+        # grouping of wide ids must fall back to its exact sort
+        monkeypatch.setattr(data_module, "_MIX", mix)
+        monkeypatch.setattr(data_module, "_RUN_BYTES", 64)
+        rng = np.random.default_rng(4)
+        pool = [bytes(rng.choice(list(b"ab\x00"), size=n)).decode()
+                for n in rng.integers(5, 30, size=40)]
+        lines = {(rng.choice(pool), rng.choice(pool)): n + 1
+                 for n in range(300)}
+        p = tmp_path / "wide.csv"
+        p.write_text("".join(f"{u},{i},{c}\n" for (u, i), c in lines.items()))
+        got = self.outcome(load_triplets, p, delimiter=",")
+        assert got == self.outcome(load_triplets_by_line, p, delimiter=",")
+        assert got[0] > 20 and got[1] > 20  # many wide ids, some repeated
+
+    def test_wide_ids_of_other_widths_never_share_a_slot(self, tmp_path):
+        # sorted by width, a run's wide users are B (8 bytes), A and C (16
+        # bytes each); A's words equal the three words before it, B's two
+        # and C's last, so only its width tells A from a repeat of B
+        b, a, c = b"bcdefghi", b"\x00" * 8 + b"bcdefghi", b"c" * 15 + b"\x00"
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"".join(u + b",x,1\n" for u in (b, a, c)))
+        got = self.outcome(load_triplets, p, delimiter=",")
+        assert got == self.outcome(load_triplets_by_line, p, delimiter=",")
+        assert got[0] == 3
+
+    @staticmethod
+    def traced_peak(path, **kwargs):
+        tracemalloc.start()
+        try:
+            t = load_triplets(path, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, t
+
+    def test_peak_per_line_on_benchmark_shape(self, tmp_path):
+        # 250k shuffled lines u<n>,i<n>,<count> of 25k users and 5k items,
+        # the shape of the benchmark's ingestion workload
+        rng = np.random.default_rng(0)
+        n, n_users, n_items = 250_000, 25_000, 5_000
+        cells = rng.permutation(np.unique(rng.integers(
+            0, n_users * n_items, size=n + n // 50))[:n])
+        counts = np.minimum(rng.zipf(1.7, size=n), 1_000_000)
+        p = tmp_path / "bench.csv"
+        p.write_text("".join(
+            f"u{u},i{i},{c}\n" for u, i, c in zip(
+                (cells // n_items).tolist(), (cells % n_items).tolist(),
+                counts.tolist())))
+        peak, t = self.traced_peak(p, delimiter=",")
+        assert t.counts.size == n
+        assert peak / n <= 90
+
+    def test_long_id_does_not_widen_every_key(self, tmp_path):
+        # one 1000-byte id among 100k short ones costs its own words only
+        lines = [f"u{n % 5000},i{n % 1009},{n % 50 + 1}\n"
+                 for n in range(100_000)]
+        p = tmp_path / "t.csv"
+        peaks = []
+        for extra in ([], ["x" * 1000 + ",i0,1\n"]):
+            p.write_text("".join(lines[:500] + extra + lines[500:]))
+            peak, t = self.traced_peak(p, delimiter=",")
+            peaks.append(peak)
+        assert t.user_ids[500] == "x" * 1000
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_line_runs_linear_in_longest_line(self, tmp_path, monkeypatch):
+        # a file without a newline: its pieces are joined once, so reading
+        # it takes about as long as reading a file of short lines
+        monkeypatch.setattr(data_module, "_RUN_BYTES", 4096)
+        size = 8 << 20
+        one = tmp_path / "one.txt"
+        one.write_bytes(b"x" * size)
+        many = tmp_path / "many.txt"
+        many.write_bytes((b"x" * 99 + b"\n") * (size // 100))
+
+        def seconds(path):
+            best = float("inf")
+            for _ in range(3):
+                start = time.process_time()
+                with open(path, "rb") as fh:
+                    runs = list(data_module._line_runs(fh, 1))
+                best = min(best, time.process_time() - start)
+            return best, runs
+
+        (long_s, runs), (short_s, _) = seconds(one), seconds(many)
+        assert [(first, len(run)) for first, run in runs] == [(1, size)]
+        # copying the growing remainder on every read takes ~100x as long
+        assert long_s <= 10 * short_s + 0.05
 
     def test_whitespace_class_is_str_isspace(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -678,14 +802,35 @@ class TestOrdinalMatrix:
         assert theirs.first_shared_entry(mine) == (n - 1, n - 1)
 
     @settings(max_examples=200, deadline=None)
-    @given(matrix_pairs())
-    def test_first_shared_entry_matches_bruteforce(self, pair):
+    @given(matrix_pairs(), st.sampled_from([inference.GATHER_CELLS, 3]))
+    def test_first_shared_entry_matches_bruteforce(self, pair, block):
+        # 3-entry blocks put the first shared entry in any block
         mine, theirs = pair
         shared = first_shared_bruteforce(mine, theirs)
-        assert mine.first_shared_entry(theirs) == shared
-        # the same with int64 entry arrays on either side
-        assert widened(mine).first_shared_entry(theirs) == shared
-        assert mine.first_shared_entry(widened(theirs)) == shared
+        with mock.patch.object(inference, "GATHER_CELLS", block):
+            assert mine.first_shared_entry(theirs) == shared
+            # the same with int64 entry arrays on either side
+            assert widened(mine).first_shared_entry(theirs) == shared
+            assert mine.first_shared_entry(widened(theirs)) == shared
+
+    def test_first_shared_entry_scratch_is_a_block(self):
+        # 400k entries of other, none shared, are looked up a block at a
+        # time: beyond the table it keeps, the lookup's peak is a block's,
+        # where all at once it would be ~29 bytes per entry, 11.6 MB
+        rng = np.random.default_rng(5)
+        n_users = n_items = 2000
+        cells = np.sort(rng.choice(n_users * n_items, 500_000, replace=False))
+        mine, theirs = (OrdinalMatrix(n_users, n_items, 1, part // n_items,
+                                      part % n_items, np.ones_like(part))
+                        for part in (cells[::5], np.delete(cells, np.s_[::5])))
+        mine.classes_at(0, 0)  # builds the kept table
+        tracemalloc.start()
+        try:
+            assert mine.first_shared_entry(theirs) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * inference.GATHER_CELLS
 
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

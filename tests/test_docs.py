@@ -46,13 +46,13 @@ def test_module_references_resolve(path):
 def test_stated_block_sizes_match_constants():
     # "`module.NAME` = 2^N": a retuned block size must change the text too,
     # and every block size (a *_CELLS constant) of every module of the
-    # package must be stated
+    # package, and the triplet reader's run size, must be stated
     stated = re.findall(r"`(\w+)\.([A-Z_]+)` = 2\^(\d+)", README.read_text())
     blocks = {f"{module.name}.{name}"
               for module in pkgutil.iter_modules(ordnmf.__path__)
               for name in vars(importlib.import_module(
                   f"ordnmf.{module.name}"))
-              if re.fullmatch(r"[A-Z_]+_CELLS", name)}
+              if re.fullmatch(r"[A-Z_]+_CELLS", name)} | {"data._RUN_BYTES"}
     assert {"evaluation.BLOCK_CELLS", "inference.DENSE_CELLS",
             "inference.GATHER_CELLS"} <= blocks
     assert {f"{module}.{name}" for module, name, _ in stated} >= blocks
