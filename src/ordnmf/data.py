@@ -261,12 +261,14 @@ def load_triplets(path, delimiter=None, skip_header=False):
     the delimiter is longer than one character, "\n", "\r" or an ASCII
     digit.
 
-    Each id, from either path, becomes an exact integer key of its UTF-8
-    bytes (see _IdKeys), and each side's indices come from one sort of its
-    keys at the end.  No line numbers are kept per entry: entry e is on
-    line e + (first line) + (blank lines before it), and only the blank
-    lines are recorded.  So the reader holds a few words per line: its
-    traced peak on 250k lines of 13 bytes is ~51 bytes per line.
+    Each id, from either path, becomes a one-word integer key (see
+    _IdKeys), and each side's indices, in entry_dtype of its number of ids,
+    come from one sort of its keys at the end.  No line numbers are kept
+    per entry: entry e is on line e + (first line) + (blank lines before
+    it), and only the blank lines are recorded.  So the reader holds a few
+    words per line and each distinct id over 7 bytes once: its traced peak
+    is ~43 bytes per line on 250k lines of 13 bytes, and 53-62 on lines of
+    the Taste Profile's 40- and 18-byte ids.
     """
     clean = _clean_line(delimiter)
     users, items = _IdKeys(), _IdKeys()
@@ -462,22 +464,17 @@ class _IdKeys:
     """One side's ids as exact integer keys, in entry order, then their
     first-appearance indices.
 
-    An id of L UTF-8 bytes is W = L // 8 + 1 little-endian uint64 words:
-    L % 8 in the low byte, then its bytes, then NUL padding, so that ids
-    that differ only by trailing NULs (a and a\0) differ in length.  An id
-    of at most 7 bytes (W = 1) is its own key.  A wider id's key is
-    (slot << 8) | 0xFF, which no narrow key is (their low byte is at most
-    7): a slot stands for equal neighbours among one run's ids of width W
-    (a user's lines, in a file grouped by user), whose words are kept with
-    the other slots of that width, so no key is wider than one word and a
-    long id widens only its own width's rows.  At the end, the slots of
-    one id take its number among the wide ids (_merge_slots).
+    An id of at most 7 UTF-8 bytes is its own key: its length in the low
+    byte, then its bytes, so that ids that differ only by trailing NULs (a
+    and a\0) differ.  A wider id is numbered by one dict of its bytes, in
+    first-seen order, and its key is (number << 8) | 0xFF, which no short
+    key is (their low byte is at most 7); so every key is one word, and a
+    long id costs only its own bytes, once per distinct id.
     """
 
     def __init__(self):
         self.keys = [np.zeros(0, dtype=np.uint64)]  # an array per run
-        self.wide = {}  # W -> [(words of a run's slots, its first slot)]
-        self.n_slots = 0
+        self.wide = {}  # bytes of each distinct wide id -> its number
 
     def add(self, view, starts, lengths):
         """Key the ids at (starts, lengths) in view's buffer."""
@@ -486,122 +483,52 @@ class _IdKeys:
         keys |= (lengths & 7).astype(np.uint64)
         self.keys.append(keys)
         at = np.flatnonzero(lengths >= 8)
-        if at.size == 0:
-            return
-        # the wide ids by width, each a row of its W words, one row after
-        # another, whatever the widths: word j > 0 holds id bytes 8j - 1 ..
-        # 8j + 6, and only the last is partial
-        at = at[np.argsort(lengths[at] // 8, kind="stable")]
-        width = lengths[at] // 8 + 1
-        end = np.cumsum(width)
-        row = end - width
-        words = view[np.repeat(starts[at] - 1 - 8 * row, width)
-                     + np.arange(0, 8 * end[-1], 8)]
-        words[row] = keys[at]
-        words[end - 1] &= _LOW[lengths[at] - 8 * width + 9]
-        # a row equal to the one before it, of the same width, shares its
-        # slot; each width's slots are consecutive
-        fresh = ~np.logical_and.reduceat(
-            words == words[np.arange(end[-1]) - np.repeat(width, width)], row)
-        fresh[1:] |= width[1:] != width[:-1]
-        fresh[0] = True
-        slot = np.cumsum(fresh) + (self.n_slots - 1)
-        keys[at] = slot.astype(np.uint64) << 8 | 0xFF
-        words, width = words[np.repeat(fresh, width)], width[fresh]
-        bounds = (np.flatnonzero(width[1:] != width[:-1]) + 1).tolist()
-        offset = 0
-        for first, last in zip([0, *bounds], [*bounds, width.size]):
-            w = int(width[first])
-            self.wide.setdefault(w, []).append((words[
-                offset:offset + (last - first) * w].reshape(-1, w),
-                self.n_slots + first))
-            offset += (last - first) * w
-        self.n_slots += width.size
+        if at.size:
+            wide, buf = self.wide, view.base
+            first = starts[at]
+            numbers = [wide.setdefault(buf[s:e], len(wide)) for s, e in zip(
+                first.tolist(), (first + lengths[at]).tolist())]
+            keys[at] = np.array(numbers, dtype=np.uint64) << 8 | 0xFF
 
     def indices(self):
-        """(int64 index of each entry's id, the ids in first-appearance
-        order), from one sort of the keys; each id is decoded once."""
+        """(index of each entry's id, in entry_dtype of the number of ids,
+        and the ids in first-appearance order), from one sort of the keys;
+        each id is decoded once, and each wide id's bytes are freed as its
+        str is made."""
+        wide_ids = []  # decoded before the sort: only the keys are held
+        while self.wide:  # last in first out
+            wide_ids.append(self.wide.popitem()[0].decode())
+        self.wide = {}  # frees the emptied table
+        wide_ids = np.array(wide_ids[::-1], dtype=object)
         keys = np.concatenate(self.keys)
         self.keys.clear()
-        wide_ids = self._merge_slots(keys)
-        order, firsts = _equal_runs(keys[:, None])
+        order = np.argsort(keys)
+        keys = keys[order]
+        firsts = np.flatnonzero(np.concatenate(
+            ([keys.size > 0], keys[1:] != keys[:-1])))
         first = np.minimum.reduceat(order, firsts)  # entry of each id
         rank = np.argsort(first)
-        heads = keys[first[rank]]
+        heads = keys[firsts[rank]]
+        del keys
         narrow = (heads & 0xFF) != 0xFF
         ids = np.empty(heads.size, dtype=object)
-        ids[narrow] = _decode(heads[narrow, None])
+        ids[narrow] = _decode(heads[narrow])
         ids[~narrow] = wide_ids[heads[~narrow] >> 8]
-        index = np.empty(rank.size, dtype=np.int64)
+        index = np.empty(rank.size, dtype=entry_dtype(rank.size))
         index[rank] = np.arange(rank.size)
-        rows = keys.view(np.int64)  # the keys are no longer needed
+        rows = np.empty(order.size, dtype=index.dtype)
         rows[order] = np.repeat(index, np.diff(firsts, append=order.size))
         return rows, ids.tolist()
 
-    def _merge_slots(self, keys):
-        """The distinct wide ids; the key of each slot in keys becomes the
-        number of its id among them, in place of its slot."""
-        number = np.empty(self.n_slots, dtype=np.uint64)
-        wide_ids = []
-        while self.wide:
-            parts = self.wide.popitem()[1]
-            slots = np.concatenate([np.arange(s, s + w.shape[0]) for w, s
-                                    in parts])
-            words = np.concatenate([w for w, _ in parts])
-            del parts
-            order, firsts = _equal_runs(words)
-            number[slots[order]] = np.repeat(np.arange(
-                len(wide_ids), len(wide_ids) + firsts.size, dtype=np.uint64),
-                np.diff(firsts, append=order.size))
-            wide_ids += _decode(words[order[firsts]])
-        if wide_ids:
-            wide = (keys & 0xFF) == 0xFF
-            keys[wide] = number[keys[wide] >> 8] << 8 | 0xFF
-        return np.array(wide_ids, dtype=object)
 
-
-_MIX = 0x9E3779B97F4A7C15  # odd: 2^64 / golden ratio
-
-
-def _equal_runs(rows):
-    """(order, firsts): an order that puts equal rows of a 2-d uint64
-    array next to each other, and where in it each run of equal rows
-    begins.  Rows of several words are sorted by a polynomial hash of
-    their words, and by lexsort only when two unequal rows share a hash."""
-    if rows.shape[1] == 1:
-        order = np.argsort(rows[:, 0])
-    else:
-        h = np.zeros(rows.shape[0], dtype=np.uint64)
-        for column in rows.T:
-            h += column
-            h *= _MIX
-        order = np.argsort(h)
-        h = h[order]
-    change = _unequal_neighbours(rows[order])
-    if rows.shape[1] > 1 and np.any(change & (h[1:] == h[:-1])):
-        order = np.lexsort(rows.T)
-        change = _unequal_neighbours(rows[order])
-    return order, np.flatnonzero(np.concatenate(([rows.size > 0], change)))
-
-
-def _unequal_neighbours(rows):
-    """Whether each row of a C-contiguous 2-d uint64 array differs from the
-    next, compared as one word or as one block of bytes."""
-    width = rows.shape[1]
-    blocks = rows.view(np.dtype((np.void, 8 * width)) if width > 1
-                       else rows.dtype)
-    return blocks[1:, 0] != blocks[:-1, 0]
-
-
-def _decode(words):
-    """The ids whose key words (see _IdKeys) are the rows of words: each
-    row's bytes after its length byte, up to its length, decoded at once
+def _decode(keys):
+    """The ids of at most 7 bytes whose keys (see _IdKeys) are keys: each
+    key's bytes after its length byte, up to its length, decoded at once
     with a newline before each, which no id holds."""
-    width = 8 * words.shape[1]
-    raw = words.astype("<u8").view(np.uint8).reshape(-1, width)
-    length = width - 8 + (raw[:, 0].astype(np.int64) & 7)
+    raw = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    length = raw[:, 0].astype(np.int64)
     raw[:, 0] = 10
-    keep = np.arange(width) <= length[:, None]
+    keep = np.arange(8) <= length[:, None]
     return raw[keep].tobytes().decode().split("\n")[1:]
 
 
@@ -684,7 +611,8 @@ def quantize_counts(triplets, boundaries=None):
 
 
 def write_index_map(path, ids):
-    with open(path, "w") as fh:
+    """One "id<TAB>index" line per id, in UTF-8 as load_triplets reads."""
+    with open(path, "w", encoding="utf-8") as fh:
         for idx, orig in enumerate(ids):
             fh.write(f"{orig}\t{idx}\n")
 

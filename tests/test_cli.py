@@ -330,6 +330,25 @@ class TestPipeline:
 
 
 class TestErrorHandling:
+    def test_index_maps_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the ids are read as UTF-8, so the maps are written as UTF-8 too,
+        # not in the C locale's ASCII
+        triplets = tmp_path / "t.csv"
+        triplets.write_bytes("\u00e9\u20ac,x,3\n".encode())
+        out = tmp_path / "m.ordmat"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "ordnmf.cli", "quantize", "--input",
+             str(triplets), "--output", str(out), "--delimiter", ","],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "m.ordmat.users").read_bytes() == (
+            "\u00e9\u20ac\t0\n".encode())
+        assert (tmp_path / "m.ordmat.items").read_bytes() == b"x\t0\n"
+
     def test_missing_input_nonzero_exit(self, tmp_path, capsys):
         out = tmp_path / "x.ordmat"
         assert run("quantize", "--input", tmp_path / "nope.csv",

@@ -117,6 +117,11 @@ def first_shared_bruteforce(mine, theirs):
 
 
 class TestLoadTriplets:
+    # bytes per line of the reader's traced peak on a file of short ids of
+    # the benchmark's shape, and on one of the Taste Profile's wide ids
+    PEAK_PER_LINE = 90
+    WIDE_PEAK_PER_LINE = 90
+
     def test_readback(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,x,3\na,y,1\nb,x,2\n")
@@ -229,7 +234,10 @@ class TestLoadTriplets:
             t = load(path, **kwargs)
         except ParseError as exc:
             return str(exc), exc.line_number
-        assert t.rows.dtype == t.cols.dtype == t.counts.dtype == np.int64
+        assert t.counts.dtype == np.int64
+        if load is load_triplets:
+            assert t.rows.dtype == entry_dtype(t.n_users)
+            assert t.cols.dtype == entry_dtype(t.n_items)
         return (t.n_users, t.n_items, t.rows.tolist(), t.cols.tolist(),
                 t.counts.tolist(), t.user_ids, t.item_ids)
 
@@ -365,35 +373,37 @@ class TestLoadTriplets:
         assert self.outcome(load_triplets, p, delimiter=delimiter) == (
             self.outcome(load_triplets_by_line, p, delimiter=delimiter))
 
-    @pytest.mark.parametrize("mix", [data_module._MIX, 0],
-                             ids=["hashed", "all-colliding"])
-    def test_wide_ids_match_oracle_when_hashes_collide(self, tmp_path,
-                                                       monkeypatch, mix):
-        # with a zero multiplier every row of words hashes to 0, so the
-        # grouping of wide ids must fall back to its exact sort
-        monkeypatch.setattr(data_module, "_MIX", mix)
+    @pytest.mark.parametrize("case", ["nul-pool", "8-and-16-byte-ids",
+                                      "all-distinct-items"])
+    def test_wide_ids_match_oracle(self, tmp_path, monkeypatch, case):
+        # 64-byte reads, so that most wide ids recur in later runs
         monkeypatch.setattr(data_module, "_RUN_BYTES", 64)
         rng = np.random.default_rng(4)
-        pool = [bytes(rng.choice(list(b"ab\x00"), size=n)).decode()
-                for n in rng.integers(5, 30, size=40)]
-        lines = {(rng.choice(pool), rng.choice(pool)): n + 1
-                 for n in range(300)}
+        if case == "nul-pool":
+            # ids of 5-29 bytes of a, b and NUL: most wide, many repeated
+            pool = [bytes(rng.choice(list(b"ab\x00"), size=n)).decode()
+                    for n in rng.integers(5, 30, size=40)]
+            lines = {(rng.choice(pool), rng.choice(pool)): n + 1
+                     for n in range(300)}
+        elif case == "8-and-16-byte-ids":
+            # ids of 8 and 16 bytes that share words: B is A's last 8
+            # bytes, A starts with 8 NULs and C ends with one
+            b, a, c = "bcdefghi", "\x00" * 8 + "bcdefghi", "c" * 15 + "\x00"
+            lines = {(u, "x"): 1 for u in (b, a, c)}
+        else:
+            # e-mail-like users, some repeated, and a distinct URL-like item
+            # of 8 to 53 bytes on every line, some not ASCII
+            users = [f"{'u' * n}@example.org" for n in range(1, 40)]
+            paths = ["p" * (n % 40) + "\u00e9" * (n % 3) for n in range(300)]
+            lines = {(rng.choice(users), f"/item/{path}/{n}"): n % 7 + 1
+                     for n, path in enumerate(paths)}
         p = tmp_path / "wide.csv"
-        p.write_text("".join(f"{u},{i},{c}\n" for (u, i), c in lines.items()))
+        p.write_text("".join(f"{u},{i},{c}\n" for (u, i), c in lines.items()),
+                     encoding="utf-8")
         got = self.outcome(load_triplets, p, delimiter=",")
         assert got == self.outcome(load_triplets_by_line, p, delimiter=",")
-        assert got[0] > 20 and got[1] > 20  # many wide ids, some repeated
-
-    def test_wide_ids_of_other_widths_never_share_a_slot(self, tmp_path):
-        # sorted by width, a run's wide users are B (8 bytes), A and C (16
-        # bytes each); A's words equal the three words before it, B's two
-        # and C's last, so only its width tells A from a repeat of B
-        b, a, c = b"bcdefghi", b"\x00" * 8 + b"bcdefghi", b"c" * 15 + b"\x00"
-        p = tmp_path / "t.csv"
-        p.write_bytes(b"".join(u + b",x,1\n" for u in (b, a, c)))
-        got = self.outcome(load_triplets, p, delimiter=",")
-        assert got == self.outcome(load_triplets_by_line, p, delimiter=",")
-        assert got[0] == 3
+        assert got[:2] == {"nul-pool": (40, 40), "8-and-16-byte-ids": (3, 1),
+                           "all-distinct-items": (39, 300)}[case]
 
     @staticmethod
     def traced_peak(path, **kwargs):
@@ -420,7 +430,31 @@ class TestLoadTriplets:
                 counts.tolist())))
         peak, t = self.traced_peak(p, delimiter=",")
         assert t.counts.size == n
-        assert peak / n <= 90
+        assert peak / n <= self.PEAK_PER_LINE
+
+    def test_peak_per_line_on_taste_profile_shape(self, tmp_path):
+        # 57k tab-separated lines grouped by user, with the Million Song
+        # Dataset Taste Profile's ids: users of 40 hex digits, songs of "SO"
+        # and 16 letters and digits, Zipf-popular among 10k
+        rng = np.random.default_rng(0)
+        n_users, n_songs = 1_200, 10_000
+        users = [rng.bytes(20).hex() for _ in range(n_users)]
+        chars = np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", "S1")
+        songs = ["SO" + s.decode() for s in chars[rng.integers(
+            0, chars.size, size=(n_songs, 16))].view("S16").ravel()]
+        popularity = np.cumsum(1 / np.arange(1, n_songs + 1) ** 0.8)
+        picks = np.searchsorted(popularity, popularity[-1] * rng.random(
+            (n_users, 50)))
+        lines = []
+        for user, picked in zip(users, picks):
+            picked = np.unique(picked)
+            lines += [f"{user}\t{songs[s]}\t{c}\n" for s, c in zip(
+                picked.tolist(), rng.zipf(1.7, size=picked.size).tolist())]
+        p = tmp_path / "taste.tsv"
+        p.write_text("".join(lines))
+        peak, t = self.traced_peak(p, delimiter="\t")
+        assert t.n_users == n_users and t.counts.size == len(lines)
+        assert peak / len(lines) <= self.WIDE_PEAK_PER_LINE
 
     def test_long_id_does_not_widen_every_key(self, tmp_path):
         # one 1000-byte id among 100k short ones costs its own words only

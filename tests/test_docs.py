@@ -76,6 +76,19 @@ def test_stated_transient_bounds_match_tests():
         "nnz·8 bytes": [str(TestScalability.ENTRY_TRANSIENT)]}
 
 
+def test_stated_reader_peaks_match_tests():
+    # "~N bytes per line, and a test bounds it at X": the triplet reader's
+    # traced peak, on the benchmark's short ids, then on the Taste
+    # Profile's wide ids
+    from test_data import TestLoadTriplets
+
+    text = " ".join(README.read_text().split())
+    assert re.findall(r"bytes per line, and a test bounds it at (\d+)",
+                      text) == [
+        str(TestLoadTriplets.PEAK_PER_LINE),
+        str(TestLoadTriplets.WIDE_PEAK_PER_LINE)]
+
+
 def private(name):
     """Whether name is private: a leading underscore, dunders aside."""
     return name.startswith("_") and not (name.startswith("__")
