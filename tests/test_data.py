@@ -373,7 +373,8 @@ class TestLoadTriplets:
         assert self.outcome(load_triplets, p, delimiter=delimiter) == (
             self.outcome(load_triplets_by_line, p, delimiter=delimiter))
 
-    @pytest.mark.parametrize("case", ["nul-pool", "8-and-16-byte-ids",
+    @pytest.mark.parametrize("case", ["nul-pool", "one-byte-apart",
+                                      "8-and-16-byte-ids",
                                       "all-distinct-items"])
     def test_wide_ids_match_oracle(self, tmp_path, monkeypatch, case):
         # 64-byte reads, so that most wide ids recur in later runs
@@ -385,6 +386,13 @@ class TestLoadTriplets:
                     for n in rng.integers(5, 30, size=40)]
             lines = {(rng.choice(pool), rng.choice(pool)): n + 1
                      for n in range(300)}
+        elif case == "one-byte-apart":
+            # ids of 24 bytes that differ in one byte only: the first, the
+            # last, or either side of a word boundary
+            ids = ["w" * 24] + ["w" * k + "v" + "w" * (23 - k)
+                                for k in (0, 7, 8, 23)]
+            lines = {(u, i): 5 * a + b + 1 for a, u in enumerate(ids)
+                     for b, i in enumerate(ids[::-1])}
         elif case == "8-and-16-byte-ids":
             # ids of 8 and 16 bytes that share words: B is A's last 8
             # bytes, A starts with 8 NULs and C ends with one
@@ -402,7 +410,8 @@ class TestLoadTriplets:
                      encoding="utf-8")
         got = self.outcome(load_triplets, p, delimiter=",")
         assert got == self.outcome(load_triplets_by_line, p, delimiter=",")
-        assert got[:2] == {"nul-pool": (40, 40), "8-and-16-byte-ids": (3, 1),
+        assert got[:2] == {"nul-pool": (40, 40), "one-byte-apart": (5, 5),
+                           "8-and-16-byte-ids": (3, 1),
                            "all-distinct-items": (39, 300)}[case]
 
     @staticmethod
