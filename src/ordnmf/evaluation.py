@@ -9,12 +9,14 @@ from .errors import ConfigError, DataError, NumericalError
 from .inference import entry_dot
 from .model import log1mexp
 
-# Cells per dense float64 score block of top_lists (8 MB).  Each block
-# also takes a fresh int64 index block from np.argpartition, whose pages
-# fault in anew: at 2^19 cells that cost ~40% more CPU in evaluate_ranking
-# on the benchmark's rank input (45k minor faults per call against 15k, on
-# a 2-core x86 box)
-BLOCK_CELLS = 1 << 20
+# Cells per dense float64 score block of top_lists (4 MB).  top_lists
+# allocates its three block buffers (the scores, their partitioned copy, a
+# bool mask) once per call, so selection costs ~6 ns per cell at 2^18 to
+# 2^20 cells on the benchmark's rank shape (I = 20000, m = 100, one BLAS
+# thread, a 2-core x86 box).  Smaller blocks cost the score product more,
+# as BLAS repacks E[H]^T for every block: 3.1-4.6 ns per cell at 2^18
+# against 2.4-3.3 at 2^19
+BLOCK_CELLS = 1 << 19
 
 
 @dataclass
@@ -35,12 +37,14 @@ class PPCReport:
     n_cells_sampled: int
 
 
-def top_m_items(scores, users, train, list_length):
+def top_m_items(scores, users, train, list_length, copy=None, mask=None):
     """Top-m lists (items, lengths) of a block of score rows of users.
 
     Row j's list is items[j, :lengths[j]], ordered by score descending and
     ascending item.  Unless train (an OrdinalMatrix) is None, the users'
     train items are set to -inf in scores (in place) and never listed.
+    copy (float) and mask (bool), of scores' shape, are scratch written
+    over, allocated here unless given.
     """
     if list_length < 1:
         raise ConfigError(f"list length must be >= 1, got {list_length}")
@@ -53,18 +57,25 @@ def top_m_items(scores, users, train, list_length):
         row, at = train.block_entries(users)
         scores[row, train.cols[at]] = -np.inf
         lengths = np.minimum(m, n_items - np.bincount(row, minlength=n_rows))
-    items = np.argpartition(scores, n_items - m, axis=1)[:, n_items - m:]
-    cut = np.take_along_axis(scores, items[:, :1], axis=1)  # m-th largest
-    # where over m items reach the cut, the partition chose among its ties:
-    # take the items above it, then the lowest-index tied ones up to m
-    straddle = np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > m)
-    block, cut = scores[straddle], cut[straddle]
-    chosen = block > cut
-    tied = block == cut
-    need = m - chosen.sum(axis=1, keepdims=True)
-    chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
-    items[straddle] = np.nonzero(chosen)[1].reshape(straddle.size, m)
-    items.sort(axis=1)  # then a stable sort by score keeps items ascending
+    if copy is None:
+        copy = np.empty_like(scores)
+    np.copyto(copy, scores)
+    k = n_items - m
+    copy.partition(k, axis=1)
+    cut = copy[:, k:k + 1]  # each row's m-th largest score
+    mask = np.greater_equal(scores, cut, out=mask)  # m or more per row
+    if np.count_nonzero(mask) != n_rows * m:
+        # where over m items reach the cut, keep the items above it, then
+        # the lowest-index tied ones up to m
+        straddle = np.flatnonzero(np.count_nonzero(mask, axis=1) > m)
+        block, cut = scores[straddle], cut[straddle]
+        chosen = block > cut
+        tied = block == cut
+        need = m - chosen.sum(axis=1, keepdims=True)
+        chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
+        mask[straddle] = chosen
+    # ascending items per row; then a stable sort by score keeps them so
+    items = (np.flatnonzero(mask) % n_items).reshape(n_rows, m)
     top = np.take_along_axis(scores, items, axis=1)
     order = np.argsort(-top, axis=1, kind="stable")
     return np.take_along_axis(items, order, axis=1), lengths
@@ -83,12 +94,16 @@ def top_lists(state, users, train, list_length):
         raise ConfigError(f"user index {bad[0]} outside "
                           f"0..{state.n_users - 1}")
     step = max(1, BLOCK_CELLS // state.n_items)
-    buffer = np.empty((min(step, users.size), state.n_items))
+    shape = (min(step, users.size), state.n_items)
+    buffer, copy = np.empty(shape), np.empty(shape)
+    mask = np.empty(shape, dtype=bool)
     for start in range(0, users.size, step):
         block = users[start:start + step]
+        n = block.size
         scores = np.matmul(state.W.mean[block], state.H.mean.T,
-                           out=buffer[:block.size])
-        items, lengths = top_m_items(scores, block, train, list_length)
+                           out=buffer[:n])
+        items, lengths = top_m_items(scores, block, train, list_length,
+                                     copy=copy[:n], mask=mask[:n])
         yield block, items, lengths, np.take_along_axis(scores, items, axis=1)
 
 
@@ -100,14 +115,15 @@ def _ndcg_reports(lists, test, thresholds, list_length):
             raise ConfigError(f"relevance threshold {s} outside 1..{test.n_classes}")
     total = np.zeros(len(thresholds))
     n_eval = np.zeros(len(thresholds), dtype=np.int64)
+    # every block's list width; top_m_items refuses a list_length below 1
+    m = max(0, min(int(list_length), test.n_items))
+    discounts = 1.0 / np.log2(np.arange(2, m + 2))
+    ideal = np.cumsum(discounts)
     for users, items, lengths, _ in lists:
-        m = items.shape[1]
         ranked = test.classes_at(users[:, None], items)
         ranked[np.arange(m) >= lengths[:, None]] = 0
         row, at = test.block_entries(users)
         classes = test.vals[at]
-        discounts = 1.0 / np.log2(np.arange(2, m + 2))
-        ideal = np.cumsum(discounts)
         for j, s in enumerate(thresholds):
             n_rel = np.bincount(row[classes >= s], minlength=users.size)
             dcg = (ranked >= s) @ discounts  # 0 where n_rel is 0

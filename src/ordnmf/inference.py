@@ -548,16 +548,20 @@ def update_factors(state, data, scratch):
     over the non-zeros (its transpose for the items), whose values are
     written over scratch, one float per entry.  The product is written
     over the side's mean, which set then overwrites, and the new rate over
-    the old one, which nothing reads after the local step."""
+    the old one, which nothing reads after the local step.  At V = 1
+    every value is 0 and adding the product changes no rate, so it is
+    not formed."""
     theta = state.thresholds.theta
-    # theta_{y-1} - theta_0 indexed by class y (y = 0 is not stored)
-    _take_by_class(np.append(0.0, theta - theta[0]), data.vals, scratch)
+    sparse_term = len(theta) > 1
+    if sparse_term:  # theta_{y-1} - theta_0 by class y (y = 0 not stored)
+        _take_by_class(np.append(0.0, theta - theta[0]), data.vals, scratch)
     for side, other, transposed in ((state.W, state.H, False),
                                     (state.H, state.W, True)):
         rate = np.add(side.beta[:, None], theta[0] * other.mean_colsum,
                       out=side.rate)
-        rate += _sparse_product(data, scratch, other.mean, side.mean,
-                                transposed)
+        if sparse_term:
+            rate += _sparse_product(data, scratch, other.mean, side.mean,
+                                    transposed)
         side.shape += side.alpha
         side.set(side.shape, rate)
 

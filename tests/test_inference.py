@@ -13,6 +13,7 @@ import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,6 +313,23 @@ class TestFactorUpdates:
         update_factors(state_t, data_t, lam_t)
         np.testing.assert_allclose(state_t.W.shape, state.H.shape, rtol=1e-12)
         np.testing.assert_allclose(state_t.W.rate, state.H.rate, rtol=1e-12)
+
+    @pytest.mark.parametrize("variant, n_classes, products", [
+        ("ordinal", 3, 4), ("ordinal", 1, 2), ("bepof", 1, 2), ("pf", 1, 2)])
+    def test_rate_products_only_above_one_class(self, monkeypatch, variant,
+                                                n_classes, products):
+        # the rate weights theta_{y-1} - theta_0 are 0 at every entry when
+        # V = 1, so an iteration forms the local step's two sparse products
+        # and not the factor update's two
+        rng = np.random.default_rng(49)
+        data = random_matrix(8, 6, n_classes, rng)
+        state = random_state_like(data, 2, rng)
+        lam = entry_intensities(state, data)
+        spy = mock.Mock(wraps=inference._sparse_product)
+        monkeypatch.setattr(inference, "_sparse_product", spy)
+        for _ in range(2):
+            iterate(state, data, lam, variant)
+        assert spy.call_count == 2 * products
 
 
 class TestThresholdUpdate:
