@@ -243,23 +243,25 @@ def load_triplets(path, delimiter=None, skip_header=False):
 
     Ids may be arbitrary strings; contiguous 0-based indices are assigned in
     first-appearance order.  Values must be positive integers below 2^63,
-    written in ASCII as integers or as integral decimals such as 3.0.
-    Duplicate (user, item) pairs are rejected.  Lines end at newline bytes
-    and must be UTF-8; each rejection is a ParseError naming path and line,
-    the first in file order when there are several.
+    written in ASCII as integers or as integral decimals such as 3.0, read
+    exactly.  Duplicate (user, item) pairs are rejected.  Lines end at
+    newline bytes and must be UTF-8; each rejection is a ParseError naming
+    path and line, the first in file order when there are several.
+    delimiter is None to split on whitespace, or one or more characters
+    (ConfigError for "").
 
-    The file is read once, in runs of whole lines, and each run is walked
-    in file order.  A clean line is user, separator, item, separator,
-    value, an optional "\r" and the newline.  The separator is one space or
-    tab, or the delimiter when one is given; each id is non-empty and holds
-    no whitespace, no delimiter and no byte that is not UTF-8; the value is
-    1 to 18 ASCII digits, the first not 0.  On such a line _parse_line's
-    decode, strip and split change nothing and it accepts the value, so a
-    run's clean lines are split by numpy in one pass over their bytes.
-    Every other line goes through _parse_line, so that every line is
-    accepted or rejected as _parse_line alone would.  No line is clean when
-    the delimiter is longer than one character, "\n", "\r" or an ASCII
-    digit.
+    The file is read once, in runs of whole lines, and one pass over each
+    run's bytes classifies and splits its lines (_split).  A clean line is
+    user, separator, item, separator, value, an optional "\r" and the
+    newline, with no other ASCII whitespace or delimiter: the separator is
+    one space or tab, or the delimiter's bytes; no field is empty; the value
+    is 1 to 18 ASCII digits, not all 0; and bytes >= 0x80 are only in UTF-8
+    runs without non-ASCII whitespace.  _parse_line would read a clean
+    line's fields as they are split, so numpy reads them.  Every other
+    line, such as a blank one or one whose value is written 3.0, goes
+    through _parse_line, in file order, so every line is accepted or
+    rejected as by _parse_line alone.  No line is clean when the delimiter
+    holds "\n", "\r" or a digit.
 
     Each id, from either path, becomes a one-word integer key (see
     _IdKeys), and each side's indices, in entry_dtype of its number of ids,
@@ -270,7 +272,9 @@ def load_triplets(path, delimiter=None, skip_header=False):
     is ~43 bytes per line on 250k lines of 13 bytes, and 53-62 on lines of
     the Taste Profile's 40- and 18-byte ids.
     """
-    clean = _clean_line(delimiter)
+    if delimiter == "":
+        raise ConfigError("delimiter: expected one or more characters, or "
+                          "None to split on whitespace, got ''")
     users, items = _IdKeys(), _IdKeys()
     values, blank, error = [np.zeros(0, dtype=np.int64)], [], None
     with open(path, "rb") as fh:
@@ -281,12 +285,11 @@ def load_triplets(path, delimiter=None, skip_header=False):
         base, entries = first_line, 0
         for first_line, data in _line_runs(fh, first_line):
             view, user, item, run_values, run_blank, error = _parse_lines(
-                data, clean, delimiter, path, first_line)
+                data, delimiter, path, first_line)
             users.add(view, *user)
             items.add(view, *item)
             values.append(run_values)
-            if run_blank:
-                blank.append(np.add(run_blank, entries))
+            blank.append(run_blank + entries)
             entries += run_values.size
             if error is not None:
                 break
@@ -332,132 +335,123 @@ def _line_runs(fh, first_line):
         yield first_line, rest
 
 
-# the characters that str.isspace, str.strip and str.split take for
-# whitespace: re's \s, spelled out, because a class that holds \s matches
-# ~45% slower than one made of characters and ranges only
-_WHITESPACE = ("\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a"
-               "\u2028\u2029\u202f\u205f\u3000")
-
-
-def _clean_line(delimiter):
-    """Regex that matches the longest stretch of clean lines (see
-    load_triplets) at a position in a run decoded with surrogateescape,
-    which turns each byte that is not UTF-8 into a lone surrogate; ids
-    exclude those.  A value of at most 18 digits is below 2^63.  The empty
-    pattern when no line is clean: a digit delimiter could sit inside the
-    value, one that is part of a line end would split it, and no UTF-8
-    line holds a lone surrogate.
-    """
-    if delimiter is None:
-        sep, excluded = "[ \t]", ""
-    elif len(delimiter) == 1 and not (delimiter in "\n\r"
-                                      or "0" <= delimiter <= "9"
-                                      or "\ud800" <= delimiter <= "\udfff"):
-        sep = excluded = re.escape(delimiter)
-    else:
-        return re.compile("")
-    field = f"[^{_WHITESPACE}{excluded}\ud800-\udfff]+"
-    return re.compile(f"(?:{field}{sep}{field}{sep}[1-9][0-9]{{0,17}}\r?\n)*")
-
-
+# the bytes below 0x80 that str.isspace, str.strip and str.split take for
+# whitespace, and the characters above (the derived class [^\S\x00-\x7f]
+# searches a run of non-ASCII ids ~55% slower)
+_ASCII_SPACE = np.isin(np.arange(256), [*range(9, 14), *range(28, 33)])
+_NON_ASCII_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f"
+                              "\u205f\u3000]")
 _PAD = bytes(8)
 # _LOW[n]: the low n bytes of a little-endian word
 _LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-_ZEROS = 0x3030303030303030  # eight ASCII "0"
+_ONES = 0x0101010101010101  # times a byte: that byte in each of eight
 
 
-def _parse_lines(data, clean, delimiter, path, first_line):
-    """(view, users, items, values, blank, error) of data, whole lines
-    whose first is line first_line, with one entry for each line that
-    holds one, in file order.  clean is _clean_line(delimiter).  view reads
-    the little-endian word at each byte of a buffer that holds the ids'
-    UTF-8 bytes between 8 NUL bytes at each end; users and items are the
-    (starts, lengths) of each entry's id in it.  blank is the number of
-    entries before each blank line.  error is the ParseError of the first
-    line that fails, or None; the entries stop before that line."""
-    text = data.decode(errors="surrogateescape")
-    stretches, parsed, blank = [], [], []  # parsed: (entry, uid, iid, value)
-    pos, line, n, error = 0, first_line, 0, None
-    while pos < len(text):
-        end = clean.match(text, pos).end()
-        if end > pos:  # a stretch of clean lines
-            stretches.append(text[pos:end])
-            count = text.count("\n", pos, end)
-            pos, line, n = end, line + count, n + count
-            continue
-        end = text.find("\n", pos) + 1 or len(text)
+def _parse_lines(data, delimiter, path, first_line):
+    """(view, users, items, values, blank, error) of data, whole lines from
+    line first_line on: view is _split's, users and items the (starts,
+    lengths) of each entry's ids in its buffer, in file order; blank the
+    number of entries before each blank line; error the ParseError of the
+    first line that fails, or None, and the entries stop before it."""
+    view, starts, ends, fields, clean = _split(data, delimiter)
+    todo = np.flatnonzero(~clean)
+    stop, parsed, blank, error = clean.size, [], [], None
+    for k, start, end in zip(todo.tolist(), starts[todo].tolist(),
+                             ends[todo].tolist()):
         try:
-            # the line's bytes, its newline included, as iterating over the
-            # file yields them: a decode error names the same position
-            triplet = _parse_line(
-                text[pos:end].encode("utf-8", "surrogateescape"), delimiter)
+            # the line's bytes as iterating over the file yields them, so
+            # that a decode error names the same position
+            triplet = _parse_line(data[start:end], delimiter)
         except ValueError as exc:
-            error = ParseError(path, line, exc)
+            stop, error = k, ParseError(path, first_line + k, exc)
             break
         if triplet is None:
-            blank.append(n)
-        else:
-            parsed.append((n, *triplet))
-            n += 1
-        pos, line = end, line + 1
-    lined = "".join(stretches).encode()
-    ids = [s.encode() for _, uid, iid, _ in parsed for s in (uid, iid)]
-    buf = b"".join([_PAD, lined, *ids, _PAD])
-    view = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    fields = (_split_clean(buf, view, len(lined), delimiter) if lined
-              else [np.zeros(0, dtype=np.int64)] * 5)
-    if parsed:  # merged with the clean lines' fields in file order
-        size = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-        offset = 8 + len(lined) + np.cumsum(size) - size
-        entry, _, _, value = zip(*parsed)
-        is_parsed = np.zeros(n, dtype=bool)
-        is_parsed[list(entry)] = True
-        for k, own in enumerate([offset[0::2], size[0::2], offset[1::2],
-                                 size[1::2], np.array(value, np.int64)]):
-            merged = np.empty(n, dtype=np.int64)
-            merged[~is_parsed] = fields[k]
-            merged[is_parsed] = own
-            fields[k] = merged
+            blank.append(k)
+            continue
+        # each id's bytes are in its line: any copy of them will do
+        uid, iid = triplet[0].encode(), triplet[1].encode()
+        parsed.append((k, data.find(uid, start) + 8, len(uid),
+                       data.find(iid, start) + 8, len(iid), triplet[2]))
+    if parsed:  # each line's fields in its slot
+        at, *own = map(list, zip(*parsed))
+        for field, column in zip(fields, own):
+            field[at] = column
+    if blank or stop < clean.size:  # drop blank lines, and from stop on
+        keep = np.arange(clean.size) < stop
+        keep[blank] = False
+        fields = [field[keep] for field in fields]
+    blank = np.array(blank, dtype=np.int64) - np.arange(len(blank))
     return view, fields[0:2], fields[2:4], fields[4], blank, error
 
 
-def _split_clean(buf, view, size, delimiter):
-    """[user starts, user lengths, item starts, item lengths, values] of
-    the clean lines in bytes 8 .. 8 + size of buf, which view reads (see
-    _parse_lines).  Ids hold no separator and no newline, so the last byte
-    of each separator and each newline mark three places a line."""
-    sep = (delimiter or " \t").encode()
-    width = 1 if delimiter is None else len(sep)
-    a = np.frombuffer(buf, np.uint8)
-    marks = a[8:8 + size] == 10
-    for tail in sep if delimiter is None else sep[-1:]:
-        marks |= a[8:8 + size] == tail
-    at = np.flatnonzero(marks) + 8
-    for back in range(1, width):  # a delimiter of several UTF-8 bytes
-        at = at[(a[at] == 10) | (a[at - back] == sep[-1 - back])]
-    at = at.reshape(-1, 3)
-    users = np.concatenate(([8], at[:-1, 2] + 1))
-    ends = at[:, 2] - (a[at[:, 2] - 1] == 13)  # before a CRLF line's "\r"
-    return [users, at[:, 0] - width + 1 - users, at[:, 0] + 1,
-            at[:, 1] - width - at[:, 0],
-            _digits(view, ends, ends - at[:, 1] - 1)]
+def _split(data, delimiter):
+    """(view, starts, ends, fields, clean) of data, whole lines: view reads
+    the word at each byte of 8 NULs, data, a newline if it lacks a final
+    one, and 8 NULs; line k is data[starts[k]:ends[k]], and clean[k] whether
+    it is clean (see load_triplets), so that its fields [user start, user
+    length, item start, item length, value] hold.  Each ASCII whitespace
+    byte and the last of each whole separator is marked: a clean line's
+    marks are its two separators, maybe "\r", and its newline."""
+    buf = b"".join([_PAD, data, b"" if data.endswith(b"\n") else b"\n", _PAD])
+    view = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    body = np.frombuffer(buf, np.uint8)[8:-8]
+    # no clean line holds a digit delimiter, which could sit in the value,
+    # or "\n" or "\r"; a lone surrogate's bytes are in no UTF-8 run
+    seps = [b" ", b"\t"] if delimiter is None else [
+        delimiter.encode(errors="surrogatepass")]
+    is_sep = np.zeros(body.size, dtype=bool)
+    for sep in [] if re.search(rb"[\n\r0-9]", seps[0]) else seps:
+        hit = body == sep[-1]
+        for back in range(1, len(sep)):  # a whole match ends at hit
+            hit[:back] = False
+            hit[back:] &= body[:-back] == sep[-1 - back]
+        is_sep |= hit
+    at = np.flatnonzero(_ASCII_SPACE.take(body) | is_sep)
+    newline = np.flatnonzero(body[at] == 10)  # the marks that end lines
+    count = np.diff(newline, prepend=-1)  # each line's marks
+    first, second = (at[np.minimum(newline - count + k, newline)]
+                     for k in (1, 2))
+    nl = at[newline]
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    cr = body[nl - 1] == 13  # an empty line 0 reads body[-1], a newline
+    width = len(seps[0])
+    sizes = [first - width + 1 - starts, second - width - first,
+             nl - cr - second - 1]
+    values, digits = _digits(view, nl - cr + 8, np.clip(sizes[2], 0, 18))
+    clean = ((count == 3 + cr) & is_sep[first] & is_sep[second]
+             & (sizes[0] > 0) & (sizes[1] > 0) & (sizes[2] <= 18) & digits
+             & (values > 0))
+    try:
+        spaced = not data.isascii() and _NON_ASCII_SPACE.search(data.decode())
+    except UnicodeDecodeError:
+        spaced = True
+    if spaced:  # each line with bytes >= 0x80 goes to _parse_line
+        clean[np.searchsorted(nl, np.flatnonzero(body >= 0x80))] = False
+    fields = [starts + 8, sizes[0], first + 9, sizes[1], values]
+    return view, starts, np.minimum(nl + 1, len(data)), fields, clean
 
 
 def _digits(view, ends, lengths):
-    """int64 value of each run of lengths[k] (1 to 18) ASCII digits that
-    ends before byte ends[k] of view's buffer, which holds 8 bytes before
-    them: eight digits per word, by SWAR (Lemire, "Fast integer parsing",
-    2018), with the digits before a short run's first taken as "0"."""
+    """(int64 value, whether all are ASCII digits) of each run of lengths[k]
+    (0 to 18) bytes that ends before byte ends[k] of view's buffer, which
+    holds 8 bytes before them: eight bytes per word, with those before a
+    short run's first taken as "0", by SWAR (Lemire, "Fast integer
+    parsing", 2018).  A byte is a digit when its high nibble, and that of
+    it plus 6, is 3; one above 0xF9 carries into the next, but fails."""
     values = np.zeros(ends.size, dtype=np.uint64)
+    digits = np.ones(ends.size, dtype=bool)
     for chunk in range((int(lengths.max(initial=0)) + 7) // 8):
         low = _LOW[8 - np.clip(lengths - 8 * chunk, 0, 8)]
         w = view[np.maximum(ends - 8 * chunk - 8, 0)]
-        w = (w & ~low | _ZEROS & low) - _ZEROS  # a digit in each byte
+        w = w & ~low | 0x30 * _ONES & low
+        digits &= (w & 0xF0 * _ONES | (w + 6 * _ONES & 0xF0 * _ONES) >> 4
+                   == 0x33 * _ONES)
+        w -= 0x30 * _ONES  # a digit in each byte
         w = w * 10 + (w >> 8)  # two-digit numbers in bytes 0, 2, 4, 6
         w = ((w & 0xFF000000FF) * (100 + (1000000 << 32))
              + (w >> 16 & 0xFF000000FF) * (1 + (10000 << 32))) >> 32
         values += w * 10 ** (8 * chunk)
-    return values.view(np.int64)
+    return values.view(np.int64), digits
 
 
 class _IdKeys:
@@ -568,11 +562,16 @@ def _parse_line(line, delimiter):
         value = int(raw)
     except ValueError:
         try:
-            number = float(raw)
+            float(raw)  # what is numeric: decimal also reads sNaN
         except ValueError:
             raise ValueError(f"non-numeric value {raw!r}") from None
-        if not number.is_integer():
-            raise ValueError(f"value {raw!r} is not a finite integer") from None
+        import decimal  # exact, where float rounds above 2^53
+        number = decimal.Decimal(raw)
+        if not number.is_finite() or number != number.to_integral_value():
+            raise ValueError(f"value {raw!r} is not a finite integer")
+        # at 10^19 > 2^63 or more, and tested before int() builds 1e999999999
+        if number and number.adjusted() >= 19:
+            raise ValueError(f"value {raw!r} exceeds the int64 range")
         value = int(number)
     if value <= 0:
         raise ValueError(f"non-positive value {value}")

@@ -1,6 +1,5 @@
 """Ingestion, quantization, splitting, and the binary format."""
 
-import re
 import sys
 import time
 import tracemalloc
@@ -55,9 +54,11 @@ CLEAN_VALUE = (st.integers(1, 10**20).map(lambda n: str(n).encode())
 STRAY_BYTES = [b"\r", b" ", b"\t", b"\x0b", b"\x1c", b"\xc2\xa0", b",", b"+",
                b"."]
 # one delimiter for each branch of the clean-line rule: whitespace, one
-# ASCII or non-ASCII character, and ones that make no line clean (a digit,
-# two characters, either half of a line end)
-DELIMITERS = [None, ",", "\t", ";", "\u00a7", "1", "::", "\r", "\n"]
+# ASCII or non-ASCII character, several characters (one that ends in
+# whitespace, one that overlaps itself), and ones that make no line clean (a
+# digit, either half of a line end)
+DELIMITERS = [None, ",", "\t", ";", "\u00a7", "::", ", ", "aa", "1", "\r",
+              "\n"]
 
 
 def separators(delimiter):
@@ -171,10 +172,24 @@ class TestLoadTriplets:
         ("2.7", "value '2.7' is not a finite integer"),
         ("inf", "value 'inf' is not a finite integer"),
         ("nan", "value 'nan' is not a finite integer"),
+        ("12345678901234567.5", "value '12345678901234567.5' is not a "
+                                "finite integer"),
         ("1e30", "value '1e30' exceeds the int64 range"),
+        ("1e999999999", "value '1e999999999' exceeds the int64 range"),
+        # past int()'s default digit limit, with or without ".0"
+        pytest.param("1" * 5000, f"value '{'1' * 5000}' exceeds the int64 "
+                                 "range", id="5000-digits"),
+        pytest.param("1" * 5000 + ".0", f"value '{'1' * 5000}.0' exceeds "
+                                        "the int64 range",
+                     id="5000-digits.0"),
         ("9223372036854775808", "value '9223372036854775808' exceeds the "
                                 "int64 range"),
+        ("9223372036854775808.0", "value '9223372036854775808.0' exceeds "
+                                  "the int64 range"),
         ("three", "non-numeric value 'three'"),
+        # decimal.Decimal reads these, float does not
+        ("sNaN", "non-numeric value 'sNaN'"),
+        ("NaN123", "non-numeric value 'NaN123'"),
         ("1_000", "non-numeric value '1_000'"),
         ("1_0.0", "non-numeric value '1_0.0'"),
         ("\u0663", "non-numeric value '\u0663'"),  # Arabic-Indic 3
@@ -201,15 +216,24 @@ class TestLoadTriplets:
 
     def test_integral_values_accepted(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("a,x,3.0\na,y,4\nb,x,1e2\nb,y,9223372036854775807\n")
+        # decimals above 2^53 are read exactly, not rounded through float
+        p.write_text("a,x,3.0\na,y,4\nb,x,1e2\nb,y,9223372036854775807\n"
+                     "c,x,9007199254740993.0\nc,y,9223372036854775807.0\n"
+                     "d,x,90071992547409930e-1\n")
         t = load_triplets(p, delimiter=",")
-        assert t.counts.tolist() == [3, 4, 100, 2**63 - 1]
+        assert t.counts.tolist() == [3, 4, 100, 2**63 - 1, 2**53 + 1,
+                                     2**63 - 1, 2**53 + 1]
 
     def test_header_skip_and_whitespace_delimiter(self, tmp_path):
         p = tmp_path / "ws.txt"
         p.write_text("user item count\na x 3\nb y 4\n")
         t = load_triplets(p, skip_header=True)
         assert t.n_users == 2 and t.counts.tolist() == [3, 4]
+        # an empty delimiter is the argument's fault, found before the file
+        # is opened
+        with pytest.raises(ConfigError, match="^delimiter: ") as info:
+            load_triplets(tmp_path / "missing.txt", delimiter="")
+        assert "''" in str(info.value)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
@@ -351,6 +375,11 @@ class TestLoadTriplets:
         for delimiter in ("\t", None):
             t = load_triplets(p, delimiter=delimiter)
             assert t.item_ids == ["x", "y"] and t.counts.tolist() == [3, 4]
+        # a delimiter of several bytes, as in MovieLens 1M
+        p.write_text("1::1193::5\n1::661::3\r\n2::1193::4\n")
+        t = load_triplets(p, delimiter="::")
+        assert t.user_ids == ["1", "2"] and t.item_ids == ["1193", "661"]
+        assert t.counts.tolist() == [5, 3, 4]
         assert calls == []
 
     @pytest.mark.parametrize("delimiter", [",", "\u00a7"])
@@ -503,9 +532,13 @@ class TestLoadTriplets:
         assert long_s <= 10 * short_s + 0.05
 
     def test_whitespace_class_is_str_isspace(self):
-        every = "".join(map(chr, range(sys.maxunicode + 1)))
-        assert re.findall(f"[{data_module._WHITESPACE}]", every) == [
-            c for c in every if c.isspace()]
+        # the byte pass's ASCII whitespace, and the non-ASCII class that
+        # sends a run's lines with such bytes to _parse_line
+        assert np.flatnonzero(data_module._ASCII_SPACE).tolist() == [
+            c for c in range(128) if chr(c).isspace()]
+        above = "".join(map(chr, range(128, sys.maxunicode + 1)))
+        assert data_module._NON_ASCII_SPACE.findall(above) == [
+            c for c in above if c.isspace()]
 
     def test_duplicate_in_large_clean_file_names_line(self, tmp_path):
         # several runs of reading, so the line count carries across them
