@@ -106,22 +106,29 @@ class ThresholdSequence:
         return out if np.ndim(out) else float(out)
 
     def sample_class(self, lam, rng):
-        """Draw classes by inverting the c.d.f. on one uniform u per entry.
+        """Draw classes by inverting the c.d.f. on one uniform u per entry:
+        inverse_cdf at e = -log(u)."""
+        lam = np.asarray(lam, dtype=float)
+        e = rng.random(size=lam.shape)
+        with np.errstate(divide="ignore"):  # u = 0 gives e = +inf
+            np.negative(np.log(e, out=e), out=e)
+        classes = self.inverse_cdf(lam, e)
+        return int(classes) if classes.ndim == 0 else classes
+
+    def inverse_cdf(self, lam, e):
+        """Classes of intensities lam at exponential draws e = -log(u).
 
         The c.d.f. increases in v and is 1 at v = V > u, so the smallest v
         with cdf(v) >= u is the count of v < V with cdf(v) < u, that is
-        with theta_v > -log(u) / lambda: one binary search in the
-        increasing theta[::-1] per entry, and extra memory O(len(lam))
-        whatever V is."""
+        with theta_v > e / lambda: one binary search in the increasing
+        theta[::-1] per entry, and extra memory O(len(lam)) whatever V is.
+        ValueError unless every lambda is >= 0 (NaN fails)."""
         lam = np.asarray(lam, dtype=float)
-        # NaN fails the test
         if not np.all(lam >= 0):
-            raise ValueError("sample_class requires lambda >= 0")
-        u = rng.random(size=lam.shape)
-        # lambda = 0 or u = 0 give +inf, and so may a subnormal lambda by
-        # overflow: class 0 for sure (cdf = 1 > u)
+            raise ValueError("inverse_cdf requires lambda >= 0")
+        # lambda = 0 or e = +inf give +inf, and so may a subnormal lambda
+        # by overflow: class 0 for sure (cdf = 1 > u)
         with np.errstate(divide="ignore", over="ignore"):
-            cut = -np.log(u) / lam
-        classes = self.n_classes - np.searchsorted(self.theta[::-1], cut,
-                                                   side="right")
-        return int(classes) if classes.ndim == 0 else classes
+            cut = np.divide(e, lam)
+        return self.n_classes - np.searchsorted(self.theta[::-1], cut,
+                                                side="right")

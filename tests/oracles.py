@@ -301,6 +301,32 @@ def sample_class_table(thr, lam, u):
     return (cdf < np.asarray(u)[..., None]).sum(axis=-1)
 
 
+def ppc_counts_unscreened(state, rng, n_cells):
+    """Class counts 0..V of ppc_histogram's random stream with every cell's
+    intensity formed, and the number of cells whose intensity is 0.
+
+    The stream: one gamma sample of W, then of H; then per chunk of a
+    million cells, uint32 users, uint32 items and one uniform per cell
+    (ppc_histogram's per-block uniforms, in order, are one stream).  Each
+    cell's class is the package's inverse c.d.f. at its intensity and
+    e = -log(u)."""
+    W = rng.gamma(state.W.shape, 1.0 / state.W.rate)
+    H = rng.gamma(state.H.shape, 1.0 / state.H.rate)
+    counts = np.zeros(state.n_classes + 1, dtype=np.int64)
+    n_zero, chunk = 0, 1_000_000
+    for start in range(0, n_cells, chunk):
+        n = min(chunk, n_cells - start)
+        users = rng.integers(0, state.n_users, size=n, dtype=np.uint32)
+        items = rng.integers(0, state.n_items, size=n, dtype=np.uint32)
+        with np.errstate(divide="ignore"):  # u = 0 gives e = +inf
+            e = -np.log(rng.random(n))
+        lam = np.einsum("jk,jk->j", W[users], H[items])
+        n_zero += np.count_nonzero(lam == 0)
+        counts += np.bincount(state.thresholds.inverse_cdf(lam, e),
+                              minlength=state.n_classes + 1)
+    return counts, n_zero
+
+
 def threshold_objective(delta, y, e_n, e_lam):
     """sum_l [ (sum_{y=l} E[n]) log delta_l - (sum_{y<=l} E[lambda]) delta_l ]."""
     total = 0.0

@@ -19,8 +19,8 @@ from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
 from ordnmf.inference import FitConfig, fit
 from ordnmf.model import ThresholdSequence, log1mexp
 
-from oracles import (ndcg_bruteforce, pmf_all, random_matrix,
-                     random_state_like, top_m_bruteforce)
+from oracles import (ndcg_bruteforce, pmf_all, ppc_counts_unscreened,
+                     random_matrix, random_state_like, top_m_bruteforce)
 from synthetic import default_thresholds, generate_dataset
 
 
@@ -474,6 +474,64 @@ class TestPPC:
         assert counts.tolist() == [475012, 99017, 424421, 452828, 648722]
         np.testing.assert_array_equal(counts / n, report.simulated_freq)
 
+    @staticmethod
+    def screening_state(case):
+        rng = np.random.default_rng(50)
+        V = 1 if case == "one-class" else 4
+        K = 1 if case == "one-component" else 3
+        data = random_matrix(37, 23, V, rng)
+        state = random_state_like(data, K, rng)
+        if case == "dense":
+            for f in (state.W, state.H):
+                f.set(f.shape, f.rate / 2)
+        elif case == "zero-intensity":
+            # gamma draws at shape 1e-3 are 0.0 about half the time
+            for f in (state.W, state.H):
+                f.set(np.full_like(f.shape, 1e-3), f.rate * 1e-6)
+        elif case == "overflowing-bound":
+            # w ~ (1e200, 1e-200, 1e-200) and h the reverse: lambda ~ 1 but
+            # wmax * hsum and wsum * hmax overflow to inf
+            big = np.where(np.arange(K) == 0, 1e200, 1e-200)
+            for f, scale in ((state.W, big), (state.H, big[::-1])):
+                f.set(np.full_like(f.shape, 1e4), 1e4 / (f.mean * scale))
+        elif case == "nan-bound":
+            # most w rows all 0 (shape 1e-3), the rest below 1e-300, and
+            # h ~ 7e307, whose row sums overflow: 0 * inf makes the bound
+            # NaN where lambda = 0, and such cells must be formed
+            state.W.set(np.full_like(state.W.shape, 1e-3),
+                        state.W.rate * 1e300)
+            with np.errstate(over="ignore"):  # the mean's column sums
+                state.H.set(np.full_like(state.H.shape, 1e4),
+                            np.full_like(state.H.rate, 1e4 / 7e307))
+        return data, state
+
+    @pytest.mark.parametrize("case, n_cells", [
+        ("dense", 100_000), ("zero-intensity", 100_000),
+        ("one-component", 1_000_100), ("one-class", 100_000),
+        ("overflowing-bound", 100_000), ("nan-bound", 100_000)])
+    def test_screened_counts_match_unscreened_oracle(self, case, n_cells):
+        data, state = self.screening_state(case)
+        with np.errstate(over="raise"):  # as the CLI runs it
+            report = ppc_histogram(state, data, np.random.default_rng(7),
+                                   n_cells=n_cells)
+        counts = np.rint(report.simulated_freq * n_cells).astype(np.int64)
+        want, n_zero = ppc_counts_unscreened(state, np.random.default_rng(7),
+                                             n_cells)
+        assert counts.tolist() == want.tolist()
+        formed = report.n_intensities_formed
+        assert report.n_cells_sampled == n_cells
+        assert n_cells - counts[0] <= formed <= n_cells
+        if case == "dense":
+            assert formed > 0.99 * n_cells
+        elif case == "zero-intensity":
+            assert n_zero > 0.4 * n_cells and formed < 0.01 * n_cells
+        elif case == "overflowing-bound":
+            assert formed == n_cells and 0 < counts[0] < n_cells
+        elif case == "nan-bound":
+            assert n_zero <= formed < n_cells and 0 < counts[0] < n_cells
+        else:
+            assert formed < n_cells
+
     def test_report_text_shapes(self):
         data, state = self.fitted()
         report = ppc_histogram(state, data, np.random.default_rng(1),
@@ -481,6 +539,10 @@ class TestPPC:
         text = ppc_report_text(report)
         # one line per class 0..V plus header and summary
         assert len(text.strip().splitlines()) == data.n_classes + 3
+        assert text.startswith(
+            f"# simulated non-zero: {report.simulated_nonzero_pct:.3f}%, "
+            f"cells sampled: 5000, intensities formed: "
+            f"{report.n_intensities_formed}\n")
         rank_text = ranking_report_text(
             evaluate_ranking(state, data, random_matrix(
                 40, 30, 3, np.random.default_rng(2), density=0.1),

@@ -1215,7 +1215,7 @@ class TestClassScaling:
         with monkeypatch.context() as patch:
             spy(patch, inference, "_sparse_product")
             spy(patch, inference, "entry_dot")
-            spy(patch, ThresholdSequence, "sample_class")
+            spy(patch, ThresholdSequence, "inverse_cdf")
             tracemalloc.start()
             try:
                 state = fit(data, cfg).state
@@ -1234,7 +1234,7 @@ class TestClassScaling:
         self._run(small, monkeypatch)  # imports are not the fit's memory
         calls_small, peak_small = self._run(small, monkeypatch)
         calls_large, peak_large = self._run(large, monkeypatch)
-        assert calls_small["sample_class"] == 1
+        assert calls_small["inverse_cdf"] == 1  # ppc's one sub-block
         assert calls_large == calls_small
         assert peak_large - peak_small <= self.C * self.V * 8
 
