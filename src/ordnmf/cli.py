@@ -7,6 +7,8 @@ the default otherwise.
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import fields
 
@@ -29,11 +31,20 @@ def _metadata(cfg):
             "config": cfg}
 
 
-def _write_report(path, text, cfg):
+def _write_report(path, chunks, cfg):
+    """Write the metadata header, then each chunk of text as it comes.  On
+    any error the file is removed, so a failed command leaves no partial
+    report; a device or link named by --output is left in place."""
     with open(path, "w") as fh:
-        fh.write(f"# ordnmf schema-version={SCHEMA_VERSION}\n")
-        fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
-        fh.write(text)
+        try:
+            fh.write(f"# ordnmf schema-version={SCHEMA_VERSION}\n")
+            fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+            for chunk in chunks:
+                fh.write(chunk)
+        except BaseException:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
 
 
 def _parse_int_list(cfg, key):
@@ -162,7 +173,7 @@ def cmd_evaluate(cfg):
         text += f"log_lik_nonzeros\t{log_lik_nonzeros(test, state):.6f}\n"
     else:
         text += "log_lik_nonzeros\tN/A\n"
-    _write_report(cfg["output"], text, cfg)
+    _write_report(cfg["output"], [text], cfg)
     sys.stdout.write(text)
     return 0
 
@@ -184,7 +195,7 @@ def cmd_ppc(cfg):
     report = ppc_histogram(state, train, rng,
                            n_cells=_at_least(cfg, "budget", 1))
     text = ppc_report_text(report)
-    _write_report(cfg["output"], text, cfg)
+    _write_report(cfg["output"], [text], cfg)
     sys.stdout.write(text)
     return 0
 
@@ -201,14 +212,16 @@ def cmd_predict(cfg):
             if not 0 <= u < state.n_users:
                 raise ConfigError(f"--users: user index {u} outside "
                                   f"0..{state.n_users - 1}")
-    lines = ["user\trank\titem\tscore"]
-    for block, items, lengths, top in top_lists(state, users, train,
-                                                cfg["list_length"]):
-        for u, row, vals, n in zip(block.tolist(), items.tolist(),
-                                   top.tolist(), lengths.tolist()):
-            for r in range(n):
-                lines.append(f"{u}\t{r + 1}\t{row[r]}\t{vals[r]:.8g}")
-    _write_report(cfg["output"], "\n".join(lines) + "\n", cfg)
+
+    def lines():  # one user's list at a time, as each block is ranked
+        yield "user\trank\titem\tscore\n"
+        for block, items, lengths, top in top_lists(state, users, train,
+                                                    cfg["list_length"]):
+            for u, row, vals, n in zip(block.tolist(), items.tolist(),
+                                       top.tolist(), lengths.tolist()):
+                yield "".join(f"{u}\t{r + 1}\t{row[r]}\t{vals[r]:.8g}\n"
+                              for r in range(n))
+    _write_report(cfg["output"], lines(), cfg)
     print(f"wrote {cfg['output']}")
     return 0
 

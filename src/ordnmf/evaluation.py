@@ -85,10 +85,12 @@ def top_m_items(scores, users, train, list_length, copy=None, mask=None):
 def top_lists(state, users, train, list_length):
     """Yield top_m_items' (users, items, lengths) and the listed items'
     scores E[W] E[H]^T for blocks of users (any order, repeats allowed) of
-    BLOCK_CELLS score cells at most (one row at least).  Every block is
-    scored into one buffer allocated once per call, so ranking's dense
-    score memory (8 MB) does not grow with U x I; the yielded scores are
-    copies.  ConfigError unless every user index lies in 0..U-1."""
+    BLOCK_CELLS score cells at most (one row at least).  Three buffers of
+    one block each are allocated once per call: every block is scored into
+    the first, and top_m_items selects in the second (a copy of the scores
+    to partition) and the third (a mask), so ranking's dense score memory
+    (8.5 MB) does not grow with U x I; the yielded scores are copies.
+    ConfigError unless every user index lies in 0..U-1."""
     users = np.asarray(users, dtype=np.int64)
     bad = users[(users < 0) | (users >= state.n_users)]
     if bad.size:

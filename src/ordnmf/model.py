@@ -105,16 +105,6 @@ class ThresholdSequence:
         out -= lam * self._theta_ext[v]
         return out if np.ndim(out) else float(out)
 
-    def sample_class(self, lam, rng):
-        """Draw classes by inverting the c.d.f. on one uniform u per entry:
-        inverse_cdf at e = -log(u)."""
-        lam = np.asarray(lam, dtype=float)
-        e = rng.random(size=lam.shape)
-        with np.errstate(divide="ignore"):  # u = 0 gives e = +inf
-            np.negative(np.log(e, out=e), out=e)
-        classes = self.inverse_cdf(lam, e)
-        return int(classes) if classes.ndim == 0 else classes
-
     def inverse_cdf(self, lam, e):
         """Classes of intensities lam at exponential draws e = -log(u).
 

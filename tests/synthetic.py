@@ -35,12 +35,20 @@ def generate_dataset(n_users, n_items, n_components, thresholds, rng,
     # cells with lambda == 0 are almost surely class 0; skip sampling them
     classes = np.zeros(lam.shape, dtype=np.int64)
     positive = lam > 0
-    classes[positive] = thresholds.sample_class(lam[positive], rng)
+    lam = lam[positive]
+    classes[positive] = thresholds.inverse_cdf(lam, exp_draws(rng, lam.shape))
     rows, cols = np.nonzero(classes)
     vals = classes[rows, cols]
     matrix = OrdinalMatrix(n_users, n_items, thresholds.n_classes,
                            rows, cols, vals)
     return matrix, GroundTruth(W=W, H=H, thresholds=thresholds)
+
+
+def exp_draws(rng, shape):
+    """e = -log(u) for uniforms u from rng.random: the draws that
+    ThresholdSequence.inverse_cdf turns into classes, as ppc's are."""
+    with np.errstate(divide="ignore"):  # u = 0 gives e = +inf
+        return -np.log(rng.random(size=shape))
 
 
 def default_thresholds(n_classes):

@@ -29,7 +29,7 @@ from oracles import (bepof_iteration, cdf, dense, dense_iteration,
                      elbo_bruteforce, expected_class, local_step, pmf,
                      pmf_all, quantize, random_matrix, random_state_like,
                      threshold_objective, ztp_mean_series)
-from synthetic import default_thresholds, generate_dataset
+from synthetic import default_thresholds, exp_draws, generate_dataset
 
 
 def _report(number, label):
@@ -147,7 +147,7 @@ def test_criterion_4_reductions():
 @_report(5, "class-probability core suite")
 def test_criterion_5_model_core():
     # the reference model (oracles.cdf, pmf, quantize) against its
-    # generative definition, then the library's log_pmf and sample_class
+    # generative definition, then the library's log_pmf and inverse_cdf
     # against the reference
     rng = np.random.default_rng(21)
     sampler = np.random.default_rng(22)
@@ -180,8 +180,9 @@ def test_criterion_5_model_core():
             thr.log_pmf(classes[:, None], grid),
             np.log(pmf(thr, classes[:, None], grid)), rtol=1e-10, atol=1e-10)
 
-        # sample_class, used by ppc and generate_dataset
-        draws = thr.sample_class(np.full(n, lam), sampler)
+        # model.ThresholdSequence.inverse_cdf at e = -log(u), which ppc and
+        # the generative sampler (generate_dataset) run
+        draws = thr.inverse_cdf(np.full(n, lam), exp_draws(sampler, n))
         assert draws.min() >= 0 and draws.max() <= thr.n_classes
         freq = np.bincount(draws, minlength=thr.n_classes + 1) / n
         assert np.all(np.abs(freq - probs) <= 4.0 * sigma + 1e-12)

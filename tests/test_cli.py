@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,27 @@ class TestPipeline:
         assert sorted(r[2] for r in rows if r[0] == "1") == ["1", "2", "3", "4"]
         assert "-inf" not in out.read_text()
 
+    def test_predict_peak_flat_in_users(self, tmp_path):
+        # each block's lists are written as it is ranked; held in memory
+        # until the end, 20 lines of ~22 bytes would add over 1 KB per user
+        peaks = []
+        for n_users in (256, 1024):  # 128 users per score block
+            model, out = tmp_path / f"{n_users}.npz", tmp_path / "top.txt"
+            save_state(model, random_state_like(
+                OrdinalMatrix(n_users, 4096, 3, [], [], []), 1,
+                np.random.default_rng(0)))
+            tracemalloc.start()
+            try:
+                assert run("predict", "--model", model, "--output", out,
+                           "--list-length", 20) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(out.read_text().splitlines()) == 3 + 20 * n_users
+        # the model's own arrays, a few floats per user at K = 1, and
+        # run-to-run jitter of up to ~90 KB
+        assert peaks[1] - peaks[0] < 256 * (1024 - 256)
+
     def test_only_train_imports_scipy(self, tmp_path, triplet_file,
                                       ranking_files):
         """One fresh interpreter runs every other stage without loading
@@ -403,6 +425,18 @@ class TestErrorHandling:
         assert run(*argv, *files, "--output", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_failed_predict_keeps_a_linked_output(self, tmp_path, capsys,
+                                                  ranking_files):
+        # a failed report removes a regular file, never what --output names
+        # when it is a link (such as /dev/stdout) or a device
+        link = tmp_path / "link.txt"
+        link.symlink_to(tmp_path / "target.txt")
+        assert run("predict", "--model", ranking_files["model"],
+                   "--list-length", -2, "--output", link) == 1
+        assert capsys.readouterr().err == (
+            "error: list length must be >= 1, got -2\n")
+        assert link.is_symlink()
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--restarts", 0], "--restarts must be >= 1, got 0"),

@@ -24,22 +24,32 @@ def test_library_quick_start_runs(capsys):
 
 
 def module_references(path):
-    """(module, name) of each `module.name` in the inline code spans of
-    path whose module is one of the package's modules."""
+    """Each dotted name `module.name.…` in the inline code spans of path
+    whose module is one of the package's modules, as a list of its parts."""
     modules = {m.name for m in pkgutil.iter_modules(ordnmf.__path__)}
-    return [(module, name)
+    return [chain.split(".")
             for span in re.findall(r"`([^`\n]+)`", path.read_text())
-            for module, name in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span)
-            if module in modules]
+            for chain in re.findall(r"(?<![\w.])\w+(?:\.\w+)+", span)
+            if chain.partition(".")[0] in modules]
+
+
+def resolves(parts):
+    """Whether ordnmf.parts[0] has the attribute chain parts[1:]."""
+    obj = importlib.import_module(f"ordnmf.{parts[0]}")
+    for name in parts[1:]:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
 
 
 @pytest.mark.parametrize("path", [README], ids=lambda p: p.name)
 def test_module_references_resolve(path):
+    # the whole chain, so that `module.Class.method` fails once the method
+    # is gone, not only once the class is
     refs = module_references(path)
     assert refs
-    missing = [f"{module}.{name}" for module, name in refs
-               if not hasattr(importlib.import_module(f"ordnmf.{module}"),
-                              name)]
+    missing = [".".join(parts) for parts in refs if not resolves(parts)]
     assert missing == []
 
 

@@ -26,9 +26,9 @@ from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, NumericalError, OrdnmfError
 from ordnmf.evaluation import ppc_histogram, top_lists
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
-                              entry_intensities, fit, init_state, iterate,
-                              load_state, local_update, save_state,
-                              update_factors,
+                              entry_intensities, fit, init_state,
+                              init_thresholds, iterate, load_state,
+                              local_update, save_state, update_factors,
                               update_rate_hyperparams, update_thresholds,
                               ztp_mean)
 from ordnmf.model import ThresholdSequence
@@ -169,6 +169,41 @@ class TestInitState:
         data = random_matrix(5, 4, 1, rng)
         state = init_state(FitConfig(n_components=2, variant="bepof"), data)
         assert state.thresholds.theta.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n_users, n_items, vals", [
+        (6, 5, [1, 1, 2, 4, 4, 4, 1]),  # class 3 is empty
+        # U * I near 2^40: class 1's decrement is just above DELTA_FLOOR,
+        # those of classes 2 and 3 are far below it
+        ((1 << 20) + 3, (1 << 20) - 5, [1] * 200 + [2, 3, 3]),
+    ], ids=["empty-class", "sparse-2^40"])
+    def test_initial_thresholds_mirror_update(self, monkeypatch, n_users,
+                                              n_items, vals):
+        # init_thresholds' stated rule, bit for bit: update_thresholds'
+        # decrements at E[n] = the class counts and E[lambda] = 1 in every
+        # cell, floored at DELTA_FLOOR and rescaled so that theta_0 = 1
+        n = len(vals)
+        data = OrdinalMatrix(n_users, n_items, max(vals), np.arange(n) % 6,
+                             np.arange(n) // 6, vals)
+        counts = data.class_counts.astype(float)
+        # the all-cells total of E[lambda] is U * I: here E[W] = U and
+        # E[H] = I in a 1 x 1 state, for update_thresholds reads only that
+        flat = inference.VariationalState(
+            W=GammaVariationalMatrix([[float(n_users)]], [[1.0]], 1.0, [1.0]),
+            H=GammaVariationalMatrix([[float(n_items)]], [[1.0]], 1.0, [1.0]),
+            thresholds=default_thresholds(data.n_classes))
+        passed = []
+        real = ThresholdSequence.from_delta.__func__
+
+        def record(cls, delta):
+            passed.append(np.array(delta))
+            return real(cls, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(ThresholdSequence, "from_delta", classmethod(record))
+            update_thresholds(flat, counts, counts)
+        delta = np.maximum(passed[0], inference.DELTA_FLOOR)
+        want = ThresholdSequence.from_delta(delta / delta.sum())
+        np.testing.assert_array_equal(init_thresholds(data).theta, want.theta)
+        assert want.theta[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_errors(self):
         rng = np.random.default_rng(4)

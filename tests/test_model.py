@@ -9,6 +9,7 @@ from ordnmf.model import ThresholdSequence, log1mexp
 
 from oracles import (cdf, expected_class, pmf, pmf_all, quantize,
                      sample_class_table)
+from synthetic import exp_draws
 
 
 def random_thresholds(n_classes, rng):
@@ -190,18 +191,21 @@ class TestExpectedClass:
 
 
 class TestSampleClass:
+    """Class sampling as ppc and generate_dataset sample: inverse_cdf at
+    exponential draws e = -log(u)."""
+
     def test_deterministic_given_seed(self):
         thr = random_thresholds(4, np.random.default_rng(12))
         lam = np.full(100, 1.3)
-        a = thr.sample_class(lam, np.random.default_rng(99))
-        b = thr.sample_class(lam, np.random.default_rng(99))
+        a = thr.inverse_cdf(lam, exp_draws(np.random.default_rng(99), 100))
+        b = thr.inverse_cdf(lam, exp_draws(np.random.default_rng(99), 100))
         np.testing.assert_array_equal(a, b)
 
     def test_tiny_lambda_gives_zero(self):
         thr = random_thresholds(3, np.random.default_rng(13))
         for lam in (1e-12, 0.0):
-            draws = thr.sample_class(np.full(1000, lam),
-                                     np.random.default_rng(0))
+            draws = thr.inverse_cdf(np.full(1000, lam),
+                                    exp_draws(np.random.default_rng(0), 1000))
             assert np.all(draws == 0)
 
     def test_subnormal_lambda_gives_zero_without_overflow(self):
@@ -210,9 +214,11 @@ class TestSampleClass:
         thr = random_thresholds(3, np.random.default_rng(13))
         lam = np.array([1e-310, 5e-324, 1e-300])
         with np.errstate(over="raise"):
-            got = thr.sample_class(lam, np.random.default_rng(14))
+            got = thr.inverse_cdf(
+                lam, exp_draws(np.random.default_rng(14), lam.shape))
             for x in lam:
-                assert thr.sample_class(x, np.random.default_rng(14)) == 0
+                e = exp_draws(np.random.default_rng(14), ())
+                assert thr.inverse_cdf(x, e) == 0
         u = np.random.default_rng(14).random(size=lam.shape)
         np.testing.assert_array_equal(got, [0, 0, 0])
         np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
@@ -221,12 +227,14 @@ class TestSampleClass:
     def test_negative_or_nan_lambda_rejected(self, lam):
         thr = random_thresholds(3, np.random.default_rng(13))
         with pytest.raises(ValueError, match="requires lambda >= 0"):
-            thr.sample_class(np.array([1.0, lam]), np.random.default_rng(0))
+            thr.inverse_cdf(np.array([1.0, lam]),
+                            exp_draws(np.random.default_rng(0), 2))
 
     def test_matches_cdf_table_draw_for_draw(self):
         thr = random_thresholds(10, np.random.default_rng(15))
         lam = np.random.default_rng(16).gamma(0.5, 2.0, size=20_000) + 1e-9
-        got = thr.sample_class(lam, np.random.default_rng(17))
+        got = thr.inverse_cdf(lam,
+                              exp_draws(np.random.default_rng(17), lam.shape))
         u = np.random.default_rng(17).random(size=lam.shape)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
@@ -234,15 +242,16 @@ class TestSampleClass:
         sampler = np.random.default_rng(18)
         uniforms = np.random.default_rng(18)
         for x in lam[:150]:
-            v = thr.sample_class(x, sampler)
-            assert type(v) is int
+            v = thr.inverse_cdf(x, exp_draws(sampler, ()))
+            assert np.ndim(v) == 0
             assert v == sample_class_table(thr, x, uniforms.random(size=()))
 
     def test_large_v_matches_cdf_table(self):
         # one binary search per cell, not one pass per class
         thr = ThresholdSequence(np.geomspace(50.0, 1e-3, 20_000))
         lam = np.random.default_rng(22).gamma(0.5, 2.0, size=100) + 1e-9
-        got = thr.sample_class(lam, np.random.default_rng(23))
+        got = thr.inverse_cdf(lam,
+                              exp_draws(np.random.default_rng(23), lam.shape))
         u = np.random.default_rng(23).random(size=lam.shape)
         np.testing.assert_array_equal(got, sample_class_table(thr, lam, u))
         assert len(np.unique(got)) > 10
@@ -254,7 +263,7 @@ class TestSampleClass:
         lam = np.random.default_rng(20).gamma(0.5, 2.0, size=n) + 1e-9
         tracemalloc.start()
         try:
-            thr.sample_class(lam, np.random.default_rng(21))
+            thr.inverse_cdf(lam, exp_draws(np.random.default_rng(21), n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -265,7 +274,7 @@ class TestSampleClass:
         thr = random_thresholds(4, rng)
         lam = 1.7
         n = 1_000_000
-        draws = thr.sample_class(np.full(n, lam), rng)
+        draws = thr.inverse_cdf(np.full(n, lam), exp_draws(rng, n))
         freq = np.bincount(draws, minlength=5) / n
         p = pmf_all(thr, lam)
         se = np.sqrt(p * (1 - p) / n)
