@@ -113,26 +113,28 @@ def cmd_train(cfg):
     if rows * cfg["k"] * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"n_components {cfg['k']} is too large: a {rows} x "
                           f"{cfg['k']} float64 factor exceeds numpy's size limit")
-    best = None
-    for r in range(restarts):
-        seed = cfg["seed"] + r
+    best, records = None, []
+    for seed in range(cfg["seed"], cfg["seed"] + restarts):
         result = fit(matrix, FitConfig(
             n_components=cfg["k"], alpha_w=cfg["alpha_w"],
             alpha_h=cfg["alpha_h"], tol=cfg["tol"], max_iter=cfg["max_iter"],
             seed=seed, variant=variant))
-        trace_path = f"{cfg['output']}.trace.{seed}.txt"
-        np.savetxt(trace_path, result.elbo_trace)
-        final = result.elbo_trace[-1]
-        print(f"restart seed={seed}: elbo={final:.6f} "
-              f"iterations={result.iterations} converged={result.converged}")
-        if best is None or final > best[0]:
-            best = (final, result, seed)
-    _, result, seed = best
+        trace = result.elbo_trace.tolist()  # JSON floats round-trip exactly
+        records.append(dict(seed=seed, elbo=trace[-1], iterations=len(trace),
+                            converged=result.converged, elbo_trace=trace))
+        print("restart seed={seed}: elbo={elbo:.6f} iterations={iterations} "
+              "converged={converged}".format(**records[-1]))
+        if best is None or trace[-1] > best[0]["elbo"]:
+            best = (records[-1], result.state)
+        del result  # so that the next fit holds no state but the best
+    record, state = best
     meta = _metadata(cfg)
-    meta.update(best_seed=seed, elbo=float(best[0]),
-                iterations=result.iterations, converged=result.converged)
-    save_state(cfg["output"], result.state, metadata=meta)
-    print(f"wrote {cfg['output']} (best seed {seed})")
+    meta.update(best_seed=record["seed"], elbo=record["elbo"],
+                iterations=record["iterations"],
+                converged=record["converged"], restarts=records)
+    with open(cfg["output"], "wb") as fh:  # np.savez would append .npz
+        save_state(fh, state, metadata=meta)
+    print(f"wrote {cfg['output']} (best seed {record['seed']})")
     return 0
 
 

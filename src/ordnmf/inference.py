@@ -451,7 +451,8 @@ def class_sums(state, data, out=None):
 
 def init_thresholds(data):
     """Initial decrements proportional to freq(y = l) / freq(y <= l),
-    rescaled so theta_0 = 1.  Mirrors the threshold update at a flat start."""
+    rescaled to sum to 1, so theta_0 = 1 up to rounding (from_delta sums
+    them in another order).  Mirrors the threshold update at a flat start."""
     v_counts = data.class_counts.astype(float)
     n_cells = float(data.n_users) * float(data.n_items)
     at_most = n_cells - data.nnz + np.cumsum(v_counts)

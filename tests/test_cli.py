@@ -18,9 +18,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ordnmf
+from ordnmf import cli
 from ordnmf.baselines import binarize
 from ordnmf.cli import build_parser, main
 from ordnmf.data import OrdinalMatrix
+from ordnmf.errors import NumericalError
 from ordnmf.inference import (GammaVariationalMatrix, VariationalState,
                               load_state, save_state)
 from ordnmf.model import ThresholdSequence
@@ -125,7 +127,7 @@ SWEEP_OPTIONS = {
 
 
 class TestPipeline:
-    def test_full_pipeline(self, tmp_path, triplet_file):
+    def test_full_pipeline(self, tmp_path, triplet_file, monkeypatch):
         mat = tmp_path / "data.ordmat"
         assert run("quantize", "--input", triplet_file, "--output", mat,
                    "--boundaries", "1,2,5,10,20,50,100,200,500",
@@ -143,11 +145,33 @@ class TestPipeline:
         assert tr.nnz + te.nnz == loaded.nnz
 
         model = tmp_path / "model.npz"
+        fits, real_fit = [], cli.fit
+
+        def recorded_fit(data, config):
+            fits.append(real_fit(data, config))
+            return fits[-1]
+        monkeypatch.setattr(cli, "fit", recorded_fit)
+        before = set(tmp_path.iterdir())
         assert run("train", "--input", train, "--output", model,
                    "--k", 4, "--max-iter", 30, "--restarts", 2,
                    "--seed", 0) == 0
-        assert (tmp_path / "model.npz.trace.0.txt").exists()
-        assert (tmp_path / "model.npz.trace.1.txt").exists()
+        assert set(tmp_path.iterdir()) == before | {model}  # one file
+        # one record per restart, in seed order, each trace bit for bit
+        _, meta = load_state(model)
+        records = meta["restarts"]
+        assert [r["seed"] for r in records] == [0, 1] and len(fits) == 2
+        for record, result in zip(records, fits):
+            assert sorted(record) == ["converged", "elbo", "elbo_trace",
+                                      "iterations", "seed"]
+            trace = np.array(record["elbo_trace"])
+            assert trace.tobytes() == result.elbo_trace.tobytes()
+            assert record["elbo"] == trace[-1]
+            assert record["iterations"] == result.iterations == len(trace)
+            assert record["converged"] is result.converged
+        best = max(records, key=lambda r: r["elbo"])  # the first of equals
+        assert meta["best_seed"] == best["seed"]
+        for key in ("elbo", "iterations", "converged"):
+            assert meta[key] == best[key]
 
         report = tmp_path / "eval.txt"
         assert run("evaluate", "--model", model, "--train", train,
@@ -175,6 +199,28 @@ class TestPipeline:
         # scores descending within a user
         scores0 = [float(l.split("\t")[3]) for l in body[:5]]
         assert scores0 == sorted(scores0, reverse=True)
+
+    def test_output_without_npz_suffix(self, tmp_path, capsys,
+                                       ranking_files):
+        # np.savez given a path appends .npz; train writes --output itself
+        model = tmp_path / "out" / "model"
+        model.parent.mkdir()
+        assert run("train", "--input", ranking_files["train"],
+                   "--output", model, "--k", 2, "--max-iter", 5,
+                   "--restarts", 2) == 0
+        assert capsys.readouterr().out.endswith(
+            f"wrote {model} (best seed 1)\n")
+        assert list(model.parent.iterdir()) == [model]
+        report, top = tmp_path / "eval.txt", tmp_path / "top.txt"
+        assert run("evaluate", "--model", model,
+                   "--train", ranking_files["train"],
+                   "--test", ranking_files["test"], "--output", report) == 0
+        assert run("predict", "--model", model,
+                   "--train", ranking_files["train"], "--output", top) == 0
+        assert "log_lik_nonzeros" in report.read_text()
+        # three header lines, then the 1 and 4 items not in train
+        assert top.read_text().count("\n") == 3 + 1 + 4
+        assert list(model.parent.iterdir()) == [model]
 
     def test_train_determinism(self, tmp_path, triplet_file):
         mat = tmp_path / "m.ordmat"
@@ -727,6 +773,43 @@ class TestErrorHandling:
                              r"below 2\.225e-308\n", err)
         assert found and 0 < float(found[1]) < np.finfo(float).tiny
         assert list(tmp_path.iterdir()) == [mat]
+
+    def test_failed_restart_leaves_no_output(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the second of three restarts fails: no model, and nothing of
+        # the first restart, is left beside the input
+        mat = tmp_path / "train.ordmat"
+        OrdinalMatrix(2, 5, 3, [0, 0, 0, 0, 1], [0, 1, 2, 3, 0],
+                      [1, 2, 3, 1, 2]).save(mat)
+        real_fit = cli.fit
+
+        def failing_fit(data, config):
+            if config.seed == 1:
+                raise NumericalError("restart at seed 1 failed")
+            return real_fit(data, config)
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        assert run("train", "--input", mat, "--output", tmp_path / "model.npz",
+                   "--k", 2, "--max-iter", 5, "--restarts", 3,
+                   "--seed", 0) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("restart seed=0: ")
+        assert err == "error: restart at seed 1 failed\n"
+        assert list(tmp_path.iterdir()) == [mat]
+
+    def test_unsupported_model_schema_rejected(self, tmp_path, capsys,
+                                               ranking_files):
+        with np.load(ranking_files["model"]) as z:
+            fields = dict(z, schema_version=np.int64(2))
+        model = tmp_path / "v2.npz"
+        with open(model, "wb") as fh:
+            np.savez(fh, **fields)
+        out = tmp_path / "eval.txt"
+        assert run("evaluate", "--model", model,
+                   "--train", ranking_files["train"],
+                   "--test", ranking_files["test"], "--output", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: unsupported model schema version 2\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", [4.4e161, 2e161])
     def test_subnormal_intensity_stops_evaluate(self, tmp_path, capsys,

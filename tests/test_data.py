@@ -628,6 +628,16 @@ class TestOrdinalMatrix:
         with pytest.raises(DataError):
             OrdinalMatrix(2, 2, 3, [0], [0], [0])  # class 0 never stored
 
+    def test_classes_and_entry_shapes_enforced(self):
+        with pytest.raises(DataError,
+                           match="^need at least one non-zero class$"):
+            OrdinalMatrix(2, 2, 0, [], [], [])
+        # unequal lengths, then equal shapes that are not 1-d
+        for rows, cols, vals in (([0, 1], [0], [1]), ([[0]], [[0]], [[1]])):
+            with pytest.raises(DataError, match=(
+                    "^rows/cols/vals must be parallel 1-d arrays$")):
+                OrdinalMatrix(2, 2, 3, rows, cols, vals)
+
     def test_far_corner_entries_in_csr_order(self):
         # the sort key rows * I + cols reaches 2^64 - 2^33 here
         n = (1 << 32) - 1

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from ordnmf import evaluation, inference
 from ordnmf.data import OrdinalMatrix
-from ordnmf.errors import ConfigError, NumericalError
+from ordnmf.errors import ConfigError, DataError, NumericalError
 from ordnmf.evaluation import (_ndcg_reports, evaluate_ranking,
                                log_lik_nonzeros, ppc_histogram,
                                ppc_report_text, ranking_report_text,
@@ -314,6 +314,12 @@ class TestLogLikNonzeros:
         state = random_state_like(test, 2, rng)
         state.thresholds = ThresholdSequence([1.0])
         assert log_lik_nonzeros(test, state) == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_test_matrix_rejected(self):
+        test = OrdinalMatrix(3, 4, 2, [], [], [])
+        state = random_state_like(test, 2, np.random.default_rng(6))
+        with pytest.raises(DataError, match="^test matrix is empty$"):
+            log_lik_nonzeros(test, state)
 
     def test_analytic_single_entry(self):
         test = OrdinalMatrix(1, 1, 2, [0], [0], [1])

@@ -26,7 +26,7 @@ from ordnmf.data import OrdinalMatrix
 from ordnmf.errors import ConfigError, DataError, NumericalError, OrdnmfError
 from ordnmf.evaluation import ppc_histogram, top_lists
 from ordnmf.inference import (FitConfig, GammaVariationalMatrix, class_sums,
-                              entry_intensities, fit, init_state,
+                              compute_elbo, entry_intensities, fit, init_state,
                               init_thresholds, iterate, load_state,
                               local_update, save_state, update_factors,
                               update_rate_hyperparams, update_thresholds,
@@ -180,7 +180,8 @@ class TestInitState:
                                               n_items, vals):
         # init_thresholds' stated rule, bit for bit: update_thresholds'
         # decrements at E[n] = the class counts and E[lambda] = 1 in every
-        # cell, floored at DELTA_FLOOR and rescaled so that theta_0 = 1
+        # cell, floored at DELTA_FLOOR and rescaled to sum to 1 (theta_0
+        # = 1 up to rounding: 1 - 2^-53 in the sparse case)
         n = len(vals)
         data = OrdinalMatrix(n_users, n_items, max(vals), np.arange(n) % 6,
                              np.arange(n) // 6, vals)
@@ -513,6 +514,28 @@ class TestFitLoop:
         # a large but sane shape still fits
         res = fit(data, replace(cfg, alpha_w=1e10))
         assert res.converged and np.all(res.elbo_trace < 0)
+
+    def test_elbo_decrease_stops_fit(self, monkeypatch):
+        # iteration 2's ELBO is twice the true one, far below iteration 1's
+        data = random_matrix(6, 5, 3, np.random.default_rng(19))
+        elbos, real_iterate = [], inference.iterate
+
+        def dropping(*args):
+            elbos.append(real_iterate(*args) * (1 + len(elbos)))
+            return elbos[-1]
+        monkeypatch.setattr(inference, "iterate", dropping)
+        with pytest.raises(NumericalError) as info:
+            fit(data, FitConfig(n_components=2, tol=1e-300))
+        assert len(elbos) == 2
+        assert str(info.value) == (
+            f"ELBO decreased at iteration 2: {elbos[0]} -> {elbos[1]}")
+
+    def test_non_finite_elbo_rejected(self):
+        data = random_matrix(6, 5, 3, np.random.default_rng(19))
+        state = random_state_like(data, 2, np.random.default_rng(0))
+        lam_big = np.full(data.nnz, np.inf)
+        with pytest.raises(NumericalError, match="^non-finite ELBO$"):
+            compute_elbo(state, data, lam_big, np.zeros(data.n_classes))
 
     def test_deterministic(self):
         rng = np.random.default_rng(20)
